@@ -57,6 +57,7 @@ from .observables import (
     write_samples_csv,
 )
 from .statevector import (
+    PauliKernel,
     StateVector,
     apply_circuit,
     apply_gate,

@@ -2,9 +2,10 @@
 
 One period T corresponds to dimensionless phase J*T/hbar = 2 per unit
 coefficient, so evolving by tau (in units of T) applies exp(-2i tau H) with H
-in units of J.  The Trotter path replays the compiled step circuit; the exact
-path applies the sparse propagator to machine precision and serves as the
-validation oracle.
+in units of J.  The Trotter path applies each term's exponential through the
+precompiled Pauli-term kernel, in the frozen term order of the compiled step
+circuit, which it equals to round-off; the exact path applies the sparse
+propagator to machine precision and serves as the validation oracle.
 """
 from __future__ import annotations
 
@@ -12,13 +13,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import compile_trotter_step
+# compile_trotter_step and apply_circuit stay bound here for perfbench/spans.py
+from .circuit import compile_trotter_step  # noqa: F401
 from .hamiltonian import Hamiltonian, build_hamiltonian, sparse_matrix_of
 from .lattice import SystemKind, SystemSpec, build_system
 from .observables import PeriodEstimate, SampleRecord, estimate_period, record_sample
-from .statevector import StateVector, apply_circuit, fidelity, init_basis_state
+from .statevector import (  # noqa: F401
+    PauliKernel,
+    StateVector,
+    apply_circuit,
+    fidelity,
+    init_basis_state,
+)
 
 MAX_STEPS = 10_000_000
+
+
+def _whole_steps(total_over_T: float, dt_over_T: float, what: str = "total_over_T") -> int:
+    """Number of dt steps in `total`; it must be whole (to 1e-9) and within MAX_STEPS."""
+    steps = total_over_T / dt_over_T
+    if abs(steps - round(steps)) > 1e-9:
+        raise ValueError(
+            f"{what}={total_over_T} is not an integer number of dt_over_T={dt_over_T} steps"
+        )
+    if round(steps) > MAX_STEPS:
+        raise ValueError(f"{round(steps)} steps exceeds the {MAX_STEPS} step guard")
+    return round(steps)
 
 
 def default_initial_label(spec: SystemSpec) -> str:
@@ -51,7 +71,6 @@ class RunConfig:
     threshold: float = 0.999
     initial_label: str | None = None
     trotter_depth: int = 1  # inner repetitions per step; 1 for reproduction runs
-    seed: int | None = None
 
     def __post_init__(self):
         if self.dt_over_T <= 0:
@@ -60,18 +79,16 @@ class RunConfig:
             raise ValueError("sample_pitch must be >= 1")
         if self.trotter_depth < 1:
             raise ValueError("trotter_depth must be >= 1")
-        steps = self.total_over_T / self.dt_over_T
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError(
-                f"total_over_T={self.total_over_T} is not an integer number of "
-                f"dt_over_T={self.dt_over_T} steps"
-            )
-        if round(steps) > MAX_STEPS:
-            raise ValueError(f"{round(steps)} steps exceeds the {MAX_STEPS} step guard")
+        _whole_steps(self.total_over_T, self.dt_over_T)
 
     @property
     def n_steps(self) -> int:
         return round(self.total_over_T / self.dt_over_T)
+
+    @property
+    def phi(self) -> float:
+        """Phase per unit coefficient of one inner repetition: 2 dt / depth."""
+        return 2.0 * (self.dt_over_T / self.trotter_depth)
 
     def resolve_initial_label(self) -> str:
         label = self.initial_label or default_initial_label(self.system)
@@ -119,7 +136,7 @@ def _resolve_tracked(
 
 def _collect(
     config: RunConfig,
-    h: Hamiltonian,
+    kernel: PauliKernel,
     states: "list[tuple[int, StateVector]]",
     psi0: StateVector,
 ) -> tuple[list[SampleRecord], tuple[str, ...]]:
@@ -131,7 +148,7 @@ def _collect(
         np.maximum(peak, np.abs(st.amps), out=peak)
     tracked = _resolve_tracked(config, initial, peak, n)
     samples = [
-        record_sample(st, h, tracked, step, config.dt_over_T, reference=psi0)
+        record_sample(st, kernel, tracked, step, config.dt_over_T, reference=psi0)
         for step, st in states
     ]
     return samples, tracked
@@ -141,20 +158,20 @@ def run_trotter(config: RunConfig) -> RunResult:
     """Propagate with repeated Trotter steps, sampling every pitch.
 
     Each step applies `trotter_depth` inner repetitions of the product
-    circuit at dt/depth, so depth 1 is the plain first-order step.
+    formula at dt/depth, so depth 1 is the plain first-order step.
     """
     spec = config.system
     h = build_hamiltonian(spec)
-    step_circuit = compile_trotter_step(h, config.dt_over_T / config.trotter_depth)
+    kernel = PauliKernel(h.n_sites, h.terms)
     psi0 = init_basis_state(config.resolve_initial_label())
     psi = psi0.copy()
     states = [(0, psi.copy())]
     for step in range(1, config.n_steps + 1):
         for _ in range(config.trotter_depth):
-            apply_circuit(psi, step_circuit)
+            kernel.step(psi.amps, config.phi)
         if step % config.sample_pitch == 0:
             states.append((step, psi.copy()))
-    samples, tracked = _collect(config, h, states, psi0)
+    samples, tracked = _collect(config, kernel, states, psi0)
     period = estimate_period(
         [(s.time_over_T, s.fidelity0) for s in samples], config.threshold, config.total_over_T
     )
@@ -183,7 +200,7 @@ def run_exact(config: RunConfig) -> RunResult:
     if step < config.n_steps:  # advance the unsampled remainder to total time
         rest = -2j * (config.n_steps - step) * config.dt_over_T * hs
         psi = StateVector(psi.n_qubits, expm_multiply(rest, psi.amps))
-    samples, tracked = _collect(config, h, states, psi0)
+    samples, tracked = _collect(config, PauliKernel(h.n_sites, h.terms), states, psi0)
     period = estimate_period(
         [(s.time_over_T, s.fidelity0) for s in samples], config.threshold, config.total_over_T
     )
@@ -196,18 +213,15 @@ def fidelity_scan(config: RunConfig, t_max_over_T: float) -> list[tuple[float, f
     This is the semiclassical scheme: each output statevector feeds back as
     the next input, so the propagator is built once and applied repeatedly.
     """
-    spec = config.system
-    h = build_hamiltonian(spec)
-    step_circuit = compile_trotter_step(h, config.dt_over_T / config.trotter_depth)
-    n_steps = round(t_max_over_T / config.dt_over_T)
-    if n_steps > MAX_STEPS:
-        raise ValueError(f"{n_steps} steps exceeds the {MAX_STEPS} step guard")
+    n_steps = _whole_steps(t_max_over_T, config.dt_over_T, "t_max_over_T")
+    h = build_hamiltonian(config.system)
+    kernel = PauliKernel(h.n_sites, h.terms)
     psi0 = init_basis_state(config.resolve_initial_label())
     psi = psi0.copy()
     series = [(0.0, 1.0)]
     for step in range(1, n_steps + 1):
         for _ in range(config.trotter_depth):
-            apply_circuit(psi, step_circuit)
+            kernel.step(psi.amps, config.phi)
         series.append((step * config.dt_over_T, fidelity(psi0, psi)))
     return series
 

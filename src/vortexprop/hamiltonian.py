@@ -148,42 +148,11 @@ def matrix_of(h: Hamiltonian) -> np.ndarray:
     return out
 
 
-def pauli_string_action(n: int, factors) -> tuple[int, np.ndarray]:
-    """Permutation-plus-phase action of a Pauli string on the 2^n basis.
-
-    Returns (flip_mask, phase) with P |i> = phase[i] |i ^ flip_mask>.
-    """
-    idx = np.arange(1 << n)
-    flip = 0
-    phase = np.ones(1 << n, dtype=complex)
-    for site, ax in factors:
-        bit = (idx >> site) & 1
-        if ax == PauliAxis.X:
-            flip ^= 1 << site
-        elif ax == PauliAxis.Y:
-            flip ^= 1 << site
-            phase *= 1j * (1.0 - 2.0 * bit)
-        else:
-            phase *= 1.0 - 2.0 * bit
-    return flip, phase
-
-
 def sparse_matrix_of(h: Hamiltonian):
-    """Sparse CSR matrix of `h`, built term by term from the string action."""
-    from scipy.sparse import coo_matrix
+    """Sparse CSR matrix of `h`, assembled from the precompiled term actions."""
+    from .statevector import PauliKernel  # statevector imports this module
 
-    dim = 1 << h.n_sites
-    idx = np.arange(dim)
-    rows, cols, data = [], [], []
-    for term in h.terms:
-        flip, phase = pauli_string_action(h.n_sites, term.factors)
-        rows.append(idx ^ flip)
-        cols.append(idx)
-        data.append(term.coeff * phase)
-    return coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsr()
+    return PauliKernel(h.n_sites, h.terms).sparse_matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +172,8 @@ def hamiltonian_from_list(data: list[dict], n_sites: int | None = None) -> Hamil
         for d in data
     )
     if n_sites is None:
+        if not terms:
+            raise ValueError("an empty term list needs n_sites")
         n_sites = 1 + max(s for t in terms for s in t.support)
     return Hamiltonian(n_sites=n_sites, terms=terms)
 

@@ -13,8 +13,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .hamiltonian import CONSTANTS, Hamiltonian, PauliAxis, PauliTerm
-from .statevector import StateVector, expect_pauli, fidelity, label_to_index
+from .hamiltonian import CONSTANTS, Hamiltonian
+# expect_pauli stays bound here for perfbench/spans.py
+from .statevector import (  # noqa: F401
+    PauliKernel,
+    StateVector,
+    expect_pauli,
+    fidelity,
+    label_to_index,
+)
 
 
 @dataclass
@@ -54,9 +61,21 @@ def site_moments_z(state: StateVector) -> np.ndarray:
     return out
 
 
+def site_moments_xy(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """(<X_k>, <Y_k>) for every site: 2 Re z_k and 2 Im z_k, z_k = sum conj(a0) a1.
+
+    a0 and a1 are the amplitudes with bit k clear and set, paired across bit k.
+    """
+    z = np.empty(state.n_qubits, dtype=np.complex128)
+    for k in range(state.n_qubits):
+        v = state.amps.reshape(-1, 2, 1 << k)
+        z[k] = np.vdot(v[:, 0, :], v[:, 1, :])
+    return 2.0 * z.real, 2.0 * z.imag
+
+
 def record_sample(
     state: StateVector,
-    h: Hamiltonian,
+    h: Hamiltonian | PauliKernel,
     tracked: Sequence[str],
     step: int,
     dt_over_T: float,
@@ -64,14 +83,16 @@ def record_sample(
 ) -> SampleRecord:
     """Measure every tracked quantity on the current state.
 
-    `reference` is the initial state used for fidelity0; omit it to record
-    fidelity against the state itself (= 1.0 at step 0).
+    `h` gives the energy; a run passes its precompiled kernel so the terms
+    are compiled once, not per sample.  `reference` is the initial state
+    used for fidelity0; omit it to record fidelity against the state itself
+    (= 1.0 at step 0).
     """
-    n = state.n_qubits
     mz = site_moments_z(state)
-    mx = np.array([expect_pauli(state, PauliTerm(1.0, ((k, PauliAxis.X),))) for k in range(n)])
-    my = np.array([expect_pauli(state, PauliTerm(1.0, ((k, PauliAxis.Y),))) for k in range(n)])
-    energy = sum(expect_pauli(state, t) for t in h.terms)
+    mx, my = site_moments_xy(state)
+    if isinstance(h, Hamiltonian):
+        h = PauliKernel(h.n_sites, h.terms)
+    energy = h.expectation(state.amps)
     mag = float(mz.sum())
     amps = state.amps
     norms = {lbl: float(abs(amps[label_to_index(lbl)])) for lbl in tracked}

@@ -299,19 +299,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run one system and write its artifacts")
-    sim.add_argument("--system", choices=[k.value for k in SystemKind], default="melon")
-    sim.add_argument("--n", type=int, default=8, help="XXZ chain length")
-    sim.add_argument("--delta", type=float, default=0.0, help="XXZ anisotropy")
-    sim.add_argument("--dt", type=parse_dt, default=1 / 300,
-                     help="time step as a fraction of T, e.g. 1/300")
-    sim.add_argument("--total", type=float, default=4.0, help="total time in units of T")
-    sim.add_argument("--pitch", type=int, default=20, help="record every k steps")
-    sim.add_argument("--chi", type=float, default=0.0, help="global spin-angle offset")
-    sim.add_argument("--threshold", type=float, default=0.999, help="recurrence threshold")
+    # no flag defaults: a key is in the namespace only when its flag was given,
+    # so _merge_options can tell explicit flags from SimulateOptions defaults
+    sim = sub.add_parser("simulate", help="run one system and write its artifacts",
+                         argument_default=argparse.SUPPRESS)
+    sim.add_argument("--system", choices=[k.value for k in SystemKind])
+    sim.add_argument("--n", type=int, help="XXZ chain length")
+    sim.add_argument("--delta", type=float, help="XXZ anisotropy")
+    sim.add_argument("--dt", type=parse_dt, help="time step as a fraction of T, e.g. 1/300")
+    sim.add_argument("--total", type=float, help="total time in units of T")
+    sim.add_argument("--pitch", type=int, help="record every k steps")
+    sim.add_argument("--chi", type=float, help="global spin-angle offset")
+    sim.add_argument("--threshold", type=float, help="recurrence threshold")
     sim.add_argument("--exact", action="store_true", help="use the exact propagator")
-    sim.add_argument("--out", default=None, help="output directory")
-    sim.add_argument("--config", default=None, help="JSON file overriding defaults (flags win)")
+    sim.add_argument("--out", help="output directory")
+    sim.add_argument("--config", help="JSON file overriding defaults (flags win)")
     sim.add_argument("--dump-hamiltonian", action="store_true")
     sim.add_argument("--dump-circuit", action="store_true")
 
@@ -323,26 +325,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_options(args: argparse.Namespace, argv: list[str]) -> SimulateOptions:
+def _merge_options(args: argparse.Namespace) -> SimulateOptions:
     """Precedence: built-in defaults < config file < explicit flags."""
     opts = SimulateOptions()
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text())
+    given = vars(args)
+    if "config" in given:
+        overrides = json.loads(Path(given["config"]).read_text())
         unknown = set(overrides) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, val in overrides.items():
             setattr(opts, key, parse_dt(val) if key == "dt" and isinstance(val, str) else val)
-    # argparse fills defaults for every flag, so explicitness comes from argv
-    explicit = {a[2:].split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
     for key in _CONFIG_KEYS:
-        if key in explicit:
-            setattr(opts, key, getattr(args, key))
+        if key in given:
+            setattr(opts, key, given[key])
     return opts
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -350,7 +350,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "simulate":
-            opts = _merge_options(args, argv)
+            opts = _merge_options(args)
             result = execute_run(opts)
             print(f"wrote {opts.out or Path('runs') / opts.system}: "
                   f"{len(result.samples)} samples, period {result.period}")

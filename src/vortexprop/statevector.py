@@ -3,15 +3,23 @@
 Site k maps to bit k of the basis index (little endian), so basis labels are
 written most-significant site first: the rightmost character of a label is
 site a.  Bit value 0 is an up spin, 1 a down spin.
+
+Two kernels act on the amplitudes.  The gate kernels replay a compiled
+circuit gate by gate; they are what the dumped circuit is checked with.  The
+Pauli-term kernel applies each Hamiltonian term through its precompiled
+action on the basis; Trotter stepping, expectations, the direct exponential
+and the sparse matrix all go through it.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .hamiltonian import PauliTerm, pauli_string_action
+from .hamiltonian import PauliAxis, PauliTerm
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -118,28 +126,120 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     return state
 
 
-def apply_pauli_exponential_direct(state: StateVector, term: PauliTerm, phi: float) -> StateVector:
-    """Apply exp(-i phi coeff P) without gate decomposition.
+# ---------------------------------------------------------------------------
+# Pauli-term kernel
+# ---------------------------------------------------------------------------
 
-    Uses exp(-i a P) = cos(a) I - i sin(a) P together with the
-    permutation-plus-phase action of the string P on basis states.
+@dataclass(frozen=True)
+class TermAction:
+    """Basis action of coeff * P: (P psi)[j] = factor * sign[j] * psi[gather[j]].
+
+    gather is j ^ flip, None for a diagonal string (flip 0); sign is
+    (-1)^popcount(j & mask) over the Y and Z sites, None when there are none.
     """
-    if term.support and term.support[-1] >= state.n_qubits:
-        raise IndexError("term support outside state")
-    a = phi * term.coeff
-    flip, phase = pauli_string_action(state.n_qubits, term.factors)
-    p_amps = np.empty_like(state.amps)
-    p_amps[np.arange(len(state.amps)) ^ flip] = phase * state.amps
-    state.amps = math.cos(a) * state.amps - 1j * math.sin(a) * p_amps
+    coeff: float
+    factor: complex  # i^#Y, times the sign the flip picks up on the Y/Z sites
+    gather: np.ndarray | None
+    sign: np.ndarray | None
+
+
+class PauliKernel:
+    """Pauli terms precompiled once into their permutation-plus-phase action.
+
+    Terms with the same flip share one int32 gather and terms with the same
+    Y/Z mask share one float sign vector (the XX and YY terms of a bond share
+    the gather; XX terms need no sign).  One scratch buffer serves every
+    call, so a kernel belongs to one run at a time.
+    """
+
+    def __init__(self, n_qubits: int, terms: Sequence[PauliTerm]):
+        self.n_qubits = n_qubits
+        dim = 1 << n_qubits
+        idx = np.arange(dim, dtype=np.int32 if n_qubits < 32 else np.int64)
+        gathers: dict[int, np.ndarray] = {}
+        signs: dict[int, np.ndarray] = {}
+        actions = []
+        for term in terms:
+            if term.support[-1] >= n_qubits:
+                raise IndexError(f"term {term} outside {n_qubits} qubits")
+            flip = mask = n_y = 0
+            for site, axis in term.factors:
+                if axis is not PauliAxis.Z:
+                    flip |= 1 << site
+                if axis is not PauliAxis.X:
+                    mask |= 1 << site
+                n_y += axis is PauliAxis.Y
+            if flip and flip not in gathers:
+                gathers[flip] = idx ^ idx.dtype.type(flip)
+            if mask and mask not in signs:
+                sign = np.ones(dim)
+                for site in range(n_qubits):
+                    if mask >> site & 1:
+                        sign *= 1.0 - 2.0 * ((idx >> site) & 1)
+                signs[mask] = sign
+            factor = 1j ** n_y * (-1) ** bin(flip & mask).count("1")
+            actions.append(TermAction(term.coeff, factor, gathers.get(flip), signs.get(mask)))
+        self.terms: tuple[TermAction, ...] = tuple(actions)
+        self._scratch = np.empty(dim, dtype=np.complex128)
+
+    def _string(self, t: TermAction, amps: np.ndarray) -> np.ndarray:
+        """Scratch <- (P amps) / factor."""
+        out = self._scratch
+        if t.gather is None:
+            np.multiply(amps, t.sign, out=out)
+            return out
+        amps.take(t.gather, out=out, mode="clip")
+        if t.sign is not None:
+            out *= t.sign
+        return out
+
+    def step(self, amps: np.ndarray, phi: float) -> None:
+        """Apply exp(-i phi coeff P) for every term in order, in place.
+
+        exp(-i a P) = cos(a) I - i sin(a) P, since P squares to the identity.
+        """
+        for t in self.terms:
+            a = phi * t.coeff
+            p_amps = self._string(t, amps)
+            p_amps *= -1j * math.sin(a) * t.factor
+            amps *= math.cos(a)
+            amps += p_amps
+
+    def expectation(self, amps: np.ndarray) -> float:
+        """sum_k coeff_k <psi|P_k|psi>, real for the Hermitian strings used here."""
+        total = 0.0
+        for t in self.terms:
+            total += t.coeff * (t.factor * np.vdot(amps, self._string(t, amps))).real
+        return total
+
+    def sparse_matrix(self):
+        """CSR matrix of sum_k coeff_k P_k, one entry per basis state and term."""
+        from scipy.sparse import coo_matrix, csr_matrix
+
+        dim = 1 << self.n_qubits
+        if not self.terms:
+            return csr_matrix((dim, dim), dtype=np.complex128)
+        idx = np.arange(dim)
+        cols, data = [], []
+        for t in self.terms:
+            cols.append(idx if t.gather is None else t.gather)
+            value = t.coeff * t.factor
+            data.append(np.full(dim, value) if t.sign is None else value * t.sign)
+        return coo_matrix(
+            (np.concatenate(data), (np.tile(idx, len(self.terms)), np.concatenate(cols))),
+            shape=(dim, dim),
+        ).tocsr()
+
+
+def apply_pauli_exponential_direct(state: StateVector, term: PauliTerm, phi: float) -> StateVector:
+    """Apply exp(-i phi coeff P) in place, without gate decomposition."""
+    PauliKernel(state.n_qubits, (term,)).step(state.amps, phi)
     return state
 
 
 def expect_pauli(state: StateVector, term: PauliTerm) -> float:
     """<psi| coeff P |psi>, real for the Hermitian strings used here."""
-    flip, phase = pauli_string_action(state.n_qubits, term.factors)
-    p_amps = np.empty_like(state.amps)
-    p_amps[np.arange(len(state.amps)) ^ flip] = phase * state.amps
-    return float(np.real(np.vdot(state.amps, p_amps))) * term.coeff
+    return PauliKernel(state.n_qubits, (term,)).expectation(state.amps)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -147,15 +247,6 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     if a.n_qubits != b.n_qubits:
         raise ValueError("state sizes differ")
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
-
-
-def phase_aligned(amps: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the largest-magnitude amplitude is real positive."""
-    k = int(np.argmax(np.abs(amps)))
-    ref = amps[k]
-    if abs(ref) == 0.0:
-        return amps.copy()
-    return amps * (ref.conjugate() / abs(ref))
 
 
 def max_amplitude_diff(a: StateVector, b: StateVector) -> float:

@@ -12,9 +12,16 @@ from vortexprop.evolve import (
     run_trotter,
     semiclassical_period_scan,
 )
+from vortexprop.circuit import compile_trotter_step
+from vortexprop.hamiltonian import build_hamiltonian
 from vortexprop.lattice import build_system, site_equivalence_classes
 from vortexprop.observables import check_class_degeneracy
-from vortexprop.statevector import max_amplitude_diff
+from vortexprop.statevector import (
+    apply_circuit,
+    fidelity,
+    init_basis_state,
+    max_amplitude_diff,
+)
 
 
 class TestRunConfig:
@@ -119,6 +126,29 @@ class TestRunTrotter:
         a = run_trotter(deep).final_state.amps
         b = run_trotter(fine).final_state.amps
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind, kwargs, depth", [
+        ("melon", {}, 1),
+        ("combined", {}, 1),
+        ("xxz", {"n": 8, "delta": 2.0}, 1),  # diagonal ZZ terms
+        ("melon", {}, 2),
+        ("xxz", {"n": 8, "delta": 2.0}, 2),
+    ])
+    def test_kernel_step_equals_circuit_replay(self, kind, kwargs, depth):
+        # the dumped circuit is the compiled artifact; stepping must equal it
+        spec = build_system(kind, **kwargs)
+        dt, n_steps = 1 / 10, 50
+        config = RunConfig(system=spec, dt_over_T=dt, total_over_T=n_steps * dt,
+                           sample_pitch=n_steps, trotter_depth=depth)
+        circuit = compile_trotter_step(build_hamiltonian(spec), dt / depth)
+        psi0 = init_basis_state(config.resolve_initial_label())
+        replay = psi0.copy()
+        for _ in range(n_steps * depth):
+            apply_circuit(replay, circuit)
+        run = run_trotter(config).final_state
+        assert np.max(np.abs(run.amps - replay.amps)) < 1e-12
+        scan = fidelity_scan(config, n_steps * dt)
+        assert scan[-1][1] == pytest.approx(fidelity(psi0, replay), abs=1e-12)
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
@@ -237,6 +267,13 @@ class TestScans:
         est = semiclassical_period_scan(config, 20.0)
         assert est.lower_bound
         assert est.period_over_T == 20.0
+
+    def test_scan_rejects_fractional_step_count(self):
+        spec = build_system("melon")
+        config = RunConfig(system=spec, dt_over_T=0.3, total_over_T=0.3, sample_pitch=1)
+        with pytest.raises(ValueError, match="t_max_over_T"):
+            fidelity_scan(config, 1.0)
+        assert len(fidelity_scan(config, 0.9)) == 4
 
     def test_scan_series_shape(self):
         spec = build_system("melon")

@@ -185,6 +185,18 @@ class TestMatrixOf:
         h = build_vortex_hamiltonian(build_system("melon"))
         assert np.max(np.abs(sparse_matrix_of(h).toarray() - matrix_of(h))) < 1e-14
 
+    def test_sparse_matches_dense_on_mixed_strings(self):
+        # single Y factors and X/Y/Z mixtures exercise every phase of the action
+        rng = np.random.default_rng(17)
+        axes = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
+        terms = []
+        for _ in range(30):
+            sites = sorted(rng.choice(5, size=int(rng.integers(1, 6)), replace=False).tolist())
+            terms.append(PauliTerm(float(rng.uniform(-2, 2)),
+                                   tuple((s, axes[rng.integers(3)]) for s in sites)))
+        h = Hamiltonian(5, tuple(terms))
+        assert np.max(np.abs(sparse_matrix_of(h).toarray() - matrix_of(h))) < 1e-14
+
     def test_size_guard(self):
         h = Hamiltonian(14, (PauliTerm(1.0, ((0, PauliAxis.X),)),))
         with pytest.raises(ValueError):
@@ -227,6 +239,13 @@ class TestDumpFormat:
     def test_infers_site_count(self):
         h = build_xxz_hamiltonian(4, 0.5)
         assert hamiltonian_from_list(hamiltonian_to_list(h)).n_sites == 4
+
+    def test_empty_list_needs_site_count(self):
+        with pytest.raises(ValueError, match="n_sites"):
+            hamiltonian_from_list([])
+        h = hamiltonian_from_list([], n_sites=3)
+        assert h.terms == ()
+        assert sparse_matrix_of(h).nnz == 0
 
     def test_hash_stable(self):
         h = build_vortex_hamiltonian(build_system("melon"))

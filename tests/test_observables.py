@@ -73,6 +73,20 @@ class TestRecordSample:
                      for k in range(5)]
         assert via_probs == pytest.approx(via_pauli, abs=1e-12)
 
+    def test_transverse_moments_match_pauli_expectations(self):
+        import numpy as np
+        from vortexprop.hamiltonian import PauliAxis, PauliTerm
+        from vortexprop.observables import site_moments_xy
+        from vortexprop.statevector import StateVector, expect_pauli
+
+        rng = np.random.default_rng(43)
+        amps = rng.normal(size=32) + 1j * rng.normal(size=32)
+        state = StateVector(5, amps / np.linalg.norm(amps))
+        mx, my = site_moments_xy(state)
+        for axis, got in ((PauliAxis.X, mx), (PauliAxis.Y, my)):
+            want = [expect_pauli(state, PauliTerm(1.0, ((k, axis),))) for k in range(5)]
+            assert got == pytest.approx(want, abs=1e-12)
+
     def test_tracked_norms_square_sum_to_one(self):
         # tracking every basis state of a small chain captures all probability
         h = build_xxz_hamiltonian(3, 0.5)

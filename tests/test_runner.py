@@ -85,21 +85,21 @@ class TestSimulateCommand:
         assert outs[0] != outs[1]
 
     def test_dumped_circuit_replays_one_step(self, tmp_path):
-        from vortexprop.circuit import circuit_from_dict
-        from vortexprop.evolve import RunConfig, run_trotter
+        # the dump must be the compiled step bit for bit; that the run equals
+        # this circuit to 1e-12 is test_evolve's test_kernel_step_equals_circuit_replay
+        import numpy as np
+        from vortexprop.circuit import circuit_from_dict, compile_trotter_step
+        from vortexprop.hamiltonian import build_hamiltonian
         from vortexprop.lattice import build_system
         from vortexprop.statevector import apply_circuit, init_basis_state
 
         out = tmp_path / "d"
         run_cli(["simulate", "--system", "melon", "--dt", "1/10", "--total", "0.1",
                  "--pitch", "1", "--out", str(out), "--dump-circuit"])
-        circuit = circuit_from_dict(json.loads((out / "circuit.json").read_text()))
-        psi = init_basis_state("10101010")
-        apply_circuit(psi, circuit)
-        config = RunConfig(system=build_system("melon"), dt_over_T=1 / 10,
-                           total_over_T=0.1, sample_pitch=1)
-        import numpy as np
-        assert np.array_equal(psi.amps, run_trotter(config).final_state.amps)
+        dumped = circuit_from_dict(json.loads((out / "circuit.json").read_text()))
+        compiled = compile_trotter_step(build_hamiltonian(build_system("melon")), 1 / 10)
+        replays = [apply_circuit(init_basis_state("10101010"), c) for c in (dumped, compiled)]
+        assert np.array_equal(replays[0].amps, replays[1].amps)
 
     def test_config_file_then_flags_win(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -113,6 +113,16 @@ class TestSimulateCommand:
         assert manifest["config"]["system"] == "xxz"      # from config file
         assert manifest["config"]["total_over_T"] == 1.0  # flag wins
         assert manifest["config"]["pitch"] == 4
+
+    def test_abbreviated_flag_beats_config_file(self, tmp_path):
+        # argparse accepts the unambiguous prefix --tot for --total
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": "xxz", "n": 4, "dt": "1/20", "total": 2.0}))
+        out = tmp_path / "t"
+        assert run_cli(["simulate", "--config", str(cfg), "--tot", "1", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["total_over_T"] == 1.0
+        assert manifest["config"]["n_steps"] == 20
 
     def test_unknown_config_key_fails(self, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vortexprop.circuit import Gate, compile_pauli_exponential
-from vortexprop.hamiltonian import PauliAxis, PauliTerm
+from vortexprop.hamiltonian import PauliAxis, PauliTerm, build_hamiltonian
+from vortexprop.lattice import build_system
 from vortexprop.statevector import (
+    PauliKernel,
     StateVector,
     apply_circuit,
     apply_gate,
@@ -138,6 +142,27 @@ class TestDirectExponential:
             apply_circuit(a, compile_pauli_exponential(term, phi, n))
             apply_pauli_exponential_direct(b, term, phi)
             assert max_amplitude_diff(a, b) < 1e-10
+
+
+class TestKernelInvariants:
+    SYSTEMS = {kind: build_hamiltonian(build_system(kind, **kw)) for kind, kw in (
+        ("melon", {}), ("xxz", {"n": 8, "delta": 2.0}))}
+
+    @settings(max_examples=40, deadline=None)
+    @given(label=st.text("01", min_size=8, max_size=8),
+           kind=st.sampled_from(sorted(SYSTEMS)),
+           phi=st.floats(min_value=-2.0, max_value=2.0))
+    def test_step_keeps_norm_and_parity(self, label, kind, phi):
+        h = self.SYSTEMS[kind]
+        kernel = PauliKernel(h.n_sites, h.terms)
+        state = init_basis_state(label)
+        for _ in range(5):
+            kernel.step(state.amps, phi)
+        assert abs(state.norm_sq() - 1.0) < 1e-12
+        # every term commutes with prod Z: the other sector keeps exact zeros
+        parity = np.array([bin(i).count("1") % 2 for i in range(1 << h.n_sites)])
+        leak = np.sum(state.probabilities()[parity != label.count("1") % 2])
+        assert leak == 0.0
 
 
 class TestExpectation:
