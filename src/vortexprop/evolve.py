@@ -10,6 +10,7 @@ propagator to machine precision and serves as the validation oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .statevector import (  # noqa: F401
 )
 
 MAX_STEPS = 10_000_000
+TRACK_TOP_K = 8  # labels tracked beyond the four fixed ones, by peak |amplitude|
 
 
 def _whole_steps(total_over_T: float, dt_over_T: float, what: str = "total_over_T") -> int:
@@ -67,28 +69,19 @@ class RunConfig:
     total_over_T: float
     sample_pitch: int = 1
     tracked: tuple[str, ...] | None = None  # None resolves the default tracking rule
-    track_top_k: int = 8
     threshold: float = 0.999
     initial_label: str | None = None
-    trotter_depth: int = 1  # inner repetitions per step; 1 for reproduction runs
 
     def __post_init__(self):
         if self.dt_over_T <= 0:
             raise ValueError("dt_over_T must be positive")
         if self.sample_pitch < 1:
             raise ValueError("sample_pitch must be >= 1")
-        if self.trotter_depth < 1:
-            raise ValueError("trotter_depth must be >= 1")
         _whole_steps(self.total_over_T, self.dt_over_T)
 
     @property
     def n_steps(self) -> int:
         return round(self.total_over_T / self.dt_over_T)
-
-    @property
-    def phi(self) -> float:
-        """Phase per unit coefficient of one inner repetition: 2 dt / depth."""
-        return 2.0 * (self.dt_over_T / self.trotter_depth)
 
     def resolve_initial_label(self) -> str:
         label = self.initial_label or default_initial_label(self.system)
@@ -129,82 +122,81 @@ def _resolve_tracked(
         if lbl not in seen:
             extra.append(lbl)
             seen.add(lbl)
-        if len(extra) >= config.track_top_k:
+        if len(extra) >= TRACK_TOP_K:
             break
     return tuple(dict.fromkeys(fixed)) + tuple(extra)
 
 
-def _collect(
+def _run(
     config: RunConfig,
+    h: Hamiltonian,
     kernel: PauliKernel,
-    states: "list[tuple[int, StateVector]]",
-    psi0: StateVector,
-) -> tuple[list[SampleRecord], tuple[str, ...]]:
-    """Build sample records, resolving tracked labels from peak amplitude norms."""
-    n = config.system.n_sites
+    advance: Callable[[StateVector, int], StateVector],
+) -> RunResult:
+    """Sample every pitch, then estimate the period from the fidelity series.
+
+    `advance(psi, k)` returns the state k steps of dt later.  Every sampled
+    state is held until the tracked labels are resolved from the peak
+    amplitude norms; the unsampled remainder is advanced to the total time.
+    """
+    spec = config.system
+    pitch, n_steps = config.sample_pitch, config.n_steps
     initial = config.resolve_initial_label()
+    psi0 = init_basis_state(initial)
+    psi = psi0.copy()
+    states = [(0, psi.copy())]
+    step = 0
+    while step + pitch <= n_steps:
+        psi = advance(psi, pitch)
+        step += pitch
+        states.append((step, psi.copy()))
+    if step < n_steps:
+        psi = advance(psi, n_steps - step)
+    n = spec.n_sites
     peak = np.zeros(1 << n)
     for _, st in states:
         np.maximum(peak, np.abs(st.amps), out=peak)
     tracked = _resolve_tracked(config, initial, peak, n)
     samples = [
-        record_sample(st, kernel, tracked, step, config.dt_over_T, reference=psi0)
-        for step, st in states
+        record_sample(st, kernel, tracked, k, config.dt_over_T, reference=psi0)
+        for k, st in states
     ]
-    return samples, tracked
-
-
-def run_trotter(config: RunConfig) -> RunResult:
-    """Propagate with repeated Trotter steps, sampling every pitch.
-
-    Each step applies `trotter_depth` inner repetitions of the product
-    formula at dt/depth, so depth 1 is the plain first-order step.
-    """
-    spec = config.system
-    h = build_hamiltonian(spec)
-    kernel = PauliKernel(h.n_sites, h.terms)
-    psi0 = init_basis_state(config.resolve_initial_label())
-    psi = psi0.copy()
-    states = [(0, psi.copy())]
-    for step in range(1, config.n_steps + 1):
-        for _ in range(config.trotter_depth):
-            kernel.step(psi.amps, config.phi)
-        if step % config.sample_pitch == 0:
-            states.append((step, psi.copy()))
-    samples, tracked = _collect(config, kernel, states, psi0)
     period = estimate_period(
         [(s.time_over_T, s.fidelity0) for s in samples], config.threshold, config.total_over_T
     )
     return RunResult(config, samples, period, psi, spec.labels, tracked, h)
+
+
+def run_trotter(config: RunConfig) -> RunResult:
+    """Propagate with repeated first-order Trotter steps, sampling every pitch."""
+    h = build_hamiltonian(config.system)
+    kernel = PauliKernel(h.n_sites, h.terms)
+    phi = 2.0 * config.dt_over_T
+
+    def advance(psi: StateVector, k: int) -> StateVector:
+        for _ in range(k):
+            kernel.step(psi.amps, phi)
+        return psi
+
+    return _run(config, h, kernel, advance)
 
 
 def run_exact(config: RunConfig) -> RunResult:
     """Propagate with the exact propagator, sampled at the Trotter sample times."""
     from scipy.sparse.linalg import expm_multiply
 
-    spec = config.system
-    if spec.n_sites > 13:
+    if config.system.n_sites > 13:
         raise ValueError("exact propagation capped at 13 sites")
-    h = build_hamiltonian(spec)
+    h = build_hamiltonian(config.system)
     hs = sparse_matrix_of(h)
-    psi0 = init_basis_state(config.resolve_initial_label())
-    psi = psi0.copy()
-    states = [(0, psi.copy())]
-    tau = config.sample_pitch * config.dt_over_T
-    generator = -2j * tau * hs
-    step = 0
-    while step + config.sample_pitch <= config.n_steps:
-        step += config.sample_pitch
-        psi = StateVector(psi.n_qubits, expm_multiply(generator, psi.amps))
-        states.append((step, psi.copy()))
-    if step < config.n_steps:  # advance the unsampled remainder to total time
-        rest = -2j * (config.n_steps - step) * config.dt_over_T * hs
-        psi = StateVector(psi.n_qubits, expm_multiply(rest, psi.amps))
-    samples, tracked = _collect(config, PauliKernel(h.n_sites, h.terms), states, psi0)
-    period = estimate_period(
-        [(s.time_over_T, s.fidelity0) for s in samples], config.threshold, config.total_over_T
-    )
-    return RunResult(config, samples, period, psi, spec.labels, tracked, h)
+    pitch, dt = config.sample_pitch, config.dt_over_T
+    sampled = -2j * (pitch * dt) * hs
+
+    def advance(psi: StateVector, k: int) -> StateVector:
+        generator = sampled if k == pitch else -2j * k * dt * hs
+        return StateVector(psi.n_qubits, expm_multiply(generator, psi.amps))
+
+    return _run(config, h, PauliKernel(h.n_sites, h.terms), advance)
 
 
 def fidelity_scan(config: RunConfig, t_max_over_T: float) -> list[tuple[float, float]]:
@@ -218,10 +210,10 @@ def fidelity_scan(config: RunConfig, t_max_over_T: float) -> list[tuple[float, f
     kernel = PauliKernel(h.n_sites, h.terms)
     psi0 = init_basis_state(config.resolve_initial_label())
     psi = psi0.copy()
+    phi = 2.0 * config.dt_over_T
     series = [(0.0, 1.0)]
     for step in range(1, n_steps + 1):
-        for _ in range(config.trotter_depth):
-            kernel.step(psi.amps, config.phi)
+        kernel.step(psi.amps, phi)
         series.append((step * config.dt_over_T, fidelity(psi0, psi)))
     return series
 

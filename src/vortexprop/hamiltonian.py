@@ -15,9 +15,9 @@ from enum import Enum
 
 import numpy as np
 
-from .lattice import SystemKind, SystemSpec
+from .lattice import SystemKind, SystemSpec, bond_couplings
 
-COEFF_CUTOFF = 1e-15  # below this a term compiles to an identity circuit
+COEFF_CUTOFF = 1e-15  # terms with |coefficient| below this are left out of the Hamiltonian
 
 
 class PauliAxis(str, Enum):
@@ -83,23 +83,15 @@ def period_from_constants(constants: PhysicalConstants = CONSTANTS) -> float:
 def build_vortex_hamiltonian(spec: SystemSpec) -> Hamiltonian:
     """Expand S_p.S_q over every bond of a vortex system.
 
-    Per bond (p, q) the couplings are
-        XX: cos(xi_p) cos(xi_q) sin(th_p) sin(th_q)
-        YY: sin(xi_p) sin(xi_q) sin(th_p) sin(th_q)
-        ZZ: cos(th_p) cos(th_q)
+    Each bond contributes its XX, YY and ZZ couplings (`bond_couplings`).
     With theta = pi/2 the ZZ coupling vanishes, so every emitted term is
     off-diagonal in the computational basis.
     """
     if spec.kind is SystemKind.XXZ:
         raise ValueError("use build_xxz_hamiltonian for the chain")
-    xi, th = spec.angles.xi, spec.angles.theta
     terms: list[PauliTerm] = []
     for b in spec.bonds:
-        st = math.sin(th[b.p]) * math.sin(th[b.q])
-        cx = math.cos(xi[b.p]) * math.cos(xi[b.q]) * st
-        cy = math.sin(xi[b.p]) * math.sin(xi[b.q]) * st
-        cz = math.cos(th[b.p]) * math.cos(th[b.q])
-        for c, ax in ((cx, PauliAxis.X), (cy, PauliAxis.Y), (cz, PauliAxis.Z)):
+        for c, ax in zip(bond_couplings(spec, b), (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)):
             if abs(c) >= COEFF_CUTOFF:
                 terms.append(PauliTerm(c, ((b.p, ax), (b.q, ax))))
     return Hamiltonian(n_sites=spec.n_sites, terms=tuple(terms))

@@ -214,14 +214,21 @@ def _transform(pos: tuple[int, int], mat, c2: tuple[int, int]) -> tuple[int, int
     return (tu // 2, tv // 2)
 
 
-def _bond_coefficients(spec: SystemSpec) -> dict[tuple[int, int], tuple[float, float]]:
+def bond_couplings(spec: SystemSpec, bond: Bond) -> tuple[float, float, float]:
+    """(XX, YY, ZZ) couplings of S_p.S_q on one bond (p, q), in units of J.
+
+        XX: cos(xi_p) cos(xi_q) sin(th_p) sin(th_q)
+        YY: sin(xi_p) sin(xi_q) sin(th_p) sin(th_q)
+        ZZ: cos(th_p) cos(th_q)
+    """
     xi, th = spec.angles.xi, spec.angles.theta
-    out = {}
-    for b in spec.bonds:
-        sx = math.cos(xi[b.p]) * math.cos(xi[b.q]) * math.sin(th[b.p]) * math.sin(th[b.q])
-        sy = math.sin(xi[b.p]) * math.sin(xi[b.q]) * math.sin(th[b.p]) * math.sin(th[b.q])
-        out[(b.p, b.q)] = (sx, sy)
-    return out
+    p, q = bond.p, bond.q
+    st = math.sin(th[p]) * math.sin(th[q])
+    return (
+        math.cos(xi[p]) * math.cos(xi[q]) * st,
+        math.sin(xi[p]) * math.sin(xi[q]) * st,
+        math.cos(th[p]) * math.cos(th[q]),
+    )
 
 
 def point_symmetries(spec: SystemSpec, tol: float = 1e-9) -> list[tuple[int, ...]]:
@@ -239,7 +246,7 @@ def point_symmetries(spec: SystemSpec, tol: float = 1e-9) -> list[tuple[int, ...
     c2 = (round(2 * sum(x for x, _ in positions) / nsites),
           round(2 * sum(y for _, y in positions) / nsites))
     bond_map = {(b.p, b.q): b.kind for b in spec.bonds}
-    coeff = _bond_coefficients(spec)
+    coeff = {(b.p, b.q): bond_couplings(spec, b)[:2] for b in spec.bonds}
 
     perms = []
     for mat in _POINT_GROUP:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hamiltonian import CONSTANTS, Hamiltonian
+from .hamiltonian import CONSTANTS
 # expect_pauli stays bound here for perfbench/spans.py
 from .statevector import (  # noqa: F401
     PauliKernel,
@@ -75,7 +75,7 @@ def site_moments_xy(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
 
 def record_sample(
     state: StateVector,
-    h: Hamiltonian | PauliKernel,
+    kernel: PauliKernel,
     tracked: Sequence[str],
     step: int,
     dt_over_T: float,
@@ -83,16 +83,13 @@ def record_sample(
 ) -> SampleRecord:
     """Measure every tracked quantity on the current state.
 
-    `h` gives the energy; a run passes its precompiled kernel so the terms
-    are compiled once, not per sample.  `reference` is the initial state
-    used for fidelity0; omit it to record fidelity against the state itself
-    (= 1.0 at step 0).
+    `kernel` is the run's precompiled Hamiltonian and gives the energy.
+    `reference` is the initial state used for fidelity0; omit it to record
+    fidelity against the state itself (= 1.0 at step 0).
     """
     mz = site_moments_z(state)
     mx, my = site_moments_xy(state)
-    if isinstance(h, Hamiltonian):
-        h = PauliKernel(h.n_sites, h.terms)
-    energy = h.expectation(state.amps)
+    energy = kernel.expectation(state.amps)
     mag = float(mz.sum())
     amps = state.amps
     norms = {lbl: float(abs(amps[label_to_index(lbl)])) for lbl in tracked}

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,10 +35,6 @@ from .statevector import max_amplitude_diff
 
 SUITE_NAMES = ("fig4", "fig5", "fig6", "table1", "convergence", "all")
 
-_CONFIG_KEYS = ("system", "n", "delta", "dt", "total", "pitch", "chi",
-                "threshold", "exact", "out", "dump_hamiltonian", "dump_circuit")
-
-
 def parse_dt(text: str) -> float:
     """Accept a plain float or a fraction of T like '1/300'."""
     if "/" in text:
@@ -62,6 +56,9 @@ class SimulateOptions:
     out: str | None = None
     dump_hamiltonian: bool = False
     dump_circuit: bool = False
+
+
+_CONFIG_KEYS = tuple(f.name for f in fields(SimulateOptions))
 
 
 def make_config(opts: SimulateOptions) -> RunConfig:
@@ -214,15 +211,11 @@ def _figure_run_options(out_root: Path) -> list[SimulateOptions]:
     ]
 
 
-def suite_figures(out_root: Path, jobs: int = 1) -> list[RunResult]:
-    opts = _figure_run_options(out_root)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(execute_run, opts))
-    return [execute_run(o) for o in opts]
+def suite_figures(out_root: Path) -> list[RunResult]:
+    return [execute_run(o) for o in _figure_run_options(out_root)]
 
 
-def suite_table1(out_root: Path, jobs: int = 1) -> list[tuple[str, str]]:
+def suite_table1(out_root: Path) -> list[tuple[str, str]]:
     """Four semiclassical period estimates in the reference table layout.
 
     The melon and antimelon fidelity series coincide exactly (same
@@ -236,18 +229,11 @@ def suite_table1(out_root: Path, jobs: int = 1) -> list[tuple[str, str]]:
         ("(C) combined vortices", SystemKind.COMBINED, {}, 1 / 10, 60.0),
     ]
 
-    def scan(entry):
-        name, kind, kwargs, dt, t_max = entry
+    rows = []
+    for name, kind, kwargs, dt, t_max in scans:
         spec = build_system(kind, **kwargs)
         config = RunConfig(system=spec, dt_over_T=dt, total_over_T=dt, sample_pitch=1)
-        est = semiclassical_period_scan(config, t_max)
-        return name, str(est)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(scan, scans))
-    else:
-        rows = [scan(e) for e in scans]
+        rows.append((name, str(semiclassical_period_scan(config, t_max))))
     out_root.mkdir(parents=True, exist_ok=True)
     width = max(len(name) for name, _ in rows)
     lines = [f"{'system':<{width}} period(T)"]
@@ -258,7 +244,7 @@ def suite_table1(out_root: Path, jobs: int = 1) -> list[tuple[str, str]]:
     return rows
 
 
-def suite_convergence(out_root: Path, jobs: int = 1) -> list[tuple[float, float]]:
+def suite_convergence(out_root: Path) -> list[tuple[float, float]]:
     """Trotter-vs-exact error over 1T for the melon system, dt halving sweep."""
     spec = build_system(SystemKind.MELON)
     errors: list[tuple[float, float]] = []
@@ -279,13 +265,13 @@ def suite_convergence(out_root: Path, jobs: int = 1) -> list[tuple[float, float]
     return errors
 
 
-def run_suite(name: str, out_root: Path, jobs: int) -> None:
+def run_suite(name: str, out_root: Path) -> None:
     if name in ("fig4", "fig5", "fig6", "all"):
-        suite_figures(out_root / "figures", jobs)
+        suite_figures(out_root / "figures")
     if name in ("table1", "all"):
-        suite_table1(out_root / "table1", jobs)
+        suite_table1(out_root / "table1")
     if name in ("convergence", "all"):
-        suite_convergence(out_root / "convergence", jobs)
+        suite_convergence(out_root / "convergence")
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     ste = sub.add_parser("suite", help="run a reproduction suite")
     ste.add_argument("name", choices=SUITE_NAMES)
     ste.add_argument("--out", default="runs")
-    ste.add_argument("--jobs", type=int,
-                     default=int(os.environ.get("VORTEXPROP_JOBS", "1")))
     return parser
 
 
@@ -355,7 +339,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             print(f"wrote {opts.out or Path('runs') / opts.system}: "
                   f"{len(result.samples)} samples, period {result.period}")
         elif args.command == "suite":
-            run_suite(args.name, Path(args.out), max(1, args.jobs))
+            run_suite(args.name, Path(args.out))
     except Exception as exc:  # CLI boundary: report and exit nonzero
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vortexprop.evolve import (
+    TRACK_TOP_K,
     RunConfig,
     default_initial_label,
     fidelity_scan,
@@ -102,11 +105,11 @@ class TestRunTrotter:
     def test_default_tracking_rule(self):
         spec = build_system("melon")
         config = RunConfig(system=spec, dt_over_T=1 / 60, total_over_T=1.0,
-                           sample_pitch=10, track_top_k=3)
+                           sample_pitch=10)
         result = run_trotter(config)
         assert result.tracked[:4] == ("10101010", "01010101", "00000000", "11111111")
-        assert len(result.tracked) == 7
-        assert len(set(result.tracked)) == 7
+        assert len(result.tracked) == 4 + TRACK_TOP_K == 12
+        assert len(set(result.tracked)) == 12
 
     def test_deterministic(self):
         spec = build_system("melon")
@@ -116,44 +119,29 @@ class TestRunTrotter:
         for ra, rb in zip(a.samples, b.samples):
             assert ra == rb
 
-    def test_depth_two_equals_halved_step(self):
-        # depth d at dt replays the identical gate sequence as depth 1 at dt/d
-        spec = build_system("melon")
-        deep = RunConfig(system=spec, dt_over_T=1 / 10, total_over_T=1.0,
-                         sample_pitch=10, trotter_depth=2)
-        fine = RunConfig(system=spec, dt_over_T=1 / 20, total_over_T=1.0,
-                         sample_pitch=20)
-        a = run_trotter(deep).final_state.amps
-        b = run_trotter(fine).final_state.amps
-        assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("kind, kwargs, depth", [
+    @pytest.mark.parametrize("kind, kwargs, refine", [
         ("melon", {}, 1),
         ("combined", {}, 1),
         ("xxz", {"n": 8, "delta": 2.0}, 1),  # diagonal ZZ terms
         ("melon", {}, 2),
         ("xxz", {"n": 8, "delta": 2.0}, 2),
     ])
-    def test_kernel_step_equals_circuit_replay(self, kind, kwargs, depth):
-        # the dumped circuit is the compiled artifact; stepping must equal it
+    def test_kernel_step_equals_circuit_replay(self, kind, kwargs, refine):
+        # the dumped circuit is the compiled artifact; stepping must equal it.
+        # Each case runs to 5T, at dt = T/10 or at the finer dt = T/20.
         spec = build_system(kind, **kwargs)
-        dt, n_steps = 1 / 10, 50
+        dt, n_steps = 1 / (10 * refine), 50 * refine
         config = RunConfig(system=spec, dt_over_T=dt, total_over_T=n_steps * dt,
-                           sample_pitch=n_steps, trotter_depth=depth)
-        circuit = compile_trotter_step(build_hamiltonian(spec), dt / depth)
+                           sample_pitch=n_steps)
+        circuit = compile_trotter_step(build_hamiltonian(spec), dt)
         psi0 = init_basis_state(config.resolve_initial_label())
         replay = psi0.copy()
-        for _ in range(n_steps * depth):
+        for _ in range(n_steps):
             apply_circuit(replay, circuit)
         run = run_trotter(config).final_state
         assert np.max(np.abs(run.amps - replay.amps)) < 1e-12
         scan = fidelity_scan(config, n_steps * dt)
         assert scan[-1][1] == pytest.approx(fidelity(psi0, replay), abs=1e-12)
-
-    def test_depth_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(system=build_system("melon"), dt_over_T=0.5, total_over_T=1.0,
-                      trotter_depth=0)
 
 
 class TestRunExact:
@@ -248,6 +236,40 @@ class TestDuality:
             result = run_exact(config)
             spreads = check_class_degeneracy(result.samples, classes, result.site_labels)
             assert max(spreads.values()) < 1e-10
+
+
+class TestInvariantProperties:
+    # random basis labels and chi; 1T runs at dt = T/10 keep each example cheap
+    LABELS = st.text("01", min_size=8, max_size=8)
+    CHIS = st.floats(min_value=0.0, max_value=2 * math.pi)
+    VORTICES = st.sampled_from(["melon", "antimelon"])
+
+    @staticmethod
+    def series(kind, label, chi=0.0, run=run_trotter):
+        config = RunConfig(system=build_system(kind, chi=chi), dt_over_T=1 / 10,
+                           total_over_T=1.0, sample_pitch=2, initial_label=label)
+        return run(config).samples
+
+    @settings(max_examples=25, deadline=None)
+    @given(kind=VORTICES, label=LABELS, chi=CHIS)
+    def test_global_flip_keeps_fidelity_series(self, kind, label, chi):
+        flipped = "".join("1" if c == "0" else "0" for c in label)
+        a, b = (self.series(kind, lbl, chi) for lbl in (label, flipped))
+        assert [s.fidelity0 for s in a] == pytest.approx([s.fidelity0 for s in b], abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(label=LABELS)
+    def test_melon_antimelon_series_equal_at_zero_chi(self, label):
+        a, b = (self.series(kind, label) for kind in ("melon", "antimelon"))
+        assert [s.fidelity0 for s in a] == pytest.approx([s.fidelity0 for s in b], abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(kind=VORTICES, label=LABELS, chi=CHIS)
+    def test_exact_energy_stays_zero(self, kind, label, chi):
+        # theta = pi/2 leaves only XX/YY terms, so <H> = 0 on every basis state
+        # and the exact propagator conserves it
+        samples = self.series(kind, label, chi, run=run_exact)
+        assert max(abs(s.energy) for s in samples) <= 1e-12
 
 
 class TestScans:

@@ -18,7 +18,7 @@ from vortexprop.observables import (
     record_sample,
     write_samples_csv,
 )
-from vortexprop.statevector import index_to_label, init_basis_state
+from vortexprop.statevector import PauliKernel, index_to_label, init_basis_state
 
 
 def make_record(t, norms=None, m_z=(0.0,), mag=0.0):
@@ -31,18 +31,19 @@ def make_record(t, norms=None, m_z=(0.0,), mag=0.0):
 class TestRecordSample:
     def setup_method(self):
         self.spec = build_system("melon")
-        self.h = build_vortex_hamiltonian(self.spec)
+        h = build_vortex_hamiltonian(self.spec)
+        self.kernel = PauliKernel(h.n_sites, h.terms)
         self.psi0 = init_basis_state("10101010")
 
     def test_initial_moments_alternate(self):
-        rec = record_sample(self.psi0, self.h, ["10101010"], 0, 1 / 300, self.psi0)
+        rec = record_sample(self.psi0, self.kernel, ["10101010"], 0, 1 / 300, self.psi0)
         assert rec.m_z == pytest.approx((1, -1, 1, -1, 1, -1, 1, -1))
         assert rec.magnetization == pytest.approx(0.0)
         assert rec.fidelity0 == 1.0
         assert rec.amp_norms["10101010"] == 1.0
 
     def test_initial_energy_zero(self):
-        rec = record_sample(self.psi0, self.h, [], 0, 1 / 300, self.psi0)
+        rec = record_sample(self.psi0, self.kernel, [], 0, 1 / 300, self.psi0)
         assert abs(rec.energy) < 1e-12
 
     def test_transverse_moments_vanish_during_evolution(self):

@@ -202,12 +202,3 @@ class TestSuites:
         text = (tmp_path / "table1.txt").read_text()
         assert ">= 400" in text and "period(T)" in text
         capsys.readouterr()
-
-    def test_jobs_default_from_environment(self, monkeypatch):
-        from vortexprop.runner import build_parser
-        monkeypatch.setenv("VORTEXPROP_JOBS", "3")
-        args = build_parser().parse_args(["suite", "table1"])
-        assert args.jobs == 3
-        monkeypatch.delenv("VORTEXPROP_JOBS")
-        args = build_parser().parse_args(["suite", "table1"])
-        assert args.jobs == 1
