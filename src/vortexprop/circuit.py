@@ -1,9 +1,9 @@
 """Gate-level compilation of Pauli-string exponentials and Trotter steps.
 
 A term exp(-i phi c P) compiles to the standard pattern: a basis-change gate
-G_j on every support qubit (H for X, RX(pi/2) for Y, I for Z), a CNOT ladder
-chaining consecutive support qubits, RZ(2 phi c) on the last support qubit,
-the mirrored ladder, then the G_j daggers.  Qubits outside the support are
+G_j on every X or Y support qubit (H for X, RX(pi/2) for Y; a Z factor needs
+none), a CNOT ladder chaining consecutive support qubits, RZ(2 phi c) on the
+last support qubit, the mirrored ladder, then the G_j daggers.  Qubits outside the support are
 skipped entirely, so the ladder hops over them.  With the convention
 RZ(lam) = diag(e^{-i lam/2}, e^{+i lam/2}) the compiled unitary equals
 exp(-i phi c P) exactly.
@@ -46,13 +46,16 @@ class Circuit:
         return len(self.gates)
 
 
-def basis_change_gate(axis: PauliAxis, qubit: int) -> tuple[Gate, Gate]:
-    """Return (G_j, G_j^dagger) rotating the computational basis to `axis`."""
+def basis_change_gate(axis: PauliAxis, qubit: int) -> tuple[Gate, Gate] | None:
+    """Return (G_j, G_j^dagger) rotating the computational basis to `axis`.
+
+    None for Z: the computational basis already is its eigenbasis.
+    """
     if axis is PauliAxis.X:
         return Gate("H", (qubit,)), Gate("H", (qubit,))
     if axis is PauliAxis.Y:
         return Gate("RX", (qubit,), HALF_PI), Gate("RX", (qubit,), -HALF_PI)
-    return Gate("I", (qubit,)), Gate("I", (qubit,))
+    return None
 
 
 def compile_pauli_exponential(
@@ -66,9 +69,10 @@ def compile_pauli_exponential(
         n_qubits = support[-1] + 1
     pre, post = [], []
     for site, axis in term.factors:
-        g, gdg = basis_change_gate(axis, site)
-        pre.append(g)
-        post.append(gdg)
+        change = basis_change_gate(axis, site)
+        if change is not None:
+            pre.append(change[0])
+            post.append(change[1])
     ladder = [Gate("CNOT", (support[k], support[k + 1])) for k in range(len(support) - 1)]
     rz = Gate("RZ", (support[-1],), 2.0 * phi * term.coeff)
     gates = pre + ladder + [rz] + ladder[::-1] + post[::-1]
@@ -90,9 +94,10 @@ def compile_trotter_step(h: Hamiltonian, dt_over_T: float) -> Circuit:
 
 
 def gate_count(term: PauliTerm) -> int:
-    """Exact compiled length: 2|support| basis gates, 2(|support|-1) CNOTs, 1 RZ."""
+    """Exact compiled length: 2 basis gates per X/Y factor, 2(|support|-1) CNOTs, 1 RZ."""
     k = len(term.support)
-    return 2 * k + 2 * (k - 1) + 1
+    n_xy = sum(axis is not PauliAxis.Z for _, axis in term.factors)
+    return 2 * n_xy + 2 * (k - 1) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 One period T corresponds to dimensionless phase J*T/hbar = 2 per unit
 coefficient, so evolving by tau (in units of T) applies exp(-2i tau H) with H
-in units of J.  The Trotter path applies each term's exponential through the
-precompiled Pauli-term kernel, in the frozen term order of the compiled step
+in units of J.  The Trotter path applies the terms' exponentials through the
+fused Pauli-term kernel, in the frozen term order of the compiled step
 circuit, which it equals to round-off; the exact path applies the sparse
-propagator to machine precision and serves as the validation oracle.
+propagator to machine precision and serves as the validation oracle.  Both
+propagate only the prod-Z parity sector of the initial basis state (see
+`PauliKernel`); final states are embedded back into the full space.
 """
 from __future__ import annotations
 
@@ -14,9 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-# compile_trotter_step and apply_circuit stay bound here for perfbench/spans.py
+# compile_trotter_step, sparse_matrix_of, apply_circuit and fidelity stay bound
+# here for perfbench/spans.py
 from .circuit import compile_trotter_step  # noqa: F401
-from .hamiltonian import Hamiltonian, build_hamiltonian, sparse_matrix_of
+from .hamiltonian import Hamiltonian, build_hamiltonian, sparse_matrix_of  # noqa: F401
 from .lattice import SystemKind, SystemSpec, build_system
 from .observables import PeriodEstimate, SampleRecord, estimate_period, record_sample
 from .statevector import (  # noqa: F401
@@ -24,7 +27,7 @@ from .statevector import (  # noqa: F401
     StateVector,
     apply_circuit,
     fidelity,
-    init_basis_state,
+    label_to_index,
 )
 
 MAX_STEPS = 10_000_000
@@ -127,23 +130,29 @@ def _resolve_tracked(
     return tuple(dict.fromkeys(fixed)) + tuple(extra)
 
 
+def _kernel(config: RunConfig) -> tuple[Hamiltonian, PauliKernel]:
+    """The run's Hamiltonian and its kernel on the initial state's parity sector."""
+    h = build_hamiltonian(config.system)
+    start = label_to_index(config.resolve_initial_label())
+    return h, PauliKernel(h.n_sites, h.terms, start)
+
+
 def _run(
     config: RunConfig,
     h: Hamiltonian,
     kernel: PauliKernel,
-    advance: Callable[[StateVector, int], StateVector],
+    advance: Callable[[np.ndarray, int], np.ndarray],
 ) -> RunResult:
     """Sample every pitch, then estimate the period from the fidelity series.
 
-    `advance(psi, k)` returns the state k steps of dt later.  Every sampled
-    state is held until the tracked labels are resolved from the peak
-    amplitude norms; the unsampled remainder is advanced to the total time.
+    `advance(psi, k)` returns the kernel's sector amplitudes k steps of dt
+    later.  Every sampled state is held until the tracked labels are resolved
+    from the peak amplitude norms; the unsampled remainder is advanced to the
+    total time.
     """
     spec = config.system
     pitch, n_steps = config.sample_pitch, config.n_steps
-    initial = config.resolve_initial_label()
-    psi0 = init_basis_state(initial)
-    psi = psi0.copy()
+    psi = kernel.basis(kernel.start)
     states = [(0, psi.copy())]
     step = 0
     while step + pitch <= n_steps:
@@ -153,29 +162,27 @@ def _run(
     if step < n_steps:
         psi = advance(psi, n_steps - step)
     n = spec.n_sites
-    peak = np.zeros(1 << n)
+    peak = np.zeros(len(kernel.index))
     for _, st in states:
-        np.maximum(peak, np.abs(st.amps), out=peak)
-    tracked = _resolve_tracked(config, initial, peak, n)
-    samples = [
-        record_sample(st, kernel, tracked, k, config.dt_over_T, reference=psi0)
-        for k, st in states
-    ]
+        np.maximum(peak, np.abs(st), out=peak)
+    full_peak = np.zeros(1 << n)
+    full_peak[kernel.index] = peak
+    tracked = _resolve_tracked(config, config.resolve_initial_label(), full_peak, n)
+    samples = [record_sample(st, kernel, tracked, k, config.dt_over_T) for k, st in states]
     period = estimate_period(
         [(s.time_over_T, s.fidelity0) for s in samples], config.threshold, config.total_over_T
     )
-    return RunResult(config, samples, period, psi, spec.labels, tracked, h)
+    return RunResult(config, samples, period, kernel.embed(psi), spec.labels, tracked, h)
 
 
 def run_trotter(config: RunConfig) -> RunResult:
     """Propagate with repeated first-order Trotter steps, sampling every pitch."""
-    h = build_hamiltonian(config.system)
-    kernel = PauliKernel(h.n_sites, h.terms)
+    h, kernel = _kernel(config)
     phi = 2.0 * config.dt_over_T
 
-    def advance(psi: StateVector, k: int) -> StateVector:
+    def advance(psi: np.ndarray, k: int) -> np.ndarray:
         for _ in range(k):
-            kernel.step(psi.amps, phi)
+            kernel.step(psi, phi)
         return psi
 
     return _run(config, h, kernel, advance)
@@ -187,16 +194,16 @@ def run_exact(config: RunConfig) -> RunResult:
 
     if config.system.n_sites > 13:
         raise ValueError("exact propagation capped at 13 sites")
-    h = build_hamiltonian(config.system)
-    hs = sparse_matrix_of(h)
+    h, kernel = _kernel(config)
+    hs = kernel.sparse_matrix()  # on the sector only; real for these Hamiltonians
     pitch, dt = config.sample_pitch, config.dt_over_T
     sampled = -2j * (pitch * dt) * hs
 
-    def advance(psi: StateVector, k: int) -> StateVector:
+    def advance(psi: np.ndarray, k: int) -> np.ndarray:
         generator = sampled if k == pitch else -2j * k * dt * hs
-        return StateVector(psi.n_qubits, expm_multiply(generator, psi.amps))
+        return expm_multiply(generator, psi)
 
-    return _run(config, h, PauliKernel(h.n_sites, h.terms), advance)
+    return _run(config, h, kernel, advance)
 
 
 def fidelity_scan(config: RunConfig, t_max_over_T: float) -> list[tuple[float, float]]:
@@ -204,17 +211,17 @@ def fidelity_scan(config: RunConfig, t_max_over_T: float) -> list[tuple[float, f
 
     This is the semiclassical scheme: each output statevector feeds back as
     the next input, so the propagator is built once and applied repeatedly.
+    The initial state is a basis state, so the fidelity is the weight on it.
     """
     n_steps = _whole_steps(t_max_over_T, config.dt_over_T, "t_max_over_T")
-    h = build_hamiltonian(config.system)
-    kernel = PauliKernel(h.n_sites, h.terms)
-    psi0 = init_basis_state(config.resolve_initial_label())
-    psi = psi0.copy()
+    _, kernel = _kernel(config)
+    psi = kernel.basis(kernel.start)
+    r0 = kernel.position(kernel.start)
     phi = 2.0 * config.dt_over_T
     series = [(0.0, 1.0)]
     for step in range(1, n_steps + 1):
-        kernel.step(psi.amps, phi)
-        series.append((step * config.dt_over_T, fidelity(psi0, psi)))
+        kernel.step(psi, phi)
+        series.append((step * config.dt_over_T, float(abs(psi[r0]) ** 2)))
     return series
 
 

@@ -141,7 +141,10 @@ def matrix_of(h: Hamiltonian) -> np.ndarray:
 
 
 def sparse_matrix_of(h: Hamiltonian):
-    """Sparse CSR matrix of `h`, assembled from the precompiled term actions."""
+    """Sparse CSR matrix of `h` on the full space, from the precompiled term actions.
+
+    Real when every string carries an even number of Y factors.
+    """
     from .statevector import PauliKernel  # statevector imports this module
 
     return PauliKernel(h.n_sites, h.terms).sparse_matrix()

@@ -1,9 +1,11 @@
 """Per-sample observables, recurrence estimation, and the run CSV format.
 
 CSV column order (fixed): step, t_over_T, energy, magnetization,
-svinm_physical, fidelity0, then m_z per site, m_x per site, m_y per site, then one |amp|
-column per tracked basis label.  Values are written with 17 significant
-digits so a re-parse reproduces the run exactly.
+svinm_physical, fidelity0, then m_z per site, then one |amp| column per
+tracked basis label.  Values are written with 17 significant digits so a
+re-parse reproduces the run exactly.  There are no m_x or m_y columns: X_k
+and Y_k flip the prod-Z parity that every term conserves, so <X_k> = <Y_k> = 0
+on every state a run reaches from a basis state.
 """
 from __future__ import annotations
 
@@ -14,10 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .hamiltonian import CONSTANTS
-# expect_pauli stays bound here for perfbench/spans.py
+# expect_pauli and fidelity stay bound here for perfbench/spans.py
 from .statevector import (  # noqa: F401
     PauliKernel,
-    StateVector,
     expect_pauli,
     fidelity,
     label_to_index,
@@ -30,8 +31,6 @@ class SampleRecord:
     time_over_T: float
     amp_norms: dict[str, float]
     m_z: tuple[float, ...]
-    m_x: tuple[float, ...]
-    m_y: tuple[float, ...]
     magnetization: float
     svinm: float
     energy: float
@@ -51,56 +50,39 @@ class PeriodEstimate:
         return f"{self.period_over_T:g}"
 
 
-def site_moments_z(state: StateVector) -> np.ndarray:
-    """<Z_k> for every site, computed from the probability vector."""
-    pr = state.probabilities()
-    out = np.empty(state.n_qubits)
-    for k in range(state.n_qubits):
-        p1 = pr.reshape(-1, 2, 1 << k)[:, 1, :].sum()
-        out[k] = 1.0 - 2.0 * p1
-    return out
-
-
-def site_moments_xy(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
-    """(<X_k>, <Y_k>) for every site: 2 Re z_k and 2 Im z_k, z_k = sum conj(a0) a1.
-
-    a0 and a1 are the amplitudes with bit k clear and set, paired across bit k.
-    """
-    z = np.empty(state.n_qubits, dtype=np.complex128)
-    for k in range(state.n_qubits):
-        v = state.amps.reshape(-1, 2, 1 << k)
-        z[k] = np.vdot(v[:, 0, :], v[:, 1, :])
-    return 2.0 * z.real, 2.0 * z.imag
+def site_moments_z(amps: np.ndarray, kernel: PauliKernel) -> np.ndarray:
+    """<Z_k> for every site, from the probabilities over the kernel's basis states."""
+    return kernel.z_signs @ (np.abs(amps) ** 2)
 
 
 def record_sample(
-    state: StateVector,
+    amps: np.ndarray,
     kernel: PauliKernel,
     tracked: Sequence[str],
     step: int,
     dt_over_T: float,
-    reference: StateVector | None = None,
 ) -> SampleRecord:
     """Measure every tracked quantity on the current state.
 
-    `kernel` is the run's precompiled Hamiltonian and gives the energy.
-    `reference` is the initial state used for fidelity0; omit it to record
-    fidelity against the state itself (= 1.0 at step 0).
+    `amps` lie over the basis states of `kernel`, the run's precompiled
+    Hamiltonian, which gives the energy.  fidelity0 is the weight on the
+    kernel's start state.
     """
-    mz = site_moments_z(state)
-    mx, my = site_moments_xy(state)
-    energy = kernel.expectation(state.amps)
+    mz = site_moments_z(amps, kernel)
+    energy = kernel.expectation(amps)
     mag = float(mz.sum())
-    amps = state.amps
-    norms = {lbl: float(abs(amps[label_to_index(lbl)])) for lbl in tracked}
-    fid0 = fidelity(reference, state) if reference is not None else 1.0
+
+    def norm(label: str) -> float:
+        pos = kernel.position(label_to_index(label))
+        return 0.0 if pos is None else float(abs(amps[pos]))
+
+    norms = {lbl: norm(lbl) for lbl in tracked}
+    fid0 = float(abs(amps[kernel.position(kernel.start)]) ** 2)
     return SampleRecord(
         step=step,
         time_over_T=step * dt_over_T,
         amp_norms=norms,
         m_z=tuple(mz),
-        m_x=tuple(mx),
-        m_y=tuple(my),
         magnetization=mag,
         svinm=mag * CONSTANTS.svinm_unit_j_per_t,
         energy=float(energy),
@@ -204,15 +186,13 @@ def peak_magnetization_time(samples: Sequence[SampleRecord]) -> tuple[float, flo
 def csv_header(site_labels: Sequence[str], tracked: Sequence[str]) -> list[str]:
     cols = ["step", "t_over_T", "energy", "magnetization", "svinm_physical", "fidelity0"]
     cols += [f"mz_{s}" for s in site_labels]
-    cols += [f"mx_{s}" for s in site_labels]
-    cols += [f"my_{s}" for s in site_labels]
     cols += [f"amp_{lbl}" for lbl in tracked]
     return cols
 
 
 def sample_row(s: SampleRecord, tracked: Sequence[str]) -> list[float]:
     row: list[float] = [s.step, s.time_over_T, s.energy, s.magnetization, s.svinm, s.fidelity0]
-    row += list(s.m_z) + list(s.m_x) + list(s.m_y)
+    row += list(s.m_z)
     row += [s.amp_norms[lbl] for lbl in tracked]
     return row
 

@@ -6,14 +6,16 @@ site a.  Bit value 0 is an up spin, 1 a down spin.
 
 Two kernels act on the amplitudes.  The gate kernels replay a compiled
 circuit gate by gate; they are what the dumped circuit is checked with.  The
-Pauli-term kernel applies each Hamiltonian term through its precompiled
-action on the basis; Trotter stepping, expectations, the direct exponential
-and the sparse matrix all go through it.
+Pauli-term kernel fuses the Hamiltonian's terms into one precompiled op per
+bond and stores only the prod-Z parity sector of a run's initial basis state;
+Trotter stepping, expectations, the direct exponential and the sparse matrix
+all go through it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -132,101 +134,200 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 
 @dataclass(frozen=True)
 class TermAction:
-    """Basis action of coeff * P: (P psi)[j] = factor * sign[j] * psi[gather[j]].
+    """Basis action of coeff * P: (P psi)[j] = factor * (-1)^popcount(j & mask) * psi[j ^ flip].
 
-    gather is j ^ flip, None for a diagonal string (flip 0); sign is
-    (-1)^popcount(j & mask) over the Y and Z sites, None when there are none.
+    flip holds the X and Y sites, mask the Y and Z sites.
     """
     coeff: float
-    factor: complex  # i^#Y, times the sign the flip picks up on the Y/Z sites
-    gather: np.ndarray | None
-    sign: np.ndarray | None
+    flip: int
+    mask: int
+    factor: complex  # i^#Y, times the sign the flip picks up on the Y/Z sites; real for even #Y
+
+
+def _term_action(term: PauliTerm, n_qubits: int) -> TermAction:
+    if term.support[-1] >= n_qubits:
+        raise IndexError(f"term {term} outside {n_qubits} qubits")
+    flip = mask = n_y = 0
+    for site, axis in term.factors:
+        if axis is not PauliAxis.Z:
+            flip |= 1 << site
+        if axis is not PauliAxis.X:
+            mask |= 1 << site
+        n_y += axis is PauliAxis.Y
+    factor = (-1) ** (n_y // 2 + _odd(flip & mask)) * (1j if n_y & 1 else 1)
+    return TermAction(term.coeff, flip, mask, factor)
+
+
+def _odd(bits: int) -> int:
+    """popcount(bits) mod 2."""
+    return bin(bits).count("1") & 1
 
 
 class PauliKernel:
-    """Pauli terms precompiled once into their permutation-plus-phase action.
+    """Pauli terms precompiled once into one fused op per bond, on one parity sector.
 
-    Terms with the same flip share one int32 gather and terms with the same
-    Y/Z mask share one float sign vector (the XX and YY terms of a bond share
-    the gather; XX terms need no sign).  One scratch buffer serves every
-    call, so a kernel belongs to one run at a time.
+    Built with the basis index `start` of a run's initial state, the kernel
+    stores only the 2^(n-1) basis states of start's prod-Z parity: every term
+    flips an even number of sites, so the other half stays exactly zero.  If
+    some term flips an odd number of sites, or no start is given, it stores
+    the full space.  `index` lists the stored basis states in ascending order;
+    basis state i sits at position i >> shift.  Every method takes and returns
+    amplitudes over `index`; `embed` gives the full 2^n state.
+
+    A Trotter step fuses each maximal run of consecutive terms whose flips
+    lie in {0, f} into one op psi <- alpha * psi + beta * psi[g], with one
+    gather g over the pairs (j, j ^ f).  alpha and beta are the exact product
+    of the run's exponentials in frozen order, so no commutation is assumed;
+    they stay scalars where they are uniform (pure XX bonds).  The energy
+    takes one gather per distinct flip.  One scratch buffer serves every call,
+    so a kernel belongs to one run at a time.
     """
 
-    def __init__(self, n_qubits: int, terms: Sequence[PauliTerm]):
+    def __init__(self, n_qubits: int, terms: Sequence[PauliTerm], start: int | None = None):
         self.n_qubits = n_qubits
-        dim = 1 << n_qubits
-        idx = np.arange(dim, dtype=np.int32 if n_qubits < 32 else np.int64)
-        gathers: dict[int, np.ndarray] = {}
-        signs: dict[int, np.ndarray] = {}
-        actions = []
-        for term in terms:
-            if term.support[-1] >= n_qubits:
-                raise IndexError(f"term {term} outside {n_qubits} qubits")
-            flip = mask = n_y = 0
-            for site, axis in term.factors:
-                if axis is not PauliAxis.Z:
-                    flip |= 1 << site
-                if axis is not PauliAxis.X:
-                    mask |= 1 << site
-                n_y += axis is PauliAxis.Y
-            if flip and flip not in gathers:
-                gathers[flip] = idx ^ idx.dtype.type(flip)
-            if mask and mask not in signs:
-                sign = np.ones(dim)
-                for site in range(n_qubits):
-                    if mask >> site & 1:
-                        sign *= 1.0 - 2.0 * ((idx >> site) & 1)
-                signs[mask] = sign
-            factor = 1j ** n_y * (-1) ** bin(flip & mask).count("1")
-            actions.append(TermAction(term.coeff, factor, gathers.get(flip), signs.get(mask)))
-        self.terms: tuple[TermAction, ...] = tuple(actions)
-        self._scratch = np.empty(dim, dtype=np.complex128)
+        self.start = start
+        self.terms = tuple(_term_action(term, n_qubits) for term in terms)
+        itype = np.int32 if n_qubits < 32 else np.int64
+        if start is None or any(_odd(t.flip) for t in self.terms):
+            self.index, self.shift = np.arange(1 << n_qubits, dtype=itype), 0
+        else:
+            # bit 0 completes the parity of the upper bits, so i >> 1 is i's position
+            half = np.arange(1 << (n_qubits - 1), dtype=itype)
+            low = np.full_like(half, _odd(start))
+            for site in range(n_qubits - 1):
+                low ^= (half >> site) & 1
+            self.index, self.shift = half << 1 | low, 1
+        self._scratch = np.empty(len(self.index), dtype=np.complex128)
+        self._gathers: dict[int, np.ndarray] = {}
+        self._phi: float | None = None
+        self._ops: list = []
 
-    def _string(self, t: TermAction, amps: np.ndarray) -> np.ndarray:
-        """Scratch <- (P amps) / factor."""
-        out = self._scratch
-        if t.gather is None:
-            np.multiply(amps, t.sign, out=out)
-            return out
-        amps.take(t.gather, out=out, mode="clip")
-        if t.sign is not None:
-            out *= t.sign
-        return out
+    # -- basis states ------------------------------------------------------
+
+    def position(self, i: int) -> int | None:
+        """Where basis state i is stored, or None when it lies outside the sector."""
+        pos = i >> self.shift
+        return pos if self.index[pos] == i else None
+
+    def basis(self, i: int) -> np.ndarray:
+        """Amplitudes of basis state i, which must lie in the stored set."""
+        amps = np.zeros(len(self.index), dtype=np.complex128)
+        amps[self.position(i)] = 1.0
+        return amps
+
+    def embed(self, amps: np.ndarray) -> StateVector:
+        """The full 2^n state, with exact zeros outside the stored set."""
+        full = np.zeros(1 << self.n_qubits, dtype=np.complex128)
+        full[self.index] = amps
+        return StateVector(self.n_qubits, full)
+
+    @cached_property
+    def z_signs(self) -> np.ndarray:
+        """<i|Z_k|i> = +-1 for site k (rows) and stored basis state i (columns)."""
+        sites = np.arange(self.n_qubits)[:, None]
+        return 1.0 - 2.0 * ((self.index[None, :] >> sites) & 1)
+
+    # -- precompiled actions -----------------------------------------------
+
+    def _sign(self, mask: int):
+        """(-1)^popcount(i & mask) over the stored basis states; 1.0 for mask 0."""
+        if not mask:
+            return 1.0
+        rows = [self.z_signs[k] for k in range(self.n_qubits) if mask >> k & 1]
+        return math.prod(rows[1:], start=rows[0])
+
+    def _gather(self, flip: int) -> np.ndarray:
+        """Position of i ^ flip for every stored basis state i."""
+        if flip not in self._gathers:
+            self._gathers[flip] = (self.index ^ flip) >> self.shift
+        return self._gathers[flip]
+
+    @cached_property
+    def _bonds(self) -> list:
+        """(gather, w) per distinct flip: (H psi)[j] = sum of w[j] * psi[g[j]].
+
+        The diagonal strings add up under gather None.  w is real when every
+        string carries an even number of Y factors, as in these Hamiltonians.
+        """
+        weights: dict[int, object] = {}
+        for t in self.terms:
+            weights[t.flip] = weights.get(t.flip, 0.0) + t.coeff * t.factor * self._sign(t.mask)
+        return [(self._gather(flip) if flip else None, w) for flip, w in weights.items()]
+
+    def _fuse(self, phi: float) -> list:
+        """(gather, alpha, beta) per maximal run of terms whose flips lie in {0, f}.
+
+        On every pair (j, j ^ f) a string acts as the 2x2 matrix [[0, p], [q, 0]],
+        or [[p, 0], [0, q]] when diagonal, with p = <j|P|j ^ flip> and q the same
+        at j ^ f; exp(-i a P) = cos(a) I - i sin(a) P.  The run's product, row j,
+        gives psi'[j] = alpha[j] psi[j] + beta[j] psi[j ^ f].
+        """
+        runs: list[list] = []
+        for t in self.terms:
+            if runs and (runs[-1][0] == 0 or t.flip in (0, runs[-1][0])):
+                runs[-1][0] |= t.flip
+                runs[-1][1].append(t)
+            else:
+                runs.append([t.flip, [t]])
+        ops = []
+        for flip, run in runs:
+            m = None
+            for t in run:
+                c, s = math.cos(phi * t.coeff), -1j * math.sin(phi * t.coeff)
+                p = t.factor * self._sign(t.mask)
+                q = -p if _odd(flip & t.mask) else p
+                e = (c, s * p, s * q, c) if t.flip else (c + s * p, 0.0, 0.0, c + s * q)
+                m = e if m is None else (
+                    e[0] * m[0] + e[1] * m[2], e[0] * m[1] + e[1] * m[3],
+                    e[2] * m[0] + e[3] * m[2], e[2] * m[1] + e[3] * m[3],
+                )
+            ops.append((self._gather(flip) if flip else None, m[0], m[1]))
+        return ops
+
+    # -- kernels ---------------------------------------------------------------
 
     def step(self, amps: np.ndarray, phi: float) -> None:
-        """Apply exp(-i phi coeff P) for every term in order, in place.
+        """Apply exp(-i phi coeff P) for every term in frozen order, in place.
 
-        exp(-i a P) = cos(a) I - i sin(a) P, since P squares to the identity.
+        The fused ops are compiled on the first call and again only when phi
+        changes.
         """
-        for t in self.terms:
-            a = phi * t.coeff
-            p_amps = self._string(t, amps)
-            p_amps *= -1j * math.sin(a) * t.factor
-            amps *= math.cos(a)
-            amps += p_amps
+        if phi != self._phi:
+            self._ops, self._phi = self._fuse(phi), phi
+        moved = self._scratch
+        for gather, alpha, beta in self._ops:
+            if gather is None:  # a run of diagonal strings only
+                amps *= alpha
+                continue
+            amps.take(gather, out=moved, mode="clip")
+            moved *= beta
+            amps *= alpha
+            amps += moved
 
     def expectation(self, amps: np.ndarray) -> float:
         """sum_k coeff_k <psi|P_k|psi>, real for the Hermitian strings used here."""
         total = 0.0
-        for t in self.terms:
-            total += t.coeff * (t.factor * np.vdot(amps, self._string(t, amps))).real
-        return total
+        for gather, w in self._bonds:
+            moved = amps if gather is None else amps.take(gather, out=self._scratch, mode="clip")
+            total += np.vdot(amps, np.multiply(moved, w, out=self._scratch)).real
+        return float(total)
 
     def sparse_matrix(self):
-        """CSR matrix of sum_k coeff_k P_k, one entry per basis state and term."""
+        """CSR matrix of sum_k coeff_k P_k over the stored basis states.
+
+        One entry per stored basis state and distinct flip; real whenever
+        every string carries an even number of Y factors.
+        """
         from scipy.sparse import coo_matrix, csr_matrix
 
-        dim = 1 << self.n_qubits
-        if not self.terms:
-            return csr_matrix((dim, dim), dtype=np.complex128)
-        idx = np.arange(dim)
-        cols, data = [], []
-        for t in self.terms:
-            cols.append(idx if t.gather is None else t.gather)
-            value = t.coeff * t.factor
-            data.append(np.full(dim, value) if t.sign is None else value * t.sign)
+        dim = len(self.index)
+        if not self._bonds:
+            return csr_matrix((dim, dim))
+        rows = np.arange(dim)
+        cols = [rows if g is None else g for g, _ in self._bonds]
+        data = [np.broadcast_to(w, (dim,)) for _, w in self._bonds]
         return coo_matrix(
-            (np.concatenate(data), (np.tile(idx, len(self.terms)), np.concatenate(cols))),
+            (np.concatenate(data), (np.tile(rows, len(cols)), np.concatenate(cols))),
             shape=(dim, dim),
         ).tocsr()
 

@@ -57,17 +57,16 @@ class TestBasisChange:
         assert g == Gate("RX", (3,), math.pi / 2)
         assert gd == Gate("RX", (3,), -math.pi / 2)
 
-    def test_z_uses_identity(self):
-        g, gd = basis_change_gate(PauliAxis.Z, 1)
-        assert g.kind == "I" and gd.kind == "I"
+    def test_z_needs_no_gate(self):
+        assert basis_change_gate(PauliAxis.Z, 1) is None
 
 
 class TestCompilePauliExponential:
     def test_single_z_is_one_rz(self):
         term = PauliTerm(1.0, ((0, PauliAxis.Z),))
         c = compile_pauli_exponential(term, 0.7)
-        assert [g.kind for g in c.gates] == ["I", "RZ", "I"]
-        rz = c.gates[1]
+        assert [g.kind for g in c.gates] == ["RZ"]
+        rz = c.gates[0]
         assert rz.qubits == (0,) and rz.lam == pytest.approx(1.4)
 
     def test_x0y1_pattern(self):

@@ -272,6 +272,19 @@ class TestInvariantProperties:
         assert max(abs(s.energy) for s in samples) <= 1e-12
 
 
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(["melon", "xxz"]), label=LABELS, exact=st.booleans())
+    def test_runs_stay_in_the_start_parity_sector(self, kind, label, exact):
+        # every term flips two sites, so the other prod-Z sector holds exact zeros
+        kwargs = {"n": 8, "delta": 2.0} if kind == "xxz" else {}
+        config = RunConfig(system=build_system(kind, **kwargs), dt_over_T=1 / 10,
+                           total_over_T=1.0, sample_pitch=2, initial_label=label)
+        final = (run_exact if exact else run_trotter)(config).final_state.amps
+        parity = np.array([bin(i).count("1") % 2 for i in range(1 << 8)])
+        assert np.all(final[parity != label.count("1") % 2] == 0.0)
+        assert abs(np.vdot(final, final).real - 1.0) < 1e-12
+
+
 class TestScans:
     def test_two_site_recurrence(self):
         # fidelity of |01> under XX+YY is cos^2(4 tau): period pi/4 in units of T

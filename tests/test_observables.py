@@ -18,13 +18,13 @@ from vortexprop.observables import (
     record_sample,
     write_samples_csv,
 )
-from vortexprop.statevector import PauliKernel, index_to_label, init_basis_state
+from vortexprop.statevector import PauliKernel, index_to_label, label_to_index
 
 
 def make_record(t, norms=None, m_z=(0.0,), mag=0.0):
     return SampleRecord(
-        step=0, time_over_T=t, amp_norms=norms or {}, m_z=m_z, m_x=(0.0,) * len(m_z),
-        m_y=(0.0,) * len(m_z), magnetization=mag, svinm=0.0, energy=0.0, fidelity0=1.0,
+        step=0, time_over_T=t, amp_norms=norms or {}, m_z=m_z,
+        magnetization=mag, svinm=0.0, energy=0.0, fidelity0=1.0,
     )
 
 
@@ -32,27 +32,24 @@ class TestRecordSample:
     def setup_method(self):
         self.spec = build_system("melon")
         h = build_vortex_hamiltonian(self.spec)
-        self.kernel = PauliKernel(h.n_sites, h.terms)
-        self.psi0 = init_basis_state("10101010")
+        self.kernel = PauliKernel(h.n_sites, h.terms, label_to_index("10101010"))
+        self.psi0 = self.kernel.basis(self.kernel.start)
 
     def test_initial_moments_alternate(self):
-        rec = record_sample(self.psi0, self.kernel, ["10101010"], 0, 1 / 300, self.psi0)
+        rec = record_sample(self.psi0, self.kernel, ["10101010"], 0, 1 / 300)
         assert rec.m_z == pytest.approx((1, -1, 1, -1, 1, -1, 1, -1))
         assert rec.magnetization == pytest.approx(0.0)
         assert rec.fidelity0 == 1.0
         assert rec.amp_norms["10101010"] == 1.0
 
     def test_initial_energy_zero(self):
-        rec = record_sample(self.psi0, self.kernel, [], 0, 1 / 300, self.psi0)
+        rec = record_sample(self.psi0, self.kernel, [], 0, 1 / 300)
         assert abs(rec.energy) < 1e-12
 
-    def test_transverse_moments_vanish_during_evolution(self):
-        config = RunConfig(system=self.spec, dt_over_T=1 / 50, total_over_T=0.5,
-                           sample_pitch=5)
-        result = run_trotter(config)
-        for rec in result.samples:
-            assert max(abs(v) for v in rec.m_x) < 1e-8
-            assert max(abs(v) for v in rec.m_y) < 1e-8
+    def test_tracked_label_outside_the_sector_reads_zero(self):
+        rec = record_sample(self.psi0, self.kernel, ["10101011"], 0, 1 / 300)
+        assert self.kernel.position(0b10101011) is None
+        assert rec.amp_norms["10101011"] == 0.0
 
     def test_svinm_scales_magnetization(self):
         config = RunConfig(system=self.spec, dt_over_T=1 / 50, total_over_T=0.2,
@@ -69,24 +66,16 @@ class TestRecordSample:
         rng = np.random.default_rng(41)
         amps = rng.normal(size=32) + 1j * rng.normal(size=32)
         state = StateVector(5, amps / np.linalg.norm(amps))
-        via_probs = site_moments_z(state)
+        via_probs = site_moments_z(state.amps, PauliKernel(5, ()))
         via_pauli = [expect_pauli(state, PauliTerm(1.0, ((k, PauliAxis.Z),)))
                      for k in range(5)]
         assert via_probs == pytest.approx(via_pauli, abs=1e-12)
-
-    def test_transverse_moments_match_pauli_expectations(self):
-        import numpy as np
-        from vortexprop.hamiltonian import PauliAxis, PauliTerm
-        from vortexprop.observables import site_moments_xy
-        from vortexprop.statevector import StateVector, expect_pauli
-
-        rng = np.random.default_rng(43)
-        amps = rng.normal(size=32) + 1j * rng.normal(size=32)
-        state = StateVector(5, amps / np.linalg.norm(amps))
-        mx, my = site_moments_xy(state)
-        for axis, got in ((PauliAxis.X, mx), (PauliAxis.Y, my)):
-            want = [expect_pauli(state, PauliTerm(1.0, ((k, axis),))) for k in range(5)]
-            assert got == pytest.approx(want, abs=1e-12)
+        # on a parity sector the same moments come from half the amplitudes
+        kernel = PauliKernel(5, (PauliTerm(1.0, ((0, PauliAxis.X), (3, PauliAxis.Y))),), 0b00110)
+        sector = kernel.embed(kernel.basis(0b00110) * 0.6 + kernel.basis(0b10100) * 0.8j)
+        want = [expect_pauli(sector, PauliTerm(1.0, ((k, PauliAxis.Z),))) for k in range(5)]
+        got = site_moments_z(sector.amps[kernel.index], kernel)
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_tracked_norms_square_sum_to_one(self):
         # tracking every basis state of a small chain captures all probability
@@ -222,5 +211,5 @@ class TestCsvRoundTrip:
         header = csv_header(["a", "b"], ["00", "11"])
         assert header == [
             "step", "t_over_T", "energy", "magnetization", "svinm_physical", "fidelity0",
-            "mz_a", "mz_b", "mx_a", "mx_b", "my_a", "my_b", "amp_00", "amp_11",
+            "mz_a", "mz_b", "amp_00", "amp_11",
         ]

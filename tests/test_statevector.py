@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortexprop.circuit import Gate, compile_pauli_exponential
-from vortexprop.hamiltonian import PauliAxis, PauliTerm, build_hamiltonian
+from vortexprop.circuit import Gate, compile_pauli_exponential, compile_trotter_step
+from vortexprop.hamiltonian import (
+    Hamiltonian,
+    PauliAxis,
+    PauliTerm,
+    build_hamiltonian,
+    sparse_matrix_of,
+)
 from vortexprop.lattice import build_system
 from vortexprop.statevector import (
     PauliKernel,
@@ -163,6 +169,101 @@ class TestKernelInvariants:
         parity = np.array([bin(i).count("1") % 2 for i in range(1 << h.n_sites)])
         leak = np.sum(state.probabilities()[parity != label.count("1") % 2])
         assert leak == 0.0
+
+
+def _string(coeff, axes):
+    """PauliTerm from one axis letter per site, I for an absent site."""
+    return PauliTerm(coeff, tuple((k, PauliAxis(a)) for k, a in enumerate(axes) if a != "I"))
+
+
+@st.composite
+def term_lists(draw):
+    """(n, terms) on n <= 6 qubits, in the shapes the fused kernel must get right.
+
+    A term may be followed by a partner with the same flip (X0Z1 then Y0Z1
+    anticommute); some strings are diagonal; with `even` every flip touches
+    an even number of sites (the kernel then keeps one parity sector),
+    otherwise odd flips force the full space.
+    """
+    n = draw(st.integers(1, 6))
+    even = draw(st.booleans())
+    coeffs = st.floats(min_value=-2.0, max_value=2.0)
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        alphabet = draw(st.sampled_from(("IXYZ", "IZ")))
+        axes = draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
+        flipped = [k for k, a in enumerate(axes) if a in "XY"]
+        if even and len(flipped) % 2:
+            axes[flipped[0]] = "Z"
+        if set(axes) == {"I"}:
+            axes[0] = "Z"
+        terms.append(_string(draw(coeffs), axes))
+        if draw(st.booleans()):
+            partner = [draw(st.sampled_from("XY" if a in "XY" else "IZ")) for a in axes]
+            if set(partner) != {"I"}:
+                terms.append(_string(draw(coeffs), partner))
+    return n, tuple(terms)
+
+
+class TestFusedStep:
+    @settings(max_examples=150, deadline=None)
+    @given(case=term_lists(), bits=st.integers(0, 63), seed=st.integers(0, 2**32 - 1),
+           dt=st.floats(min_value=0.01, max_value=1.0))
+    def test_step_equals_circuit_replay(self, case, bits, seed, dt):
+        n, terms = case
+        h = Hamiltonian(n, terms)
+        circuit = compile_trotter_step(h, dt)
+        start = bits % (1 << n)
+        kernel = PauliKernel(n, terms, start)
+        odd = any(sum(a is not PauliAxis.Z for _, a in t.factors) % 2 for t in terms)
+        assert len(kernel.index) == 1 << (n - (not odd))
+        # from a basis state, on its parity sector (or the full space)
+        psi = kernel.basis(start)
+        replay = init_basis_state(index_to_label(start, n))
+        # from a random state, on the full space
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        full = PauliKernel(n, terms)
+        dense = StateVector(n, amps / np.linalg.norm(amps))
+        dense_replay = dense.copy()
+        for _ in range(3):
+            kernel.step(psi, 2.0 * dt)
+            apply_circuit(replay, circuit)
+            full.step(dense.amps, 2.0 * dt)
+            apply_circuit(dense_replay, circuit)
+        assert np.max(np.abs(kernel.embed(psi).amps - replay.amps)) < 1e-12
+        assert np.max(np.abs(dense.amps - dense_replay.amps)) < 1e-12
+
+
+class TestParitySector:
+    SYSTEMS = {name: build_hamiltonian(build_system(kind, **kw)) for name, kind, kw in (
+        ("melon", "melon", {}), ("combined", "combined", {}),
+        ("xxz-d2", "xxz", {"n": 8, "delta": 2.0}))}
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_sector_matrix_is_real_and_restricts_the_full_one(self, name, parity):
+        h = self.SYSTEMS[name]
+        kernel = PauliKernel(h.n_sites, h.terms, start=parity)
+        m = kernel.sparse_matrix()
+        assert m.dtype == np.float64
+        assert m.shape == (1 << (h.n_sites - 1),) * 2
+        assert all(bin(i).count("1") % 2 == parity for i in kernel.index)
+        full = sparse_matrix_of(h)[kernel.index][:, kernel.index]
+        assert abs(m - full).max() == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(sorted(SYSTEMS)), start=st.integers(0, 2**13 - 1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_energy_equals_sparse_matrix_expectation(self, name, start, seed):
+        h = self.SYSTEMS[name]
+        kernel = PauliKernel(h.n_sites, h.terms, start % (1 << h.n_sites))
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=len(kernel.index)) + 1j * rng.normal(size=len(kernel.index))
+        amps /= np.linalg.norm(amps)
+        psi = kernel.embed(amps).amps
+        want = np.vdot(psi, sparse_matrix_of(h) @ psi).real
+        assert abs(kernel.expectation(amps) - want) < 1e-12
 
 
 class TestExpectation:
