@@ -28,8 +28,7 @@ from .hamiltonian import (
     PauliAxis,
     PauliTerm,
     PhysicalConstants,
-    build_vortex_hamiltonian,
-    build_xxz_hamiltonian,
+    build_hamiltonian,
     matrix_of,
     period_from_constants,
 )
@@ -38,10 +37,8 @@ from .lattice import (
     BondKind,
     Hole,
     Site,
-    SpinAngles,
     SystemKind,
     SystemSpec,
-    assign_angles,
     build_system,
     site_equivalence_classes,
 )

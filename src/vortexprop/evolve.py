@@ -31,6 +31,7 @@ from .statevector import (  # noqa: F401
 )
 
 MAX_STEPS = 10_000_000
+MAX_HELD_BYTES = 1 << 30  # sampled sector states a run may hold until it ends
 TRACK_TOP_K = 8  # labels tracked beyond the four fixed ones, by peak |amplitude|
 
 
@@ -80,7 +81,11 @@ class RunConfig:
             raise ValueError("dt_over_T must be positive")
         if self.sample_pitch < 1:
             raise ValueError("sample_pitch must be >= 1")
-        _whole_steps(self.total_over_T, self.dt_over_T)
+        samples = _whole_steps(self.total_over_T, self.dt_over_T) // self.sample_pitch + 1
+        held = samples * (8 << self.system.n_sites)  # complex128 on the 2^(n-1) sector
+        if held > MAX_HELD_BYTES:
+            raise ValueError(f"{samples} samples would hold {held} bytes of states, "
+                             f"over the {MAX_HELD_BYTES} byte guard")
 
     @property
     def n_steps(self) -> int:
@@ -192,8 +197,8 @@ def run_exact(config: RunConfig) -> RunResult:
     """Propagate with the exact propagator, sampled at the Trotter sample times."""
     from scipy.sparse.linalg import expm_multiply
 
-    if config.system.n_sites > 13:
-        raise ValueError("exact propagation capped at 13 sites")
+    if config.system.n_sites > 14:  # a 14-site sector is as large as the 13-site space
+        raise ValueError("exact propagation capped at 14 sites")
     h, kernel = _kernel(config)
     hs = kernel.sparse_matrix()  # on the sector only; real for these Hamiltonians
     pitch, dt = config.sample_pitch, config.dt_over_T

@@ -1,9 +1,11 @@
 """Weighted Pauli-string Hamiltonians for the vortex systems and the XXZ chain.
 
-Coefficients are stored in units of the exchange integral J; conversion to eV
-happens only at the I/O boundary.  Term order is frozen (bond construction
-order, X-term before Y-term before Z-term within a bond) because the depth-1
-Trotter circuit depends on it.
+One builder serves every system: `build_hamiltonian` expands each bond's
+(XX, YY, ZZ) couplings from `lattice.bond_couplings` into two-site Pauli
+terms.  Coefficients are stored in units of the exchange integral J;
+conversion to eV happens only at the I/O boundary.  Term order is frozen (bond
+construction order, X-term before Y-term before Z-term within a bond) because
+the depth-1 Trotter circuit depends on it.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lattice import SystemKind, SystemSpec, bond_couplings
+from .lattice import SystemSpec, bond_couplings
 
 COEFF_CUTOFF = 1e-15  # terms with |coefficient| below this are left out of the Hamiltonian
 
@@ -80,40 +82,18 @@ def period_from_constants(constants: PhysicalConstants = CONSTANTS) -> float:
     return 2 * constants.hbar_ev_s / constants.j_ev * 1e15
 
 
-def build_vortex_hamiltonian(spec: SystemSpec) -> Hamiltonian:
-    """Expand S_p.S_q over every bond of a vortex system.
+def build_hamiltonian(spec: SystemSpec) -> Hamiltonian:
+    """Expand S_p.S_q over every bond of `spec` into XX, YY and ZZ terms.
 
-    Each bond contributes its XX, YY and ZZ couplings (`bond_couplings`).
-    With theta = pi/2 the ZZ coupling vanishes, so every emitted term is
-    off-diagonal in the computational basis.
+    A coupling below COEFF_CUTOFF emits no term: the vortex systems carry no
+    ZZ term, and neither does the XXZ chain at delta = 0.
     """
-    if spec.kind is SystemKind.XXZ:
-        raise ValueError("use build_xxz_hamiltonian for the chain")
     terms: list[PauliTerm] = []
     for b in spec.bonds:
-        for c, ax in zip(bond_couplings(spec, b), (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)):
+        for c, ax in zip(bond_couplings(spec, b), PauliAxis):
             if abs(c) >= COEFF_CUTOFF:
                 terms.append(PauliTerm(c, ((b.p, ax), (b.q, ax))))
     return Hamiltonian(n_sites=spec.n_sites, terms=tuple(terms))
-
-
-def build_xxz_hamiltonian(n: int, delta: float) -> Hamiltonian:
-    """Open XXZ chain: X_i X_{i+1} + Y_i Y_{i+1} + delta Z_i Z_{i+1}."""
-    if n < 2:
-        raise ValueError(f"chain needs n >= 2, got {n}")
-    terms: list[PauliTerm] = []
-    for i in range(n - 1):
-        terms.append(PauliTerm(1.0, ((i, PauliAxis.X), (i + 1, PauliAxis.X))))
-        terms.append(PauliTerm(1.0, ((i, PauliAxis.Y), (i + 1, PauliAxis.Y))))
-        if abs(delta) >= COEFF_CUTOFF:
-            terms.append(PauliTerm(delta, ((i, PauliAxis.Z), (i + 1, PauliAxis.Z))))
-    return Hamiltonian(n_sites=n, terms=tuple(terms))
-
-
-def build_hamiltonian(spec: SystemSpec) -> Hamiltonian:
-    if spec.kind is SystemKind.XXZ:
-        return build_xxz_hamiltonian(spec.n_sites, spec.delta)
-    return build_vortex_hamiltonian(spec)
 
 
 _PAULI_MATS = {

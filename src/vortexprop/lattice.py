@@ -1,4 +1,4 @@
-"""Site geometry, hole placement, bonds, and spin angles for the vortex systems.
+"""Site geometry, hole placement, bonds, spin angles and bond couplings.
 
 Geometry convention (config-overridable through the JSON system format):
 
@@ -13,10 +13,14 @@ Geometry convention (config-overridable through the JSON system format):
   geometric center of the 3x5 footprint.
 * The XXZ chain is an open line of N sites with no holes.
 
-Spin angles: theta_p = pi/2 everywhere (spins in the XY plane) and
+Spin angles: every spin lies in the XY plane at azimuth
 xi_p = w * atan2(y_p - y_h, x_p - x_h) + chi, measured from the nearest hole
 h with winding w.  Sites equidistant from two holes take the lower-indexed
 hole (this covers the shared edge of the combined system, including f).
+
+Every system, the chain included, reaches its Hamiltonian through one path:
+`build_system` or `system_from_dict` -> `bond_couplings` per bond ->
+`hamiltonian.build_hamiltonian`.
 """
 from __future__ import annotations
 
@@ -64,18 +68,12 @@ class Bond:
 
 
 @dataclass(frozen=True)
-class SpinAngles:
-    xi: tuple[float, ...]
-    theta: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class SystemSpec:
     kind: SystemKind
     sites: tuple[Site, ...]
     holes: tuple[Hole, ...]
     bonds: tuple[Bond, ...]
-    angles: SpinAngles
+    xi: tuple[float, ...]  # in-plane spin angle per site
     winding: tuple[int, ...]
     chi: float = 0.0
     delta: float = 0.0
@@ -134,21 +132,51 @@ def _enumerate_bonds(
     return bonds
 
 
-def _angles(
+def _xi(
     positions: Sequence[tuple[int, int]],
     holes: Sequence[tuple[int, int]],
     winding: Sequence[int],
     chi: float,
-) -> SpinAngles:
+) -> tuple[float, ...]:
     if not holes:
-        return SpinAngles(xi=(0.0,) * len(positions), theta=(math.pi / 2,) * len(positions))
+        return (0.0,) * len(positions)
     xi = []
     for x, y in positions:
         d2 = [(x - hx) ** 2 + (y - hy) ** 2 for hx, hy in holes]
         k = d2.index(min(d2))  # ties resolve to the lower-indexed hole
         hx, hy = holes[k]
         xi.append(winding[k] * math.atan2(y - hy, x - hx) + chi)
-    return SpinAngles(xi=tuple(xi), theta=(math.pi / 2,) * len(positions))
+    return tuple(xi)
+
+
+def _make_spec(
+    kind: SystemKind,
+    labels: Sequence[str],
+    positions: Sequence[tuple[int, int]],
+    holes: Sequence[tuple[int, int]],
+    winding: tuple[int, ...],
+    chi: float,
+    delta: float,
+) -> SystemSpec:
+    """Assemble a SystemSpec; bonds and spin angles follow from the geometry.
+
+    Refuses a parameter the kind would ignore: chi on the XXZ chain (it has
+    no spin angles) and delta on a vortex kind (it has no ZZ coupling).
+    """
+    if kind is SystemKind.XXZ and chi != 0.0:
+        raise ValueError(f"chi={chi} has no effect on the XXZ chain")
+    if kind is not SystemKind.XXZ and delta != 0.0:
+        raise ValueError(f"delta={delta} has no effect on the {kind.value} system")
+    return SystemSpec(
+        kind=kind,
+        sites=tuple(Site(lbl, i, pos) for i, (lbl, pos) in enumerate(zip(labels, positions))),
+        holes=tuple(Hole(p) for p in holes),
+        bonds=tuple(_enumerate_bonds(positions, holes)),
+        xi=_xi(positions, holes, winding, chi),
+        winding=winding,
+        chi=chi,
+        delta=delta,
+    )
 
 
 def build_system(
@@ -160,7 +188,8 @@ def build_system(
     """Build one of the four systems with bonds and spin angles populated.
 
     For XXZ, `n` (>= 2) and `delta` select the chain; the vortex systems
-    ignore both.  `chi` is the global phase added to every xi_p.
+    ignore `n` and refuse a nonzero `delta`.  `chi` is the global phase added
+    to every xi_p; the chain refuses a nonzero `chi`.
     """
     kind = SystemKind(kind)
     if kind is SystemKind.XXZ:
@@ -174,23 +203,7 @@ def build_system(
     else:
         positions, holes = _vortex_positions(kind)
         winding = _VORTEX_WINDING[kind.value]
-    sites = tuple(Site(_LABELS[i], i, p) for i, p in enumerate(positions))
-    return SystemSpec(
-        kind=kind,
-        sites=sites,
-        holes=tuple(Hole(p) for p in holes),
-        bonds=tuple(_enumerate_bonds(positions, holes)),
-        angles=_angles(positions, holes, winding, chi),
-        winding=winding,
-        chi=chi,
-        delta=delta,
-    )
-
-
-def assign_angles(spec: SystemSpec) -> SpinAngles:
-    """Recompute the spin angles of `spec` from its geometry."""
-    return _angles([s.pos for s in spec.sites], [h.pos for h in spec.holes],
-                   spec.winding, spec.chi)
+    return _make_spec(kind, _LABELS, positions, holes, winding, chi, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +230,13 @@ def _transform(pos: tuple[int, int], mat, c2: tuple[int, int]) -> tuple[int, int
 def bond_couplings(spec: SystemSpec, bond: Bond) -> tuple[float, float, float]:
     """(XX, YY, ZZ) couplings of S_p.S_q on one bond (p, q), in units of J.
 
-        XX: cos(xi_p) cos(xi_q) sin(th_p) sin(th_q)
-        YY: sin(xi_p) sin(xi_q) sin(th_p) sin(th_q)
-        ZZ: cos(th_p) cos(th_q)
+    XXZ chain: (1, 1, delta).  Vortex systems, with both spins in the XY
+    plane: (cos xi_p cos xi_q, sin xi_p sin xi_q, 0).
     """
-    xi, th = spec.angles.xi, spec.angles.theta
-    p, q = bond.p, bond.q
-    st = math.sin(th[p]) * math.sin(th[q])
-    return (
-        math.cos(xi[p]) * math.cos(xi[q]) * st,
-        math.sin(xi[p]) * math.sin(xi[q]) * st,
-        math.cos(th[p]) * math.cos(th[q]),
-    )
+    if spec.kind is SystemKind.XXZ:
+        return (1.0, 1.0, spec.delta)
+    xp, xq = spec.xi[bond.p], spec.xi[bond.q]
+    return (math.cos(xp) * math.cos(xq), math.sin(xp) * math.sin(xq), 0.0)
 
 
 def point_symmetries(spec: SystemSpec, tol: float = 1e-9) -> list[tuple[int, ...]]:
@@ -322,7 +330,6 @@ def system_from_dict(data: dict) -> SystemSpec:
     Bonds and angles are recomputed from the geometry, so a dumped built-in
     system reloads bit-identically.
     """
-    kind = SystemKind(data["kind"])
     positions = [tuple(s["pos"]) for s in data["sites"]]
     labels = [s["label"] for s in data["sites"]]
     if len(set(labels)) != len(labels):
@@ -334,19 +341,8 @@ def system_from_dict(data: dict) -> SystemSpec:
     winding = tuple(data.get("winding", []))
     if holes and len(winding) != len(holes):
         raise ValueError("need one winding number per hole")
-    chi = float(data.get("chi", 0.0))
-    delta = float(data.get("delta", 0.0))
-    sites = tuple(Site(lbl, i, pos) for i, (lbl, pos) in enumerate(zip(labels, positions)))
-    return SystemSpec(
-        kind=kind,
-        sites=sites,
-        holes=tuple(Hole(p) for p in holes),
-        bonds=tuple(_enumerate_bonds(positions, holes)),
-        angles=_angles(positions, holes, winding, chi),
-        winding=winding,
-        chi=chi,
-        delta=delta,
-    )
+    return _make_spec(SystemKind(data["kind"]), labels, positions, holes, winding,
+                      float(data.get("chi", 0.0)), float(data.get("delta", 0.0)))
 
 
 def dump_system(spec: SystemSpec) -> str:

@@ -173,12 +173,6 @@ def check_class_degeneracy(
     return out
 
 
-def peak_magnetization_time(samples: Sequence[SampleRecord]) -> tuple[float, float]:
-    """(t_over_T, magnetization) where |magnetization| is largest."""
-    best = max(samples, key=lambda s: abs(s.magnetization))
-    return best.time_over_T, best.magnetization
-
-
 # ---------------------------------------------------------------------------
 # CSV format
 # ---------------------------------------------------------------------------

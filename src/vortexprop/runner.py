@@ -62,13 +62,8 @@ _CONFIG_KEYS = tuple(f.name for f in fields(SimulateOptions))
 
 
 def make_config(opts: SimulateOptions) -> RunConfig:
-    kind = SystemKind(opts.system)
-    if kind is SystemKind.XXZ:
-        spec = build_system(kind, n=opts.n, delta=opts.delta, chi=opts.chi)
-    else:
-        spec = build_system(kind, chi=opts.chi)
     return RunConfig(
-        system=spec,
+        system=build_system(opts.system, n=opts.n, delta=opts.delta, chi=opts.chi),
         dt_over_T=opts.dt,
         total_over_T=opts.total,
         sample_pitch=opts.pitch,

@@ -366,11 +366,3 @@ def max_amplitude_diff(a: StateVector, b: StateVector) -> float:
     bb = b.amps * (rb.conjugate() / abs(rb))
     return float(np.max(np.abs(aa - bb)))
 
-
-def snapshot_rows(state: StateVector) -> list[tuple[str, float, float, float]]:
-    """(basis label, re, im, |amp|) rows for state dumps."""
-    n = state.n_qubits
-    return [
-        (index_to_label(i, n), float(a.real), float(a.imag), float(abs(a)))
-        for i, a in enumerate(state.amps)
-    ]

@@ -17,7 +17,7 @@ from vortexprop.hamiltonian import (
     Hamiltonian,
     PauliAxis,
     PauliTerm,
-    build_vortex_hamiltonian,
+    build_hamiltonian,
 )
 from vortexprop.lattice import build_system
 from vortexprop.statevector import (
@@ -186,7 +186,7 @@ class TestTrotterStep:
         assert step.gates == alone.gates
 
     def test_melon_gate_count(self):
-        h = build_vortex_hamiltonian(build_system("melon"))
+        h = build_hamiltonian(build_system("melon"))
         step = compile_trotter_step(h, 1 / 300)
         assert len(step) == sum(gate_count(t) for t in h.terms)
 
@@ -204,7 +204,7 @@ class TestTrotterStep:
 
 class TestDumpFormat:
     def test_round_trip(self):
-        h = build_vortex_hamiltonian(build_system("melon"))
+        h = build_hamiltonian(build_system("melon"))
         c = compile_trotter_step(h, 1 / 300)
         d = circuit_to_dict(c)
         assert d["n"] == 8

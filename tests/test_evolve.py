@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortexprop.evolve import (
+    MAX_HELD_BYTES,
     TRACK_TOP_K,
     RunConfig,
     default_initial_label,
@@ -44,6 +45,15 @@ class TestRunConfig:
         spec = build_system("melon")
         with pytest.raises(ValueError):
             RunConfig(system=spec, dt_over_T=1e-9, total_over_T=100.0)
+
+    def test_held_state_guard_refuses_at_construction(self):
+        # 10^6 pitch-1 samples of the 4096-amplitude combined sector: 65.5 GB
+        spec = build_system("combined")
+        with pytest.raises(ValueError, match=f"over the {MAX_HELD_BYTES} byte guard"):
+            RunConfig(system=spec, dt_over_T=1 / 10, total_over_T=100000.0, sample_pitch=1)
+        # the same steps at a coarser pitch, and a 400T pitch-1 run (0.26 GB), pass
+        RunConfig(system=spec, dt_over_T=1 / 10, total_over_T=100000.0, sample_pitch=1000)
+        RunConfig(system=spec, dt_over_T=1 / 10, total_over_T=400.0, sample_pitch=1)
 
     def test_rejects_wrong_initial_length(self):
         spec = build_system("melon")
@@ -185,10 +195,14 @@ class TestRunExact:
         assert 1.7 <= errs[0] / errs[1] <= 2.3
 
     def test_size_guard(self):
-        spec = build_system("xxz", n=14)
-        config = RunConfig(system=spec, dt_over_T=0.5, total_over_T=0.5)
-        with pytest.raises(ValueError):
-            run_exact(config)
+        # a 14-site sector is as large as the full 13-site space; 15 is refused
+        with pytest.raises(ValueError, match="capped at 14 sites"):
+            run_exact(RunConfig(system=build_system("xxz", n=15), dt_over_T=0.5,
+                                total_over_T=0.5))
+        result = run_exact(RunConfig(system=build_system("xxz", n=14), dt_over_T=0.5,
+                                     total_over_T=0.5))
+        assert len(result.samples) == 2
+        assert np.linalg.norm(result.final_state.amps) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEnergyDrift:
@@ -266,7 +280,7 @@ class TestInvariantProperties:
     @settings(max_examples=25, deadline=None)
     @given(kind=VORTICES, label=LABELS, chi=CHIS)
     def test_exact_energy_stays_zero(self, kind, label, chi):
-        # theta = pi/2 leaves only XX/YY terms, so <H> = 0 on every basis state
+        # in-plane spins leave only XX/YY terms, so <H> = 0 on every basis state
         # and the exact propagator conserves it
         samples = self.series(kind, label, chi, run=run_exact)
         assert max(abs(s.energy) for s in samples) <= 1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,7 @@ from vortexprop.hamiltonian import (
     PauliAxis,
     PauliTerm,
     PhysicalConstants,
-    build_vortex_hamiltonian,
-    build_xxz_hamiltonian,
+    build_hamiltonian,
     dump_hamiltonian,
     hamiltonian_from_list,
     hamiltonian_hash,
@@ -57,78 +57,47 @@ class TestPauliTerm:
 
 class TestXXZBuilder:
     def test_two_site_xx(self):
-        h = build_xxz_hamiltonian(2, 0.0)
+        h = build_hamiltonian(build_system("xxz", n=2))
         assert [(t.coeff, t.factors) for t in h.terms] == [
             (1.0, ((0, PauliAxis.X), (1, PauliAxis.X))),
             (1.0, ((0, PauliAxis.Y), (1, PauliAxis.Y))),
         ]
 
     def test_two_site_with_anisotropy(self):
-        h = build_xxz_hamiltonian(2, 2.0)
+        h = build_hamiltonian(build_system("xxz", n=2, delta=2.0))
         assert h.terms[-1] == PauliTerm(2.0, ((0, PauliAxis.Z), (1, PauliAxis.Z)))
         assert len(h.terms) == 3
 
     def test_eight_site_term_count(self):
-        assert len(build_xxz_hamiltonian(8, 0.0).terms) == 14
-        assert len(build_xxz_hamiltonian(8, 2.0).terms) == 21
+        assert len(build_hamiltonian(build_system("xxz", n=8)).terms) == 14
+        assert len(build_hamiltonian(build_system("xxz", n=8, delta=2.0)).terms) == 21
 
     def test_rejects_short_chain(self):
         with pytest.raises(ValueError):
-            build_xxz_hamiltonian(1, 0.0)
+            build_system("xxz", n=1)
 
 
 class TestVortexBuilder:
     def test_aligned_bond_single_xx_term(self):
-        # xi_p = xi_q = 0 at theta = pi/2 leaves only the XX term
-        import dataclasses
-        from vortexprop.lattice import SpinAngles
+        # xi_p = xi_q = 0 leaves only the XX term
         melon = build_system("melon")
-        angles = SpinAngles(xi=(0.0,) * 8, theta=(math.pi / 2,) * 8)
-        aligned = dataclasses.replace(melon, angles=angles)
-        h = build_vortex_hamiltonian(aligned)
+        h = build_hamiltonian(dataclasses.replace(melon, xi=(0.0,) * 8))
         assert all(ax is PauliAxis.X for t in h.terms for _, ax in t.factors)
         assert all(t.coeff == pytest.approx(1.0) for t in h.terms)
         assert len(h.terms) == len(melon.bonds)
 
     def test_orthogonal_bond_drops_out(self):
-        import dataclasses
-        from vortexprop.lattice import SpinAngles
         melon = build_system("melon")
         # alternate 0 / pi/2: cos or sin vanishes on every pair
         xi = tuple((i % 2) * math.pi / 2 for i in range(8))
-        h = build_vortex_hamiltonian(
-            dataclasses.replace(melon, angles=SpinAngles(xi=xi, theta=(math.pi / 2,) * 8))
-        )
-        pos = {s.index: s.pos for s in melon.sites}
+        h = build_hamiltonian(dataclasses.replace(melon, xi=xi))
         for t in h.terms:
             p, q = t.support
             assert (p + q) % 2 == 0 or abs(t.coeff) < 1e-12
 
-    def test_melon_terms_match_independent_trig(self):
-        # oracle: recompute every bond coupling straight from positions
-        spec = build_system("melon")
-        h = build_vortex_hamiltonian(spec)
-        pos = [s.pos for s in spec.sites]
-        hx, hy = spec.holes[0].pos
-        expected = []
-        for b in spec.bonds:
-            xp = math.atan2(pos[b.p][1] - hy, pos[b.p][0] - hx)
-            xq = math.atan2(pos[b.q][1] - hy, pos[b.q][0] - hx)
-            cx = math.cos(xp) * math.cos(xq)
-            cy = math.sin(xp) * math.sin(xq)
-            if abs(cx) >= 1e-15:
-                expected.append((cx, ((b.p, "X"), (b.q, "X"))))
-            if abs(cy) >= 1e-15:
-                expected.append((cy, ((b.p, "Y"), (b.q, "Y"))))
-        got = [(t.coeff, tuple((s, a.value) for s, a in t.factors)) for t in h.terms]
-        assert len(got) == len(expected) == 14
-        for (ce, fe), (cg, fg) in zip(expected, got):
-            assert fe == fg
-            assert cg == pytest.approx(ce, abs=1e-14)
-
     def test_term_order_exchange_first_x_before_y(self):
         spec = build_system("combined")
-        h = build_vortex_hamiltonian(spec)
+        h = build_hamiltonian(spec)
         kinds = {(b.p, b.q): b.kind for b in spec.bonds}
         seen_super = False
         prev = None
@@ -144,9 +113,51 @@ class TestVortexBuilder:
                 assert axes[0] is not PauliAxis.X  # second term of a bond is Y or Z
             prev = pair
 
-    def test_rejects_xxz_kind(self):
-        with pytest.raises(ValueError):
-            build_vortex_hamiltonian(build_system("xxz", n=4))
+
+# winding per hole, written out here rather than read from the spec
+_WINDING = {"melon": (1,), "antimelon": (-1,), "combined": (1, -1)}
+
+
+@pytest.mark.parametrize("kind, kwargs, n_terms", [
+    pytest.param("melon", {}, 14, id="melon"),
+    pytest.param("antimelon", {}, 14, id="antimelon"),
+    pytest.param("combined", {}, 26, id="combined"),
+    pytest.param("melon", {"chi": 0.3}, 32, id="melon-chi0.3"),
+    pytest.param("antimelon", {"chi": 0.3}, 32, id="antimelon-chi0.3"),
+    pytest.param("combined", {"chi": 0.3}, 60, id="combined-chi0.3"),
+    pytest.param("xxz", {"n": 8, "delta": 0.0}, 14, id="xxz-delta0"),
+    pytest.param("xxz", {"n": 8, "delta": 2.0}, 21, id="xxz-delta2"),
+])
+def test_terms_match_independent_couplings(kind, kwargs, n_terms):
+    # oracle: recompute every bond coupling straight from positions, the
+    # nearest hole (ties to the lower index) and its winding
+    spec = build_system(kind, **kwargs)
+    pos = [s.pos for s in spec.sites]
+    holes = [h.pos for h in spec.holes]
+    chi = kwargs.get("chi", 0.0)
+
+    def xi(p):
+        x, y = pos[p]
+        d2 = [(x - hx) ** 2 + (y - hy) ** 2 for hx, hy in holes]
+        k = min(range(len(holes)), key=lambda i: (d2[i], i))
+        return _WINDING[kind][k] * math.atan2(y - holes[k][1], x - holes[k][0]) + chi
+
+    expected = []
+    for b in spec.bonds:
+        if kind == "xxz":
+            cs = (1.0, 1.0, kwargs["delta"])
+        else:
+            xp, xq = xi(b.p), xi(b.q)
+            cs = (math.cos(xp) * math.cos(xq), math.sin(xp) * math.sin(xq), 0.0)
+        for c, ax in zip(cs, "XYZ"):
+            if abs(c) >= 1e-15:
+                expected.append((c, ((b.p, ax), (b.q, ax))))
+    got = [(t.coeff, tuple((s, a.value) for s, a in t.factors))
+           for t in build_hamiltonian(spec).terms]
+    assert len(got) == len(expected) == n_terms
+    for (ce, fe), (cg, fg) in zip(expected, got):
+        assert fe == fg
+        assert cg == pytest.approx(ce, abs=1e-14)
 
 
 class TestMatrixOf:
@@ -165,7 +176,7 @@ class TestMatrixOf:
 
     @pytest.mark.parametrize("kind", ["melon", "antimelon", "combined"])
     def test_vortex_diagonal_exactly_zero(self, kind):
-        h = build_vortex_hamiltonian(build_system(kind))
+        h = build_hamiltonian(build_system(kind))
         if h.n_sites > 10:
             m = sparse_matrix_of(h)
             assert np.max(np.abs(m.diagonal())) == 0.0
@@ -173,16 +184,16 @@ class TestMatrixOf:
             assert np.max(np.abs(np.diag(matrix_of(h)))) == 0.0
 
     @pytest.mark.parametrize("builder", [
-        lambda: build_vortex_hamiltonian(build_system("melon")),
-        lambda: build_xxz_hamiltonian(5, 2.0),
-        lambda: build_vortex_hamiltonian(build_system("melon", chi=0.37)),
+        lambda: build_hamiltonian(build_system("melon")),
+        lambda: build_hamiltonian(build_system("xxz", n=5, delta=2.0)),
+        lambda: build_hamiltonian(build_system("melon", chi=0.37)),
     ])
     def test_hermitian(self, builder):
         m = matrix_of(builder())
         assert np.max(np.abs(m - m.conj().T)) == 0.0
 
     def test_sparse_matches_dense(self):
-        h = build_vortex_hamiltonian(build_system("melon"))
+        h = build_hamiltonian(build_system("melon"))
         assert np.max(np.abs(sparse_matrix_of(h).toarray() - matrix_of(h))) < 1e-14
 
     def test_sparse_matches_dense_on_mixed_strings(self):
@@ -206,10 +217,10 @@ class TestMatrixOf:
         # global chi shifts by multiples of pi/2 are unitarily equivalent
         # (lattice relabeling plus a quarter-turn spin rotation); generic chi
         # changes the spectrum, see the decisions notes
-        base = np.linalg.eigvalsh(matrix_of(build_vortex_hamiltonian(build_system("melon"))))
+        base = np.linalg.eigvalsh(matrix_of(build_hamiltonian(build_system("melon"))))
         for chi in (math.pi / 2, math.pi, 3 * math.pi / 2):
             ev = np.linalg.eigvalsh(
-                matrix_of(build_vortex_hamiltonian(build_system("melon", chi=chi)))
+                matrix_of(build_hamiltonian(build_system("melon", chi=chi)))
             )
             assert np.max(np.abs(ev - base)) < 1e-10
 
@@ -219,7 +230,7 @@ class TestMatrixOf:
         # chi -> -chi, so a sweep over [0, pi/2) covers the whole family
         def spectrum(c):
             return np.linalg.eigvalsh(
-                matrix_of(build_vortex_hamiltonian(build_system("melon", chi=c)))
+                matrix_of(build_hamiltonian(build_system("melon", chi=c)))
             )
 
         base = spectrum(chi)
@@ -229,7 +240,7 @@ class TestMatrixOf:
 
 class TestDumpFormat:
     def test_list_round_trip(self):
-        h = build_vortex_hamiltonian(build_system("melon"))
+        h = build_hamiltonian(build_system("melon"))
         data = hamiltonian_to_list(h)
         assert isinstance(data, list)
         assert set(data[0]) == {"coeff", "ops"}
@@ -237,7 +248,7 @@ class TestDumpFormat:
         assert again == h
 
     def test_infers_site_count(self):
-        h = build_xxz_hamiltonian(4, 0.5)
+        h = build_hamiltonian(build_system("xxz", n=4, delta=0.5))
         assert hamiltonian_from_list(hamiltonian_to_list(h)).n_sites == 4
 
     def test_empty_list_needs_site_count(self):
@@ -248,7 +259,7 @@ class TestDumpFormat:
         assert sparse_matrix_of(h).nnz == 0
 
     def test_hash_stable(self):
-        h = build_vortex_hamiltonian(build_system("melon"))
+        h = build_hamiltonian(build_system("melon"))
         assert hamiltonian_hash(h) == hamiltonian_hash(h)
-        assert hamiltonian_hash(h) != hamiltonian_hash(build_xxz_hamiltonian(8, 0.0))
+        assert hamiltonian_hash(h) != hamiltonian_hash(build_hamiltonian(build_system("xxz", n=8)))
         assert len(dump_hamiltonian(h)) > 0

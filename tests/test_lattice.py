@@ -5,7 +5,6 @@ import pytest
 
 from vortexprop.lattice import (
     BondKind,
-    assign_angles,
     build_system,
     dump_system,
     load_system,
@@ -112,20 +111,15 @@ class TestBuildSystem:
 
 
 class TestAngles:
-    def test_theta_is_half_pi_everywhere(self):
-        for kind in ("melon", "antimelon", "combined"):
-            spec = build_system(kind)
-            assert all(th == math.pi / 2 for th in spec.angles.theta)
-
     def test_melon_site_due_east_has_zero_xi(self):
         spec = build_system("melon")
         east = next(s for s in spec.sites if s.pos == (2, 1))
-        assert spec.angles.xi[east.index] == 0.0
+        assert spec.xi[east.index] == 0.0
 
     def test_antimelon_site_due_north(self):
         spec = build_system("antimelon")
         north = next(s for s in spec.sites if s.pos == (1, 2))
-        assert spec.angles.xi[north.index] == pytest.approx(-math.pi / 2)
+        assert spec.xi[north.index] == pytest.approx(-math.pi / 2)
 
     def test_melon_xi_values_cover_eighths(self):
         # independent enumeration of atan2 over the 8 perimeter offsets
@@ -134,30 +128,24 @@ class TestAngles:
             math.atan2(y - 1, x - 1) % TWO_PI for (x, y) in (s.pos for s in spec.sites)
         )
         assert expected == pytest.approx([k * math.pi / 4 for k in range(8)])
-        got = sorted(x % TWO_PI for x in spec.angles.xi)
+        got = sorted(x % TWO_PI for x in spec.xi)
         assert got == pytest.approx(expected)
 
     def test_xxz_angles_zero(self):
         spec = build_system("xxz", n=4)
-        assert spec.angles.xi == (0.0,) * 4
-        assert spec.angles.theta == (math.pi / 2,) * 4
-
-    def test_assign_angles_matches_build(self):
-        for kind in ("melon", "combined"):
-            spec = build_system(kind, chi=0.3)
-            assert assign_angles(spec) == spec.angles
+        assert spec.xi == (0.0,) * 4
 
     def test_chi_shifts_all_angles(self):
         base = build_system("melon")
         shifted = build_system("melon", chi=0.7)
-        for a, b in zip(base.angles.xi, shifted.angles.xi):
+        for a, b in zip(base.xi, shifted.xi):
             assert b - a == pytest.approx(0.7)
 
     def test_rotation_equivariance(self):
         # rotating the lattice by pi/2 about the core shifts every xi by w*pi/2
         for kind, w in (("melon", 1), ("antimelon", -1)):
             spec = build_system(kind)
-            xi = {s.pos: spec.angles.xi[s.index] for s in spec.sites}
+            xi = {s.pos: spec.xi[s.index] for s in spec.sites}
             for (x, y), v in xi.items():
                 rx, ry = 1 - (y - 1), 1 + (x - 1)
                 delta = (xi[(rx, ry)] - v - w * math.pi / 2) % TWO_PI
@@ -167,7 +155,7 @@ class TestAngles:
         spec = build_system("combined")
         by_label = {s.label: s.index for s in spec.sites}
         # f is equidistant from both holes; tie-break assigns the first (w=+1)
-        assert spec.angles.xi[by_label["f"]] == pytest.approx(math.pi / 2)
+        assert spec.xi[by_label["f"]] == pytest.approx(math.pi / 2)
 
 
 class TestEquivalenceClasses:
@@ -204,8 +192,9 @@ class TestEquivalenceClasses:
 
 class TestSystemFileFormat:
     def test_round_trip_bit_identical(self):
-        for kind in ("melon", "antimelon", "combined"):
-            spec = build_system(kind)
+        for spec in [build_system(k) for k in ("melon", "antimelon", "combined")] + [
+            build_system("melon", chi=0.3), build_system("xxz", n=8, delta=2.0),
+        ]:
             text = dump_system(spec)
             again = load_system(text)
             assert again == spec
@@ -249,3 +238,26 @@ class TestSystemFileFormat:
         spec = system_from_dict(json.loads(json.dumps(d)))
         assert spec.chi == 0.25
         assert len(spec.bonds) == 16
+
+
+class TestIgnoredParameters:
+    def test_build_refuses_chi_on_chain(self):
+        with pytest.raises(ValueError, match="chi=0.5 has no effect on the XXZ chain"):
+            build_system("xxz", n=4, chi=0.5)
+
+    @pytest.mark.parametrize("kind", ["melon", "antimelon", "combined"])
+    def test_build_refuses_delta_on_vortex(self, kind):
+        with pytest.raises(ValueError, match=f"delta=2.0 has no effect on the {kind} system"):
+            build_system(kind, delta=2.0)
+
+    def test_loader_refuses_chi_on_chain(self):
+        d = system_to_dict(build_system("xxz", n=4))
+        d["chi"] = 0.5
+        with pytest.raises(ValueError, match="XXZ chain"):
+            system_from_dict(d)
+
+    def test_loader_refuses_delta_on_vortex(self):
+        d = system_to_dict(build_system("combined"))
+        d["delta"] = 1.0
+        with pytest.raises(ValueError, match="combined system"):
+            load_system(json.dumps(d))

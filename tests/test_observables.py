@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vortexprop.evolve import RunConfig, run_exact, run_trotter
-from vortexprop.hamiltonian import build_vortex_hamiltonian, build_xxz_hamiltonian
+from vortexprop.hamiltonian import build_hamiltonian
 from vortexprop.lattice import build_system, site_equivalence_classes
 from vortexprop.observables import (
     SampleRecord,
@@ -13,7 +13,6 @@ from vortexprop.observables import (
     csv_header,
     estimate_period,
     local_maxima,
-    peak_magnetization_time,
     read_samples_csv,
     record_sample,
     write_samples_csv,
@@ -31,7 +30,7 @@ def make_record(t, norms=None, m_z=(0.0,), mag=0.0):
 class TestRecordSample:
     def setup_method(self):
         self.spec = build_system("melon")
-        h = build_vortex_hamiltonian(self.spec)
+        h = build_hamiltonian(self.spec)
         self.kernel = PauliKernel(h.n_sites, h.terms, label_to_index("10101010"))
         self.psi0 = self.kernel.basis(self.kernel.start)
 
@@ -79,7 +78,6 @@ class TestRecordSample:
 
     def test_tracked_norms_square_sum_to_one(self):
         # tracking every basis state of a small chain captures all probability
-        h = build_xxz_hamiltonian(3, 0.5)
         spec = build_system("xxz", n=3, delta=0.5)
         config = RunConfig(
             system=spec, dt_over_T=1 / 20, total_over_T=0.5, sample_pitch=2,
@@ -183,11 +181,6 @@ class TestClassDegeneracy:
         trotter = run_trotter(config)
         spreads = check_class_degeneracy(trotter.samples, classes, trotter.site_labels)
         assert max(spreads.values()) < 0.05
-
-
-def test_peak_magnetization_time():
-    samples = [make_record(t, mag=m) for t, m in [(0, 0.0), (1, -2.0), (2, 1.5)]]
-    assert peak_magnetization_time(samples) == (1, -2.0)
 
 
 class TestCsvRoundTrip:

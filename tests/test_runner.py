@@ -138,6 +138,22 @@ class TestSimulateCommand:
         assert run_cli(["simulate", "--dt", "0.3", "--total", "1",
                         "--out", str(tmp_path / "z")]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--system", "xxz", "--chi", "0.5"], "chi=0.5 has no effect on the XXZ chain"),
+        (["--system", "melon", "--delta", "2"], "delta=2.0 has no effect on the melon system"),
+    ])
+    def test_ignored_parameter_exit_1(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "r"
+        assert run_cli(["simulate", *argv, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ignored_parameter_in_config_file_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": "combined", "delta": 1.0}))
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        assert "delta=1.0 has no effect on the combined system" in capsys.readouterr().err
+
 
 class TestPlotData:
     def test_fig5_has_site_columns(self, tmp_path):

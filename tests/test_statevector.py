@@ -26,7 +26,6 @@ from vortexprop.statevector import (
     init_basis_state,
     label_to_index,
     max_amplitude_diff,
-    snapshot_rows,
 )
 
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -307,10 +306,3 @@ class TestFidelity:
         with pytest.raises(ValueError):
             fidelity(init_basis_state("0"), init_basis_state("00"))
 
-
-def test_snapshot_rows():
-    state = apply_gate(init_basis_state("00"), Gate("H", (1,)))
-    rows = snapshot_rows(state)
-    assert rows[0] == ("00", pytest.approx(INV_SQRT2), 0.0, pytest.approx(INV_SQRT2))
-    assert rows[2][0] == "10"
-    assert rows[2][3] == pytest.approx(INV_SQRT2)
