@@ -110,9 +110,6 @@ class RunResult:
     tracked: tuple[str, ...]
     hamiltonian: Hamiltonian | None = field(repr=False, default=None)
 
-    def fidelity_series(self) -> list[tuple[float, float]]:
-        return [(s.time_over_T, s.fidelity0) for s in self.samples]
-
 
 def _resolve_tracked(
     config: RunConfig, initial: str, peak_norm: np.ndarray, n: int

@@ -18,6 +18,10 @@ xi_p = w * atan2(y_p - y_h, x_p - x_h) + chi, measured from the nearest hole
 h with winding w.  Sites equidistant from two holes take the lower-indexed
 hole (this covers the shared edge of the combined system, including f).
 
+Symmetry: the square point-group operations that map sites, holes, bond kinds
+and couplings (up to a global XX <-> YY swap) onto themselves form a group, so
+a site's set of images under them is its orbit, i.e. its equivalence class.
+
 Every system, the chain included, reaches its Hamiltonian through one path:
 `build_system` or `system_from_dict` -> `bond_couplings` per bond ->
 `hamiltonian.build_hamiltonian`.
@@ -108,28 +112,19 @@ def _vortex_positions(kind: SystemKind) -> tuple[list[tuple[int, int]], list[tup
 def _enumerate_bonds(
     positions: Sequence[tuple[int, int]], holes: Sequence[tuple[int, int]]
 ) -> list[Bond]:
-    """Exchange bonds at squared distance 1; superexchange = next-nearest pairs
-    plus opposite-site pairs straddling a hole.  Deterministic (p, q) order."""
-    n = len(positions)
-    exchange, superex = [], set()
-    for p in range(n):
-        for q in range(p + 1, n):
-            dx = positions[q][0] - positions[p][0]
-            dy = positions[q][1] - positions[p][1]
-            d2 = dx * dx + dy * dy
+    """Exchange bonds at squared distance 1, then superexchange bonds at
+    squared distance 2 or straddling a hole; each kind in (p, q) order."""
+    doubled_holes = {(2 * hx, 2 * hy) for hx, hy in holes}
+    exchange, superex = [], []
+    for p, (xp, yp) in enumerate(positions):
+        for q in range(p + 1, len(positions)):
+            xq, yq = positions[q]
+            d2 = (xq - xp) ** 2 + (yq - yp) ** 2
             if d2 == 1:
-                exchange.append((p, q))
-            elif d2 == 2:
-                superex.add((p, q))
-    for hx, hy in holes:
-        for p in range(n):
-            for q in range(p + 1, n):
-                if (positions[p][0] + positions[q][0] == 2 * hx
-                        and positions[p][1] + positions[q][1] == 2 * hy):
-                    superex.add((p, q))
-    bonds = [Bond(p, q, BondKind.EXCHANGE) for p, q in sorted(exchange)]
-    bonds += [Bond(p, q, BondKind.SUPEREXCHANGE) for p, q in sorted(superex)]
-    return bonds
+                exchange.append(Bond(p, q, BondKind.EXCHANGE))
+            if d2 == 2 or (xp + xq, yp + yq) in doubled_holes:
+                superex.append(Bond(p, q, BondKind.SUPEREXCHANGE))
+    return exchange + superex
 
 
 def _xi(
@@ -149,6 +144,18 @@ def _xi(
     return tuple(xi)
 
 
+def bond_couplings(spec: SystemSpec, bond: Bond) -> tuple[float, float, float]:
+    """(XX, YY, ZZ) couplings of S_p.S_q on one bond (p, q), in units of J.
+
+    XXZ chain: (1, 1, delta).  Vortex systems, with both spins in the XY
+    plane: (cos xi_p cos xi_q, sin xi_p sin xi_q, 0).
+    """
+    if spec.kind is SystemKind.XXZ:
+        return (1.0, 1.0, spec.delta)
+    xp, xq = spec.xi[bond.p], spec.xi[bond.q]
+    return (math.cos(xp) * math.cos(xq), math.sin(xp) * math.sin(xq), 0.0)
+
+
 def _make_spec(
     kind: SystemKind,
     labels: Sequence[str],
@@ -160,11 +167,13 @@ def _make_spec(
 ) -> SystemSpec:
     """Assemble a SystemSpec; bonds and spin angles follow from the geometry.
 
-    Refuses a parameter the kind would ignore: chi on the XXZ chain (it has
-    no spin angles) and delta on a vortex kind (it has no ZZ coupling).
+    Refuses a parameter the system would ignore: chi on the XXZ chain or on a
+    system without holes (neither has spin angles) and delta on a vortex kind
+    (it has no ZZ coupling).
     """
-    if kind is SystemKind.XXZ and chi != 0.0:
-        raise ValueError(f"chi={chi} has no effect on the XXZ chain")
+    if chi != 0.0 and (kind is SystemKind.XXZ or not holes):
+        system = "XXZ chain" if kind is SystemKind.XXZ else f"{kind.value} system without holes"
+        raise ValueError(f"chi={chi} has no effect on the {system}")
     if kind is not SystemKind.XXZ and delta != 0.0:
         raise ValueError(f"delta={delta} has no effect on the {kind.value} system")
     return SystemSpec(
@@ -188,8 +197,8 @@ def build_system(
     """Build one of the four systems with bonds and spin angles populated.
 
     For XXZ, `n` (>= 2) and `delta` select the chain; the vortex systems
-    ignore `n` and refuse a nonzero `delta`.  `chi` is the global phase added
-    to every xi_p; the chain refuses a nonzero `chi`.
+    have a fixed size and refuse an `n` and a nonzero `delta`.  `chi` is the
+    global phase added to every xi_p; the chain refuses a nonzero `chi`.
     """
     kind = SystemKind(kind)
     if kind is SystemKind.XXZ:
@@ -201,6 +210,8 @@ def build_system(
         holes: list[tuple[int, int]] = []
         winding: tuple[int, ...] = ()
     else:
+        if n is not None:
+            raise ValueError(f"n={n} has no effect on the {kind.value} system")
         positions, holes = _vortex_positions(kind)
         winding = _VORTEX_WINDING[kind.value]
     return _make_spec(kind, _LABELS, positions, holes, winding, chi, delta)
@@ -217,26 +228,19 @@ _POINT_GROUP = [
 ]
 
 
-def _transform(pos: tuple[int, int], mat, c2: tuple[int, int]) -> tuple[int, int] | None:
-    # act about the centroid, working in doubled coordinates to stay integral
+def _transform(pos: tuple[int, int], mat, c2: tuple[int, int]) -> tuple[int, int]:
+    # act about the centroid in doubled coordinates, where it stays integral;
+    # an odd coordinate is off the lattice and matches no doubled site or hole
     u, v = 2 * pos[0] - c2[0], 2 * pos[1] - c2[1]
-    tu = mat[0][0] * u + mat[0][1] * v + c2[0]
-    tv = mat[1][0] * u + mat[1][1] * v + c2[1]
-    if tu % 2 or tv % 2:
-        return None
-    return (tu // 2, tv // 2)
+    return (mat[0][0] * u + mat[0][1] * v + c2[0], mat[1][0] * u + mat[1][1] * v + c2[1])
 
 
-def bond_couplings(spec: SystemSpec, bond: Bond) -> tuple[float, float, float]:
-    """(XX, YY, ZZ) couplings of S_p.S_q on one bond (p, q), in units of J.
-
-    XXZ chain: (1, 1, delta).  Vortex systems, with both spins in the XY
-    plane: (cos xi_p cos xi_q, sin xi_p sin xi_q, 0).
-    """
-    if spec.kind is SystemKind.XXZ:
-        return (1.0, 1.0, spec.delta)
-    xp, xq = spec.xi[bond.p], spec.xi[bond.q]
-    return (math.cos(xp) * math.cos(xq), math.sin(xp) * math.sin(xq), 0.0)
+def _matches(image: dict, bonds: dict, tol: float) -> bool:
+    """Same bonds, same kinds, and (XX, YY) couplings equal within tol."""
+    return image.keys() == bonds.keys() and all(
+        image[k][0] is kind and abs(image[k][1] - xx) <= tol and abs(image[k][2] - yy) <= tol
+        for k, (kind, xx, yy) in bonds.items()
+    )
 
 
 def point_symmetries(spec: SystemSpec, tol: float = 1e-9) -> list[tuple[int, ...]]:
@@ -248,39 +252,23 @@ def point_symmetries(spec: SystemSpec, tol: float = 1e-9) -> list[tuple[int, ...
     the permutation still acts as a dynamical symmetry on z-basis observables.
     """
     positions = [s.pos for s in spec.sites]
-    pos_index = {p: i for i, p in enumerate(positions)}
-    hole_set = {h.pos for h in spec.holes}
-    nsites = len(positions)
-    c2 = (round(2 * sum(x for x, _ in positions) / nsites),
-          round(2 * sum(y for _, y in positions) / nsites))
-    bond_map = {(b.p, b.q): b.kind for b in spec.bonds}
-    coeff = {(b.p, b.q): bond_couplings(spec, b)[:2] for b in spec.bonds}
+    pos_index = {(2 * x, 2 * y): i for i, (x, y) in enumerate(positions)}
+    holes = {(2 * h.pos[0], 2 * h.pos[1]) for h in spec.holes}
+    c2 = (round(2 * sum(x for x, _ in positions) / len(positions)),
+          round(2 * sum(y for _, y in positions) / len(positions)))
+    bonds = {(b.p, b.q): (b.kind, *bond_couplings(spec, b)[:2]) for b in spec.bonds}
+    swapped = {k: (kind, yy, xx) for k, (kind, xx, yy) in bonds.items()}
 
     perms = []
     for mat in _POINT_GROUP:
         images = [_transform(p, mat, c2) for p in positions]
-        if any(im is None or im not in pos_index for im in images):
+        if not all(im in pos_index for im in images):
             continue
-        if {_transform(h, mat, c2) for h in hole_set} != hole_set:
+        if {_transform(h.pos, mat, c2) for h in spec.holes} != holes:
             continue
         perm = tuple(pos_index[im] for im in images)
-        if sorted(perm) != list(range(nsites)):
-            continue
-        ok_exact, ok_swap = True, True
-        for (p, q), kind in bond_map.items():
-            ip, iq = sorted((perm[p], perm[q]))
-            if bond_map.get((ip, iq)) != kind:
-                ok_exact = ok_swap = False
-                break
-            cx, cy = coeff[(p, q)]
-            tx, ty = coeff[(ip, iq)]
-            if abs(tx - cx) > tol or abs(ty - cy) > tol:
-                ok_exact = False
-            if abs(tx - cy) > tol or abs(ty - cx) > tol:
-                ok_swap = False
-            if not (ok_exact or ok_swap):
-                break
-        if ok_exact or ok_swap:
+        image = {tuple(sorted((perm[p], perm[q]))): c for (p, q), c in bonds.items()}
+        if _matches(image, bonds, tol) or _matches(image, swapped, tol):
             perms.append(perm)
     return perms
 
@@ -289,24 +277,8 @@ def site_equivalence_classes(spec: SystemSpec) -> list[tuple[str, ...]]:
     """Orbits of the site labels under the valid point symmetries of `spec`."""
     if spec.kind is SystemKind.XXZ:
         raise ValueError("equivalence classes are defined for the vortex systems only")
-    n = spec.n_sites
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for perm in point_symmetries(spec):
-        for i, j in enumerate(perm):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
-    orbits: dict[int, list[str]] = {}
-    for s in spec.sites:
-        orbits.setdefault(find(s.index), []).append(s.label)
-    return sorted((tuple(sorted(v)) for v in orbits.values()), key=lambda c: c[0])
+    labels, perms = spec.labels, point_symmetries(spec)
+    return sorted({tuple(sorted({labels[g[i]] for g in perms})) for i in range(len(labels))})
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +306,8 @@ def system_from_dict(data: dict) -> SystemSpec:
     labels = [s["label"] for s in data["sites"]]
     if len(set(labels)) != len(labels):
         raise ValueError("site labels must be unique")
+    if len(set(positions)) != len(positions):
+        raise ValueError("site positions must be unique")
     holes = [tuple(h) for h in data["holes"]]
     for h in holes:
         if h in positions:

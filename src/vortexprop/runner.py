@@ -45,7 +45,7 @@ def parse_dt(text: str) -> float:
 @dataclass
 class SimulateOptions:
     system: str = "melon"
-    n: int = 8
+    n: int | None = None  # XXZ chain length, 8 when not given; refused elsewhere
     delta: float = 0.0
     dt: float = 1.0 / 300.0
     total: float = 4.0
@@ -62,8 +62,9 @@ _CONFIG_KEYS = tuple(f.name for f in fields(SimulateOptions))
 
 
 def make_config(opts: SimulateOptions) -> RunConfig:
+    n = 8 if opts.n is None and opts.system == SystemKind.XXZ else opts.n
     return RunConfig(
-        system=build_system(opts.system, n=opts.n, delta=opts.delta, chi=opts.chi),
+        system=build_system(opts.system, n=n, delta=opts.delta, chi=opts.chi),
         dt_over_T=opts.dt,
         total_over_T=opts.total,
         sample_pitch=opts.pitch,
@@ -110,67 +111,32 @@ def manifest_dict(opts: SimulateOptions, config: RunConfig, result: RunResult) -
 def emit_plot_data(result: RunResult, out_dir: Path) -> list[Path]:
     """Write fig4/fig5/fig6-style whitespace data files plus a gnuplot script."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    samples = result.samples
-    fmt = lambda v: f"{v:.17g}"
-
-    def write(name: str, header: list[str], rows) -> Path:
-        path = out_dir / name
-        with open(path, "w") as fh:
-            fh.write("# " + " ".join(header) + "\n")
-            for row in rows:
-                fh.write(" ".join(fmt(v) for v in row) + "\n")
-        written.append(path)
-        return path
-
-    if result.tracked:
-        write(
-            "fig4.dat",
-            ["t_over_T"] + [f"amp_{lbl}" for lbl in result.tracked],
-            ([s.time_over_T] + [s.amp_norms[lbl] for lbl in result.tracked] for s in samples),
-        )
-    else:
+    tracked, sites = result.tracked, result.site_labels
+    # (name, ylabel, data columns, plot titles, data row of one sample)
+    figures = [
+        ("fig4", "|amplitude|", [f"amp_{lbl}" for lbl in tracked], tracked,
+         lambda s: [s.amp_norms[lbl] for lbl in tracked]),
+        ("fig5", "M^z", [f"mz_{lbl}" for lbl in sites], sites, lambda s: s.m_z),
+        ("fig6", "magnetization (units of J)", ["magnetization", "svinm"], ["M"],
+         lambda s: [s.magnetization, s.svinm]),
+    ]
+    if not tracked:
         print("note: no tracked labels, amplitude file omitted", file=sys.stderr)
-    write(
-        "fig5.dat",
-        ["t_over_T"] + [f"mz_{lbl}" for lbl in result.site_labels],
-        ([s.time_over_T] + list(s.m_z) for s in samples),
-    )
-    write(
-        "fig6.dat",
-        ["t_over_T", "magnetization", "svinm"],
-        ([s.time_over_T, s.magnetization, s.svinm] for s in samples),
-    )
-    n_tracked, n_sites = len(result.tracked), len(result.site_labels)
-    gp = [
-        "set xlabel 't/T'",
-        "set key outside",
-        "set terminal pngcairo size 900,600",
-    ]
-    if result.tracked:
-        gp += [
-            "set output 'fig4.png'",
-            "set ylabel '|amplitude|'",
-            "plot " + ", ".join(
-                f"'fig4.dat' using 1:{k + 2} with lines title '{lbl}'"
-                for k, lbl in enumerate(result.tracked)
-            ),
-        ]
-    gp += [
-        "set output 'fig5.png'",
-        "set ylabel 'M^z'",
-        "plot " + ", ".join(
-            f"'fig5.dat' using 1:{k + 2} with lines title '{lbl}'"
-            for k, lbl in enumerate(result.site_labels)
-        ),
-        "set output 'fig6.png'",
-        "set ylabel 'magnetization (units of J)'",
-        "plot 'fig6.dat' using 1:2 with lines title 'M'",
-    ]
+        figures = figures[1:]
+    gp = ["set xlabel 't/T'", "set key outside", "set terminal pngcairo size 900,600"]
+    written: list[Path] = []
+    for name, ylabel, columns, titles, row in figures:
+        lines = ["# " + " ".join(["t_over_T", *columns])]
+        lines += [" ".join(f"{v:.17g}" for v in [s.time_over_T, *row(s)]) for s in result.samples]
+        path = out_dir / f"{name}.dat"
+        path.write_text("\n".join(lines) + "\n")
+        written.append(path)
+        plots = ", ".join(f"'{name}.dat' using 1:{k + 2} with lines title '{title}'"
+                          for k, title in enumerate(titles))
+        gp += [f"set output '{name}.png'", f"set ylabel '{ylabel}'", "plot " + plots]
     path = out_dir / "plot.gp"
     path.write_text("\n".join(gp) + "\n")
-    written.append(path)
-    return written
+    return written + [path]
 
 
 def execute_run(opts: SimulateOptions) -> RunResult:

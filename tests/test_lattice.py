@@ -164,10 +164,10 @@ class TestEquivalenceClasses:
         assert classes == [("a", "c", "e", "g"), ("b", "d", "f", "h")]
 
     def test_combined_classes(self):
+        # the README's five classes, exactly
         classes = site_equivalence_classes(build_system("combined"))
-        assert ("a", "c", "j", "l") in classes
-        assert ("b", "k") in classes
-        assert ("d", "h", "i", "m") in classes
+        assert classes == [("a", "c", "j", "l"), ("b", "k"), ("d", "h", "i", "m"),
+                           ("e", "g"), ("f",)]
 
     def test_combined_classes_partition(self):
         spec = build_system("combined")
@@ -178,6 +178,21 @@ class TestEquivalenceClasses:
     def test_xxz_unsupported(self):
         with pytest.raises(ValueError):
             site_equivalence_classes(build_system("xxz", n=4))
+
+    @pytest.mark.parametrize("chi", [0.0, 0.3, math.pi / 4])
+    @pytest.mark.parametrize("kind", ["melon", "antimelon", "combined"])
+    def test_point_symmetries_form_a_group(self, kind, chi):
+        # site_equivalence_classes reads each site's images as its orbit,
+        # which holds only for a group: identity, compositions and inverses
+        spec = build_system(kind, chi=chi)
+        perms = point_symmetries(spec)
+        group = set(perms)
+        assert len(group) == len(perms)
+        assert tuple(range(spec.n_sites)) in group
+        for g in perms:
+            assert tuple(sorted(range(spec.n_sites), key=g.__getitem__)) in group
+            for h in perms:
+                assert tuple(g[h[i]] for i in range(spec.n_sites)) in group
 
     def test_bond_list_symmetric_under_point_group(self):
         for kind in ("melon", "antimelon", "combined"):
@@ -215,6 +230,12 @@ class TestSystemFileFormat:
         d = system_to_dict(build_system("melon"))
         d["sites"][1]["label"] = "a"
         with pytest.raises(ValueError):
+            system_from_dict(d)
+
+    def test_rejects_duplicate_positions(self):
+        d = system_to_dict(build_system("melon"))
+        d["sites"][1]["pos"] = [0, 0]
+        with pytest.raises(ValueError, match="site positions must be unique"):
             system_from_dict(d)
 
     def test_rejects_winding_count_mismatch(self):
@@ -261,3 +282,19 @@ class TestIgnoredParameters:
         d["delta"] = 1.0
         with pytest.raises(ValueError, match="combined system"):
             load_system(json.dumps(d))
+
+    @pytest.mark.parametrize("kind", ["melon", "antimelon", "combined"])
+    def test_build_refuses_n_on_vortex(self, kind):
+        with pytest.raises(ValueError, match=f"n=5 has no effect on the {kind} system"):
+            build_system(kind, n=5)
+
+    def test_loader_refuses_chi_without_holes(self):
+        d = system_to_dict(build_system("melon"))
+        d["holes"], d["winding"], d["chi"] = [], [], 0.7
+        message = "chi=0.7 has no effect on the melon system without holes"
+        with pytest.raises(ValueError, match=message):
+            system_from_dict(d)
+        with pytest.raises(ValueError, match=message):
+            load_system(json.dumps(d))
+        d["chi"] = 0.0
+        assert system_from_dict(d).xi == (0.0,) * 8

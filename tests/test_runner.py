@@ -141,6 +141,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("argv, message", [
         (["--system", "xxz", "--chi", "0.5"], "chi=0.5 has no effect on the XXZ chain"),
         (["--system", "melon", "--delta", "2"], "delta=2.0 has no effect on the melon system"),
+        (["--system", "melon", "--n", "5"], "n=5 has no effect on the melon system"),
     ])
     def test_ignored_parameter_exit_1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "r"
@@ -153,6 +154,20 @@ class TestSimulateCommand:
         cfg.write_text(json.dumps({"system": "combined", "delta": 1.0}))
         assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
         assert "delta=1.0 has no effect on the combined system" in capsys.readouterr().err
+
+    def test_chain_length_on_vortex_kind_in_config_file_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": "antimelon", "n": 8}))
+        out = tmp_path / "r"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "n=8 has no effect on the antimelon system" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_chain_defaults_to_eight_sites(self, tmp_path):
+        out = tmp_path / "x"
+        assert run_cli(["simulate", "--system", "xxz", "--dt", "1/10", "--total", "0.2",
+                        "--pitch", "1", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["n"] == 8
 
 
 class TestPlotData:

@@ -1,9 +1,14 @@
 """Checks on the repository's tooling that the program's own tests can see."""
+import argparse
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from vortexprop.runner import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_every_span_target_resolves():
@@ -16,3 +21,14 @@ def test_every_span_target_resolves():
                if not callable(getattr(importlib.import_module(m), name, None))]
     assert len(spans.TARGETS) > 0
     assert missing == []
+
+
+def test_readme_lists_every_simulate_flag():
+    # the README's "Flags:" paragraph names every `simulate` option and no other
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme[readme.index("Flags:"):].split("\n\n")[0]
+    documented = set(re.findall(r"`(--[a-z][a-z-]*)", paragraph))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for action in sub.choices["simulate"]._actions
+               for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
+    assert documented == options
