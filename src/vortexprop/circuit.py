@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .hamiltonian import Hamiltonian, PauliAxis, PauliTerm
 
@@ -21,12 +21,12 @@ HALF_PI = math.pi / 2
 
 @dataclass(frozen=True)
 class Gate:
-    kind: str  # one of H, RX, RZ, CNOT, I
+    kind: str  # one of H, RX, RZ, CNOT
     qubits: tuple[int, ...]
     lam: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("H", "RX", "RZ", "CNOT", "I"):
+        if self.kind not in ("H", "RX", "RZ", "CNOT"):
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if self.kind == "CNOT" and self.qubits[0] == self.qubits[1]:
             raise ValueError("CNOT control equals target")
@@ -35,7 +35,7 @@ class Gate:
 @dataclass
 class Circuit:
     n_qubits: int
-    gates: tuple[Gate, ...] = field(default_factory=tuple)
+    gates: tuple[Gate, ...]
 
     def __post_init__(self):
         for g in self.gates:
@@ -58,15 +58,11 @@ def basis_change_gate(axis: PauliAxis, qubit: int) -> tuple[Gate, Gate] | None:
     return None
 
 
-def compile_pauli_exponential(
-    term: PauliTerm, phi: float, n_qubits: int | None = None
-) -> Circuit:
-    """Compile exp(-i phi coeff P) for the Pauli string P of `term`."""
+def compile_pauli_exponential(term: PauliTerm, phi: float, n_qubits: int) -> Circuit:
+    """Compile exp(-i phi coeff P) for the Pauli string P of `term` on n_qubits."""
     if not math.isfinite(phi):
         raise ValueError(f"non-finite angle {phi}")
     support = term.support
-    if n_qubits is None:
-        n_qubits = support[-1] + 1
     pre, post = [], []
     for site, axis in term.factors:
         change = basis_change_gate(axis, site)

@@ -11,6 +11,7 @@ propagate only the prod-Z parity sector of the initial basis state (see
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -36,7 +37,14 @@ TRACK_TOP_K = 8  # labels tracked beyond the four fixed ones, by peak |amplitude
 
 
 def _whole_steps(total_over_T: float, dt_over_T: float, what: str = "total_over_T") -> int:
-    """Number of dt steps in `total`; it must be whole (to 1e-9) and within MAX_STEPS."""
+    """Number of dt steps in `total`; it must be whole (to 1e-9) and within MAX_STEPS.
+
+    dt must be finite and positive, and `total` finite and non-negative.
+    """
+    if not 0.0 < dt_over_T < math.inf:
+        raise ValueError(f"dt_over_T={dt_over_T} must be finite and positive")
+    if not 0.0 <= total_over_T < math.inf:
+        raise ValueError(f"{what}={total_over_T} must be finite and non-negative")
     steps = total_over_T / dt_over_T
     if abs(steps - round(steps)) > 1e-9:
         raise ValueError(
@@ -72,13 +80,10 @@ class RunConfig:
     dt_over_T: float
     total_over_T: float
     sample_pitch: int = 1
-    tracked: tuple[str, ...] | None = None  # None resolves the default tracking rule
     threshold: float = 0.999
     initial_label: str | None = None
 
     def __post_init__(self):
-        if self.dt_over_T <= 0:
-            raise ValueError("dt_over_T must be positive")
         if self.sample_pitch < 1:
             raise ValueError("sample_pitch must be >= 1")
         samples = _whole_steps(self.total_over_T, self.dt_over_T) // self.sample_pitch + 1
@@ -108,16 +113,14 @@ class RunResult:
     final_state: StateVector
     site_labels: tuple[str, ...]
     tracked: tuple[str, ...]
-    hamiltonian: Hamiltonian | None = field(repr=False, default=None)
+    hamiltonian: Hamiltonian = field(repr=False)
 
 
-def _resolve_tracked(
-    config: RunConfig, initial: str, peak_norm: np.ndarray, n: int
-) -> tuple[str, ...]:
+def _resolve_tracked(initial: str, peak_norm: np.ndarray, n: int) -> tuple[str, ...]:
+    """The initial label, its flip, all-up and all-down, then the TRACK_TOP_K
+    other labels of largest peak |amplitude|."""
     from .statevector import index_to_label
 
-    if config.tracked is not None:
-        return tuple(config.tracked)
     fixed = [initial, _flip_label(initial), "0" * n, "1" * n]
     seen = set(fixed)
     order = np.argsort(-peak_norm, kind="stable")
@@ -169,7 +172,7 @@ def _run(
         np.maximum(peak, np.abs(st), out=peak)
     full_peak = np.zeros(1 << n)
     full_peak[kernel.index] = peak
-    tracked = _resolve_tracked(config, config.resolve_initial_label(), full_peak, n)
+    tracked = _resolve_tracked(config.resolve_initial_label(), full_peak, n)
     samples = [record_sample(st, kernel, tracked, k, config.dt_over_T) for k, st in states]
     period = estimate_period(
         [(s.time_over_T, s.fidelity0) for s in samples], config.threshold, config.total_over_T
@@ -248,11 +251,7 @@ def geometry_sweep(
     """
     out = []
     for chi in chis:
-        spec = build_system(kind, chi=float(chi))
-        config = RunConfig(
-            system=spec, dt_over_T=dt_over_T, total_over_T=total_over_T,
-            sample_pitch=max(1, round(total_over_T / dt_over_T)),
-        )
-        result = run_trotter(config)
-        out.append((float(chi), result.samples[-1].fidelity0))
+        config = RunConfig(system=build_system(kind, chi=float(chi)),
+                           dt_over_T=dt_over_T, total_over_T=dt_over_T)
+        out.append((float(chi), fidelity_scan(config, total_over_T)[-1][1]))
     return out

@@ -167,10 +167,18 @@ def _make_spec(
 ) -> SystemSpec:
     """Assemble a SystemSpec; bonds and spin angles follow from the geometry.
 
-    Refuses a parameter the system would ignore: chi on the XXZ chain or on a
-    system without holes (neither has spin angles) and delta on a vortex kind
-    (it has no ZZ coupling).
+    Refuses a non-finite chi or delta, fewer than two sites, and holes on the
+    XXZ chain (its couplings ignore them).  Refuses a parameter the system
+    would ignore: chi on the XXZ chain or on a system without holes (neither
+    has spin angles) and delta on a vortex kind (it has no ZZ coupling).
     """
+    for name, value in (("chi", chi), ("delta", delta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name}={value} must be finite")
+    if len(positions) < 2:
+        raise ValueError(f"a system needs at least 2 sites, got {len(positions)}")
+    if kind is SystemKind.XXZ and holes:
+        raise ValueError("the XXZ chain takes no holes")
     if chi != 0.0 and (kind is SystemKind.XXZ or not holes):
         system = "XXZ chain" if kind is SystemKind.XXZ else f"{kind.value} system without holes"
         raise ValueError(f"chi={chi} has no effect on the {system}")
@@ -196,16 +204,14 @@ def build_system(
 ) -> SystemSpec:
     """Build one of the four systems with bonds and spin angles populated.
 
-    For XXZ, `n` (>= 2) and `delta` select the chain; the vortex systems
+    For XXZ, `n` (2 to 26) and `delta` select the chain; the vortex systems
     have a fixed size and refuse an `n` and a nonzero `delta`.  `chi` is the
     global phase added to every xi_p; the chain refuses a nonzero `chi`.
     """
     kind = SystemKind(kind)
     if kind is SystemKind.XXZ:
-        if n is None or n < 2:
-            raise ValueError(f"XXZ chain needs n >= 2, got {n}")
-        if n > len(_LABELS):
-            raise ValueError(f"XXZ chain capped at {len(_LABELS)} sites, got {n}")
+        if n is None or n > len(_LABELS):
+            raise ValueError(f"XXZ chain needs n from 2 to {len(_LABELS)}, got {n}")
         positions = [(k, 0) for k in range(n)]
         holes: list[tuple[int, int]] = []
         winding: tuple[int, ...] = ()
@@ -226,6 +232,7 @@ _POINT_GROUP = [
     ((1, 0), (0, 1)), ((0, -1), (1, 0)), ((-1, 0), (0, -1)), ((0, 1), (-1, 0)),
     ((-1, 0), (0, 1)), ((1, 0), (0, -1)), ((0, 1), (1, 0)), ((0, -1), (-1, 0)),
 ]
+COUPLING_TOL = 1e-9  # bond couplings that agree this closely count as equal
 
 
 def _transform(pos: tuple[int, int], mat, c2: tuple[int, int]) -> tuple[int, int]:
@@ -235,15 +242,15 @@ def _transform(pos: tuple[int, int], mat, c2: tuple[int, int]) -> tuple[int, int
     return (mat[0][0] * u + mat[0][1] * v + c2[0], mat[1][0] * u + mat[1][1] * v + c2[1])
 
 
-def _matches(image: dict, bonds: dict, tol: float) -> bool:
-    """Same bonds, same kinds, and (XX, YY) couplings equal within tol."""
+def _matches(image: dict, bonds: dict) -> bool:
+    """Same bonds, same kinds, and (XX, YY) couplings equal within COUPLING_TOL."""
     return image.keys() == bonds.keys() and all(
-        image[k][0] is kind and abs(image[k][1] - xx) <= tol and abs(image[k][2] - yy) <= tol
+        image[k][0] is kind and max(abs(image[k][1] - xx), abs(image[k][2] - yy)) <= COUPLING_TOL
         for k, (kind, xx, yy) in bonds.items()
     )
 
 
-def point_symmetries(spec: SystemSpec, tol: float = 1e-9) -> list[tuple[int, ...]]:
+def point_symmetries(spec: SystemSpec) -> list[tuple[int, ...]]:
     """Site permutations induced by square point-group operations that preserve
     sites, holes, bonds, and the bond coupling pattern.
 
@@ -268,7 +275,7 @@ def point_symmetries(spec: SystemSpec, tol: float = 1e-9) -> list[tuple[int, ...
             continue
         perm = tuple(pos_index[im] for im in images)
         image = {tuple(sorted((perm[p], perm[q]))): c for (p, q), c in bonds.items()}
-        if _matches(image, bonds, tol) or _matches(image, swapped, tol):
+        if _matches(image, bonds) or _matches(image, swapped):
             perms.append(perm)
     return perms
 

@@ -120,9 +120,6 @@ def emit_plot_data(result: RunResult, out_dir: Path) -> list[Path]:
         ("fig6", "magnetization (units of J)", ["magnetization", "svinm"], ["M"],
          lambda s: [s.magnetization, s.svinm]),
     ]
-    if not tracked:
-        print("note: no tracked labels, amplitude file omitted", file=sys.stderr)
-        figures = figures[1:]
     gp = ["set xlabel 't/T'", "set key outside", "set terminal pngcairo size 900,600"]
     written: list[Path] = []
     for name, ylabel, columns, titles, row in figures:

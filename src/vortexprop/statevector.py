@@ -31,15 +31,11 @@ class StateVector:
 
     __slots__ = ("n_qubits", "amps")
 
-    def __init__(self, n_qubits: int, amps: np.ndarray | None = None):
+    def __init__(self, n_qubits: int, amps: np.ndarray):
+        amps = np.asarray(amps, dtype=np.complex128)
+        if amps.shape != (1 << n_qubits,):
+            raise ValueError(f"need {1 << n_qubits} amplitudes, got {amps.shape}")
         self.n_qubits = n_qubits
-        if amps is None:
-            amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-            amps[0] = 1.0
-        else:
-            amps = np.asarray(amps, dtype=np.complex128)
-            if amps.shape != (1 << n_qubits,):
-                raise ValueError(f"need {1 << n_qubits} amplitudes, got {amps.shape}")
         self.amps = amps
 
     def copy(self) -> "StateVector":
@@ -103,8 +99,6 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         if q >= state.n_qubits:
             raise IndexError(f"qubit {q} out of range for n={state.n_qubits}")
     amps = state.amps
-    if gate.kind == "I":
-        return state
     if gate.kind == "H":
         _apply_1q(amps, gate.qubits[0], _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2)
     elif gate.kind == "RX":

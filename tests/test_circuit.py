@@ -64,7 +64,7 @@ class TestBasisChange:
 class TestCompilePauliExponential:
     def test_single_z_is_one_rz(self):
         term = PauliTerm(1.0, ((0, PauliAxis.Z),))
-        c = compile_pauli_exponential(term, 0.7)
+        c = compile_pauli_exponential(term, 0.7, 1)
         assert [g.kind for g in c.gates] == ["RZ"]
         rz = c.gates[0]
         assert rz.qubits == (0,) and rz.lam == pytest.approx(1.4)
@@ -98,7 +98,7 @@ class TestCompilePauliExponential:
 
     def test_rejects_bad_phi(self):
         with pytest.raises(ValueError):
-            compile_pauli_exponential(PauliTerm(1.0, ((0, PauliAxis.X),)), float("inf"))
+            compile_pauli_exponential(PauliTerm(1.0, ((0, PauliAxis.X),)), float("inf"), 1)
 
 
 class TestCompiledUnitary:
@@ -222,5 +222,7 @@ class TestDumpFormat:
             Gate("CNOT", (1, 1))
         with pytest.raises(ValueError):
             Gate("SWAP", (0, 1))
+        with pytest.raises(ValueError):
+            Gate("I", (0,))
         with pytest.raises(ValueError):
             Circuit(1, (Gate("H", (3,)),))

@@ -238,6 +238,24 @@ class TestSystemFileFormat:
         with pytest.raises(ValueError, match="site positions must be unique"):
             system_from_dict(d)
 
+    def test_rejects_fewer_than_two_sites(self):
+        with pytest.raises(ValueError, match="at least 2 sites, got 0"):
+            system_from_dict({"kind": "melon", "sites": [], "holes": []})
+        d = system_to_dict(build_system("xxz", n=2))
+        d["sites"] = d["sites"][:1]
+        with pytest.raises(ValueError, match="at least 2 sites, got 1"):
+            system_from_dict(d)
+        with pytest.raises(ValueError, match="at least 2 sites, got 1"):
+            build_system("xxz", n=1)
+
+    def test_rejects_holes_on_chain(self):
+        # a hole between a and c would add an a-c superexchange bond
+        d = {"kind": "xxz", "sites": [{"label": "a", "pos": [0, 0]},
+                                      {"label": "c", "pos": [2, 0]}],
+             "holes": [[1, 0]], "winding": [1]}
+        with pytest.raises(ValueError, match="the XXZ chain takes no holes"):
+            system_from_dict(d)
+
     def test_rejects_winding_count_mismatch(self):
         d = system_to_dict(build_system("combined"))
         d["winding"] = [1]
@@ -259,6 +277,24 @@ class TestSystemFileFormat:
         spec = system_from_dict(json.loads(json.dumps(d)))
         assert spec.chi == 0.25
         assert len(spec.bonds) == 16
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_build_refuses(self, value):
+        with pytest.raises(ValueError, match=f"chi={value} must be finite"):
+            build_system("melon", chi=value)
+        with pytest.raises(ValueError, match=f"delta={value} must be finite"):
+            build_system("xxz", n=4, delta=value)
+
+    def test_loader_refuses_nan(self):
+        d = system_to_dict(build_system("combined"))
+        d["chi"] = math.nan
+        with pytest.raises(ValueError, match="chi=nan must be finite"):
+            system_from_dict(d)
+        text = dump_system(build_system("xxz", n=4)).replace('"delta": 0.0', '"delta": NaN')
+        with pytest.raises(ValueError, match="delta=nan must be finite"):
+            load_system(text)
 
 
 class TestIgnoredParameters:

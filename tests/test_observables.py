@@ -77,13 +77,13 @@ class TestRecordSample:
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_tracked_norms_square_sum_to_one(self):
-        # tracking every basis state of a small chain captures all probability
+        # the default rule tracks every basis state of a 3-site chain, which
+        # captures all probability
         spec = build_system("xxz", n=3, delta=0.5)
-        config = RunConfig(
-            system=spec, dt_over_T=1 / 20, total_over_T=0.5, sample_pitch=2,
-            tracked=tuple(index_to_label(i, 3) for i in range(8)),
-        )
-        for rec in run_trotter(config).samples:
+        config = RunConfig(system=spec, dt_over_T=1 / 20, total_over_T=0.5, sample_pitch=2)
+        result = run_trotter(config)
+        assert sorted(result.tracked) == [index_to_label(i, 3) for i in range(8)]
+        for rec in result.samples:
             assert sum(v * v for v in rec.amp_norms.values()) == pytest.approx(1.0, abs=1e-10)
 
 

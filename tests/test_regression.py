@@ -28,7 +28,7 @@ def test_melon_trotter_fidelity_at_4T():
 
 def test_combined_trotter_at_8T():
     config = RunConfig(system=build_system("combined"), dt_over_T=1 / 10,
-                       total_over_T=8.0, sample_pitch=80, tracked=())
+                       total_over_T=8.0, sample_pitch=80)
     result = run_trotter(config)
     assert result.samples[-1].fidelity0 == pytest.approx(0.007632563118287942, abs=1e-9)
     assert result.samples[-1].magnetization == pytest.approx(1.2836953639486255, abs=1e-8)

@@ -6,7 +6,6 @@ from vortexprop.observables import read_samples_csv
 from vortexprop.runner import (
     SimulateOptions,
     cli_main,
-    emit_plot_data,
     execute_run,
     parse_dt,
     suite_convergence,
@@ -142,6 +141,12 @@ class TestSimulateCommand:
         (["--system", "xxz", "--chi", "0.5"], "chi=0.5 has no effect on the XXZ chain"),
         (["--system", "melon", "--delta", "2"], "delta=2.0 has no effect on the melon system"),
         (["--system", "melon", "--n", "5"], "n=5 has no effect on the melon system"),
+        (["--system", "melon", "--chi", "nan"], "chi=nan must be finite"),
+        (["--system", "xxz", "--delta", "inf"], "delta=inf must be finite"),
+        (["--system", "melon", "--dt", "inf"], "dt_over_T=inf must be finite and positive"),
+        (["--system", "melon", "--dt", "nan"], "dt_over_T=nan must be finite and positive"),
+        (["--system", "melon", "--total", "-1"],
+         "total_over_T=-1.0 must be finite and non-negative"),
     ])
     def test_ignored_parameter_exit_1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "r"
@@ -185,17 +190,6 @@ class TestPlotData:
         result = execute_run(opts)
         lines = (tmp_path / "p6/fig6.dat").read_text().splitlines()
         assert len(lines[1].split()) == 3  # t/T, magnetization, svinm
-
-    def test_empty_tracked_omits_amplitude_file(self, tmp_path, capsys):
-        from vortexprop.evolve import RunConfig, run_trotter
-        from vortexprop.lattice import build_system
-        config = RunConfig(system=build_system("melon"), dt_over_T=0.5,
-                           total_over_T=1.0, tracked=())
-        result = run_trotter(config)
-        written = emit_plot_data(result, tmp_path / "noamp")
-        names = {p.name for p in written}
-        assert "fig4.dat" not in names
-        assert "fig5.dat" in names
 
 
 class TestSuites:

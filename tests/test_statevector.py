@@ -98,12 +98,6 @@ class TestGates:
         state = apply_gate(init_basis_state("0"), Gate("RX", (0,), math.pi))
         assert np.allclose(state.amps, [0, -1j])
 
-    def test_identity_noop(self):
-        state = init_basis_state("01")
-        before = state.amps.copy()
-        apply_gate(state, Gate("I", (1,)))
-        assert np.array_equal(state.amps, before)
-
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             apply_gate(init_basis_state("0"), Gate("H", (5,)))

@@ -5,10 +5,11 @@ import importlib.util
 import re
 from pathlib import Path
 
-from vortexprop.runner import build_parser
+from vortexprop.runner import SUITE_NAMES, build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+README = (ROOT / "README.md").read_text()
 
 
 def test_every_span_target_resolves():
@@ -25,10 +26,20 @@ def test_every_span_target_resolves():
 
 def test_readme_lists_every_simulate_flag():
     # the README's "Flags:" paragraph names every `simulate` option and no other
-    readme = (ROOT / "README.md").read_text()
-    paragraph = readme[readme.index("Flags:"):].split("\n\n")[0]
+    paragraph = README[README.index("Flags:"):].split("\n\n")[0]
     documented = set(re.findall(r"`(--[a-z][a-z-]*)", paragraph))
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {opt for action in sub.choices["simulate"]._actions
                for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
     assert documented == options
+
+
+def test_readme_lists_every_module_and_suite():
+    # the "Package layout" table has one row per module, and the command-line
+    # example lists the `suite` names in the parser's order
+    section = README[README.index("## Package layout"):].split("\n## ")[0]
+    documented = re.findall(r"^\| `vortexprop\.(\w+)` \|", section, re.M)
+    modules = {p.stem for p in (ROOT / "src" / "vortexprop").glob("*.py")} - {"__init__"}
+    assert sorted(documented) == sorted(modules)
+    suites = re.search(r"# reproduction suites: (.*)", README).group(1)
+    assert tuple(suites.split(" | ")) == SUITE_NAMES
