@@ -86,6 +86,8 @@ class RunConfig:
     def __post_init__(self):
         if self.sample_pitch < 1:
             raise ValueError("sample_pitch must be >= 1")
+        if not 0.0 < self.threshold < 1.0:
+            raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         samples = _whole_steps(self.total_over_T, self.dt_over_T) // self.sample_pitch + 1
         held = samples * (8 << self.system.n_sites)  # complex128 on the 2^(n-1) sector
         if held > MAX_HELD_BYTES:

@@ -33,13 +33,17 @@ from .lattice import SystemKind, build_system
 from .observables import write_samples_csv
 from .statevector import max_amplitude_diff
 
-SUITE_NAMES = ("fig4", "fig5", "fig6", "table1", "convergence", "all")
+SUITE_NAMES = ("figures", "table1", "convergence", "all")
+
 
 def parse_dt(text: str) -> float:
     """Accept a plain float or a fraction of T like '1/300'."""
-    if "/" in text:
+    if "/" not in text:
+        return float(text)
+    try:
         return float(Fraction(text))
-    return float(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 @dataclass
@@ -224,7 +228,7 @@ def suite_convergence(out_root: Path) -> list[tuple[float, float]]:
 
 
 def run_suite(name: str, out_root: Path) -> None:
-    if name in ("fig4", "fig5", "fig6", "all"):
+    if name in ("figures", "all"):
         suite_figures(out_root / "figures")
     if name in ("table1", "all"):
         suite_table1(out_root / "table1")
@@ -267,7 +271,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_options(args: argparse.Namespace) -> SimulateOptions:
+def _config_value(action: argparse.Action, val):
+    """A config file value, checked as the key's flag checks its argument.
+
+    A store_true flag takes a JSON bool; any other flag a string or a number,
+    whose text goes through the flag's type and choices.
+    """
+    key = action.dest
+    if action.nargs == 0:
+        if not isinstance(val, bool):
+            raise ValueError(f"config key {key!r}: expected true or false, got {val!r}")
+        return val
+    if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+        raise ValueError(f"config key {key!r}: expected a string or a number, got {val!r}")
+    convert = action.type or str
+    try:
+        val = convert(str(val))
+    except ValueError:
+        raise ValueError(f"config key {key!r}: invalid {convert.__name__} value {val!r}") from None
+    if action.choices is not None and val not in action.choices:
+        raise ValueError(f"config key {key!r}: {val!r} is not one of {list(action.choices)}")
+    return val
+
+
+def _merge_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -> SimulateOptions:
     """Precedence: built-in defaults < config file < explicit flags."""
     opts = SimulateOptions()
     given = vars(args)
@@ -276,8 +303,10 @@ def _merge_options(args: argparse.Namespace) -> SimulateOptions:
         unknown = set(overrides) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in sub.choices["simulate"]._actions}
         for key, val in overrides.items():
-            setattr(opts, key, parse_dt(val) if key == "dt" and isinstance(val, str) else val)
+            setattr(opts, key, _config_value(actions[key], val))
     for key in _CONFIG_KEYS:
         if key in given:
             setattr(opts, key, given[key])
@@ -292,7 +321,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "simulate":
-            opts = _merge_options(args)
+            opts = _merge_options(args, parser)
             result = execute_run(opts)
             print(f"wrote {opts.out or Path('runs') / opts.system}: "
                   f"{len(result.samples)} samples, period {result.period}")

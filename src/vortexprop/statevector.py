@@ -14,7 +14,6 @@ all go through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -126,37 +125,6 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 # Pauli-term kernel
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TermAction:
-    """Basis action of coeff * P: (P psi)[j] = factor * (-1)^popcount(j & mask) * psi[j ^ flip].
-
-    flip holds the X and Y sites, mask the Y and Z sites.
-    """
-    coeff: float
-    flip: int
-    mask: int
-    factor: complex  # i^#Y, times the sign the flip picks up on the Y/Z sites; real for even #Y
-
-
-def _term_action(term: PauliTerm, n_qubits: int) -> TermAction:
-    if term.support[-1] >= n_qubits:
-        raise IndexError(f"term {term} outside {n_qubits} qubits")
-    flip = mask = n_y = 0
-    for site, axis in term.factors:
-        if axis is not PauliAxis.Z:
-            flip |= 1 << site
-        if axis is not PauliAxis.X:
-            mask |= 1 << site
-        n_y += axis is PauliAxis.Y
-    factor = (-1) ** (n_y // 2 + _odd(flip & mask)) * (1j if n_y & 1 else 1)
-    return TermAction(term.coeff, flip, mask, factor)
-
-
-def _odd(bits: int) -> int:
-    """popcount(bits) mod 2."""
-    return bin(bits).count("1") & 1
-
-
 class PauliKernel:
     """Pauli terms precompiled once into one fused op per bond, on one parity sector.
 
@@ -168,31 +136,47 @@ class PauliKernel:
     basis state i sits at position i >> shift.  Every method takes and returns
     amplitudes over `index`; `embed` gives the full 2^n state.
 
+    Each term coeff * P is built once into a row (coeff, flip, gather, phase):
+    P|j ^ flip> = phase[j] |j>, where flip holds the X and Y sites, gather is
+    the position of j ^ flip (one array per distinct flip, None for a diagonal
+    string), and phase = (-i)^#Y times the Z signs of the Y and Z sites, the
+    scalar 1.0 for an X-only string.  The step, the energy and the sparse
+    matrix all read these rows.
+
     A Trotter step fuses each maximal run of consecutive terms whose flips
-    lie in {0, f} into one op psi <- alpha * psi + beta * psi[g], with one
-    gather g over the pairs (j, j ^ f).  alpha and beta are the exact product
-    of the run's exponentials in frozen order, so no commutation is assumed;
-    they stay scalars where they are uniform (pure XX bonds).  The energy
-    takes one gather per distinct flip.  One scratch buffer serves every call,
-    so a kernel belongs to one run at a time.
+    lie in {0, f} into one op psi <- alpha * psi + beta * psi[g], with the
+    gather g of f.  alpha and beta are the exact product of the run's
+    exponentials in frozen order, so no commutation is assumed; they stay
+    scalars where they are uniform (pure XX bonds).  The energy takes one
+    gather per distinct flip.  One scratch buffer serves every call, so a
+    kernel belongs to one run at a time.
     """
 
     def __init__(self, n_qubits: int, terms: Sequence[PauliTerm], start: int | None = None):
+        for term in terms:
+            if term.support[-1] >= n_qubits:
+                raise IndexError(f"term {term} outside {n_qubits} qubits")
         self.n_qubits = n_qubits
         self.start = start
-        self.terms = tuple(_term_action(term, n_qubits) for term in terms)
+        flips = [sum(1 << k for k, axis in t.factors if axis is not PauliAxis.Z) for t in terms]
         itype = np.int32 if n_qubits < 32 else np.int64
-        if start is None or any(_odd(t.flip) for t in self.terms):
+        if start is None or any(f.bit_count() & 1 for f in flips):
             self.index, self.shift = np.arange(1 << n_qubits, dtype=itype), 0
         else:
             # bit 0 completes the parity of the upper bits, so i >> 1 is i's position
             half = np.arange(1 << (n_qubits - 1), dtype=itype)
-            low = np.full_like(half, _odd(start))
+            low = np.full_like(half, start.bit_count() & 1)
             for site in range(n_qubits - 1):
                 low ^= (half >> site) & 1
             self.index, self.shift = half << 1 | low, 1
+        gathers = {f: (self.index ^ f) >> self.shift for f in flips if f}
+        self._rows = []
+        for term, flip in zip(terms, flips):
+            n_y = sum(axis is PauliAxis.Y for _, axis in term.factors)
+            signs = [self.z_signs[k] for k, axis in term.factors if axis is not PauliAxis.X]
+            phase = (1, -1j, -1, 1j)[n_y % 4] * math.prod(signs, start=1.0)  # (-i)^#Y
+            self._rows.append((term.coeff, flip, gathers.get(flip), phase))
         self._scratch = np.empty(len(self.index), dtype=np.complex128)
-        self._gathers: dict[int, np.ndarray] = {}
         self._phi: float | None = None
         self._ops: list = []
 
@@ -223,19 +207,6 @@ class PauliKernel:
 
     # -- precompiled actions -----------------------------------------------
 
-    def _sign(self, mask: int):
-        """(-1)^popcount(i & mask) over the stored basis states; 1.0 for mask 0."""
-        if not mask:
-            return 1.0
-        rows = [self.z_signs[k] for k in range(self.n_qubits) if mask >> k & 1]
-        return math.prod(rows[1:], start=rows[0])
-
-    def _gather(self, flip: int) -> np.ndarray:
-        """Position of i ^ flip for every stored basis state i."""
-        if flip not in self._gathers:
-            self._gathers[flip] = (self.index ^ flip) >> self.shift
-        return self._gathers[flip]
-
     @cached_property
     def _bonds(self) -> list:
         """(gather, w) per distinct flip: (H psi)[j] = sum of w[j] * psi[g[j]].
@@ -243,39 +214,41 @@ class PauliKernel:
         The diagonal strings add up under gather None.  w is real when every
         string carries an even number of Y factors, as in these Hamiltonians.
         """
-        weights: dict[int, object] = {}
-        for t in self.terms:
-            weights[t.flip] = weights.get(t.flip, 0.0) + t.coeff * t.factor * self._sign(t.mask)
-        return [(self._gather(flip) if flip else None, w) for flip, w in weights.items()]
+        weights: dict[int, tuple] = {}
+        for coeff, flip, gather, phase in self._rows:
+            w = weights[flip][1] if flip in weights else 0.0
+            weights[flip] = (gather, w + coeff * phase)
+        return list(weights.values())
 
     def _fuse(self, phi: float) -> list:
         """(gather, alpha, beta) per maximal run of terms whose flips lie in {0, f}.
 
         On every pair (j, j ^ f) a string acts as the 2x2 matrix [[0, p], [q, 0]],
-        or [[p, 0], [0, q]] when diagonal, with p = <j|P|j ^ flip> and q the same
-        at j ^ f; exp(-i a P) = cos(a) I - i sin(a) P.  The run's product, row j,
-        gives psi'[j] = alpha[j] psi[j] + beta[j] psi[j ^ f].
+        or [[p, 0], [0, q]] when diagonal, with p = phase[j] and q = phase[j ^ f];
+        exp(-i a P) = cos(a) I - i sin(a) P.  The run's product, row j, gives
+        psi'[j] = alpha[j] psi[j] + beta[j] psi[j ^ f].
         """
-        runs: list[list] = []
-        for t in self.terms:
-            if runs and (runs[-1][0] == 0 or t.flip in (0, runs[-1][0])):
-                runs[-1][0] |= t.flip
-                runs[-1][1].append(t)
+        runs: list[list] = []  # [gather of f, rows]; gather None while every row is diagonal
+        for row in self._rows:
+            gather = row[2]
+            if runs and (gather is None or runs[-1][0] is None or gather is runs[-1][0]):
+                if runs[-1][0] is None:
+                    runs[-1][0] = gather
+                runs[-1][1].append(row)
             else:
-                runs.append([t.flip, [t]])
+                runs.append([gather, [row]])
         ops = []
-        for flip, run in runs:
+        for gather, rows in runs:
             m = None
-            for t in run:
-                c, s = math.cos(phi * t.coeff), -1j * math.sin(phi * t.coeff)
-                p = t.factor * self._sign(t.mask)
-                q = -p if _odd(flip & t.mask) else p
-                e = (c, s * p, s * q, c) if t.flip else (c + s * p, 0.0, 0.0, c + s * q)
+            for coeff, flip, _, p in rows:
+                c, s = math.cos(phi * coeff), -1j * math.sin(phi * coeff)
+                q = p if gather is None or np.ndim(p) == 0 else p[gather]
+                e = (c, s * p, s * q, c) if flip else (c + s * p, 0.0, 0.0, c + s * q)
                 m = e if m is None else (
                     e[0] * m[0] + e[1] * m[2], e[0] * m[1] + e[1] * m[3],
                     e[2] * m[0] + e[3] * m[2], e[2] * m[1] + e[3] * m[3],
                 )
-            ops.append((self._gather(flip) if flip else None, m[0], m[1]))
+            ops.append((gather, m[0], m[1]))
         return ops
 
     # -- kernels ---------------------------------------------------------------

@@ -54,6 +54,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=message):
             RunConfig(system=build_system("melon"), dt_over_T=dt, total_over_T=total)
 
+    @pytest.mark.parametrize("threshold", [1.5, 0.0, 1.0, math.nan])
+    def test_rejects_threshold_outside_unit_interval(self, threshold):
+        # refused when the config is built, not after the whole propagation
+        with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\)"):
+            RunConfig(system=build_system("combined"), dt_over_T=0.1, total_over_T=48.0,
+                      threshold=threshold)
+
     def test_step_guard(self):
         spec = build_system("melon")
         with pytest.raises(ValueError):

@@ -23,6 +23,17 @@ class TestParseDt:
     def test_float(self):
         assert parse_dt("0.05") == 0.05
 
+    def test_zero_denominator_through_cli(self, tmp_path, capsys):
+        # argparse turns only TypeError/ValueError into a usage error
+        out = tmp_path / "r"
+        assert run_cli(["simulate", "--dt", "1/0", "--out", str(out)]) == 2
+        assert "argument --dt: invalid parse_dt value: '1/0'" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dt": "1/0"}))
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "config key 'dt'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_writes_run_directory(self, tmp_path):
@@ -123,6 +134,35 @@ class TestSimulateCommand:
         assert manifest["config"]["total_over_T"] == 1.0
         assert manifest["config"]["n_steps"] == 20
 
+    @pytest.mark.parametrize("config, message", [
+        ({"pitch": True, "dt": 0.1, "total": 0.3},
+         "config key 'pitch': expected a string or a number, got True"),
+        ({"exact": "no", "dt": 0.1, "total": 0.3},
+         "config key 'exact': expected true or false, got 'no'"),
+        ({"pitch": 2.5}, "config key 'pitch': invalid int value 2.5"),
+        ({"system": "xxz", "n": 4.0}, "config key 'n': invalid int value 4.0"),
+        ({"system": "pyramid"}, "config key 'system': 'pyramid' is not one of"),
+        ({"total": None}, "config key 'total': expected a string or a number, got None"),
+    ])
+    def test_config_value_checked_as_its_flag_exit_1(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "r"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_values_take_the_flag_types(self, tmp_path):
+        # a number for a float flag, text for an int flag, a bool for a switch
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": "xxz", "n": "4", "dt": 0.1, "total": 1,
+                                   "pitch": "5", "exact": True}))
+        out = tmp_path / "t"
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["n"], config["pitch"], config["exact"]) == (4, 5, True)
+        assert isinstance(config["total_over_T"], float)
+
     def test_unknown_config_key_fails(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"banana": 1}))
@@ -208,8 +248,18 @@ class TestSuites:
         for a, b in zip(vals, vals[1:]):
             assert 1.7 <= a / b <= 2.3
 
-    def test_unknown_suite_exit_2(self):
+    def test_unknown_suite_exit_2(self, capsys):
         assert cli_main(["suite", "tableX"]) == 2
+        assert cli_main(["suite", "fig4"]) == 2
+        capsys.readouterr()
+
+    def test_figures_suite_writes_under_figures(self, tmp_path, monkeypatch):
+        import vortexprop.runner as runner_mod
+
+        roots = []
+        monkeypatch.setattr(runner_mod, "suite_figures", roots.append)
+        assert cli_main(["suite", "figures", "--out", str(tmp_path)]) == 0
+        assert roots == [tmp_path / "figures"]
 
     def test_table1_layout_four_rows(self, tmp_path, monkeypatch, capsys):
         import vortexprop.runner as runner_mod

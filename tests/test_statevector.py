@@ -11,6 +11,7 @@ from vortexprop.hamiltonian import (
     PauliAxis,
     PauliTerm,
     build_hamiltonian,
+    matrix_of,
     sparse_matrix_of,
 )
 from vortexprop.lattice import build_system
@@ -170,16 +171,16 @@ def _string(coeff, axes):
 
 
 @st.composite
-def term_lists(draw):
+def term_lists(draw, even=None):
     """(n, terms) on n <= 6 qubits, in the shapes the fused kernel must get right.
 
     A term may be followed by a partner with the same flip (X0Z1 then Y0Z1
-    anticommute); some strings are diagonal; with `even` every flip touches
-    an even number of sites (the kernel then keeps one parity sector),
-    otherwise odd flips force the full space.
+    anticommute); some strings are diagonal; with `even` (drawn when not
+    given) every flip touches an even number of sites (the kernel then keeps
+    one parity sector), otherwise odd flips force the full space.
     """
     n = draw(st.integers(1, 6))
-    even = draw(st.booleans())
+    even = draw(st.booleans()) if even is None else even
     coeffs = st.floats(min_value=-2.0, max_value=2.0)
     terms = []
     for _ in range(draw(st.integers(1, 5))):
@@ -257,6 +258,25 @@ class TestParitySector:
         psi = kernel.embed(amps).amps
         want = np.vdot(psi, sparse_matrix_of(h) @ psi).real
         assert abs(kernel.expectation(amps) - want) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=term_lists(even=True), bits=st.integers(0, 63),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_strings_restrict_the_full_matrix(self, case, bits, seed):
+        # complex phases too: strings with an odd number of Y factors
+        n, terms = case
+        h = Hamiltonian(n, terms)
+        kernel = PauliKernel(n, terms, bits % (1 << n))
+        assert len(kernel.index) == 1 << (n - 1)
+        m = kernel.sparse_matrix()
+        assert abs(m - sparse_matrix_of(h)[kernel.index][:, kernel.index]).max() == 0.0
+        dense = matrix_of(h)
+        assert np.max(np.abs(m.toarray() - dense[np.ix_(kernel.index, kernel.index)])) < 1e-12
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=len(kernel.index)) + 1j * rng.normal(size=len(kernel.index))
+        amps /= np.linalg.norm(amps)
+        psi = kernel.embed(amps).amps
+        assert abs(kernel.expectation(amps) - np.vdot(psi, dense @ psi).real) < 1e-12
 
 
 class TestExpectation:

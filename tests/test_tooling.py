@@ -5,7 +5,7 @@ import importlib.util
 import re
 from pathlib import Path
 
-from vortexprop.runner import SUITE_NAMES, build_parser
+from vortexprop.runner import _CONFIG_KEYS, SUITE_NAMES, build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -32,6 +32,13 @@ def test_readme_lists_every_simulate_flag():
     options = {opt for action in sub.choices["simulate"]._actions
                for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
     assert documented == options
+
+
+def test_every_config_key_has_a_flag():
+    # a --config value is checked with the flag of the same dest
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = [a.dest for a in sub.choices["simulate"]._actions]
+    assert sorted(set(dests) - {"help", "config"}) == sorted(_CONFIG_KEYS)
 
 
 def test_readme_lists_every_module_and_suite():
