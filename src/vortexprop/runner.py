@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -251,6 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     # so _merge_options can tell explicit flags from SimulateOptions defaults
     sim = sub.add_parser("simulate", help="run one system and write its artifacts",
                          argument_default=argparse.SUPPRESS)
+    # argparse takes a token after a flag as its value only when it reads as a
+    # negative number; let "-1/10" and "-1e-3" reach their flags' checks too
+    sim._negative_number_matcher = re.compile(r"^-\.?\d")
     sim.add_argument("--system", choices=[k.value for k in SystemKind])
     sim.add_argument("--n", type=int, help="XXZ chain length")
     sim.add_argument("--delta", type=float, help="XXZ anisotropy")

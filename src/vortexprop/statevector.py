@@ -9,7 +9,8 @@ circuit gate by gate; they are what the dumped circuit is checked with.  The
 Pauli-term kernel fuses the Hamiltonian's terms into one precompiled op per
 bond and stores only the prod-Z parity sector of a run's initial basis state;
 Trotter stepping, expectations, the direct exponential and the sparse matrix
-all go through it.
+all go through it.  `SiteBlocks` splits the terms by the site Paulis that
+commute with all of them and propagates exactly in the blocks' eigenbases.
 """
 from __future__ import annotations
 
@@ -297,6 +298,112 @@ class PauliKernel:
             (np.concatenate(data), (np.tile(rows, len(cols)), np.concatenate(cols))),
             shape=(dim, dim),
         ).tocsr()
+
+
+# ---------------------------------------------------------------------------
+# conserved site Paulis and the blocks they split the terms into
+# ---------------------------------------------------------------------------
+
+# self-inverse rotation taking each conserved axis to Z: H X H = Z, R Y R = Z
+_TO_Z = {
+    PauliAxis.X: np.array([[1, 1], [1, -1]]) * _INV_SQRT2,
+    PauliAxis.Y: np.array([[1, -1j], [1j, -1]]) * _INV_SQRT2,
+}
+
+
+def conserved_axes(terms: Sequence[PauliTerm]) -> dict[int, PauliAxis]:
+    """Sites whose every factor has one axis, X or Y, mapped to that axis.
+
+    That Pauli commutes with every term, so with H and with each term's
+    exponential.  Sites no term acts on are left out.
+    """
+    seen: dict[int, set[PauliAxis]] = {}
+    for term in terms:
+        for site, axis in term.factors:
+            seen.setdefault(site, set()).add(axis)
+    return {site: axis for site, (axis, *rest) in sorted(seen.items())
+            if not rest and axis is not PauliAxis.Z}
+
+
+class SiteBlocks:
+    """Exact propagation of one basis state on the blocks of the conserved site Paulis.
+
+    Rotating each conserved site to z (H for X, (Y + Z)/sqrt2 for Y) turns a
+    term into its string on the free sites times the Z signs of its conserved
+    sites.  In that basis H = sum_s |s><s| (x) H_s over the 2^m bit patterns s
+    of the conserved sites (bit j for the j-th lowest, 0 for +1).  Every term
+    commutes with prod Z, which maps s to its complement s^, so H_s^ = D H_s D
+    with D the prod Z of the free sites.  Only the 2^(m-1) blocks with the
+    top conserved bit 0 are built, and diagonalised in one batched eigh; the
+    block s^ shares `energies[s]` and has eigenvectors D `vectors[s]`.
+
+    The rotated start state holds one free basis state f0 in every block, so
+    its coefficients in s and in s^ are multiples of the same row
+    conj(vectors[s][f0]), and block s^ of the propagated state stays a fixed
+    multiple of D times block s.  `state(t)` therefore takes one phase
+    multiply, one batched matvec, one butterfly per conserved site back to z
+    and a gather to the amplitudes over `index`, like the kernel's.
+    """
+
+    def __init__(self, n_qubits: int, terms: Sequence[PauliTerm], index: np.ndarray, start: int):
+        axes = conserved_axes(terms)
+        if not axes:
+            raise ValueError("no site Pauli commutes with every term")
+        if any(sum(a is not PauliAxis.Z for _, a in t.factors) & 1 for t in terms):
+            raise ValueError("a term flips an odd number of sites, so prod Z is not conserved")
+        sites = list(axes)
+        self._rotations = [_TO_Z[axis] for axis in axes.values()]  # each its own inverse
+        free = [k for k in range(n_qubits) if k not in axes]
+        self._n_free = len(free)
+        half = np.arange(1 << (len(axes) - 1))  # block s; its complement is 2^m - 1 - s
+        weights: dict[tuple, np.ndarray] = {}  # free string -> its weight in each block
+        for term in terms:
+            w = np.full(len(half), term.coeff)
+            for j, site in enumerate(sites):
+                if site in term.support:
+                    w = w * (1 - 2 * ((half >> j) & 1))
+            string = tuple((free.index(k), a) for k, a in term.factors if k not in axes)
+            weights[string] = weights.get(string, 0.0) + w
+        # <f|P|cols[f]> = phase[f], from the kernel's rows; the empty string is 1
+        diag = np.arange(1 << len(free))
+        actions = {(): (diag, 1.0)}
+        strings = [string for string in weights if string]
+        if strings:
+            kernel = PauliKernel(len(free), [PauliTerm(1.0, string) for string in strings])
+            for string, (_, _, gather, phase) in zip(strings, kernel._rows):
+                actions[string] = (diag if gather is None else gather, phase)
+        blocks = np.zeros((len(half), len(diag), len(diag)), dtype=np.complex128)
+        for string, w in weights.items():
+            cols, phase = actions[string]
+            blocks[:, diag, cols] += w[:, None] * phase
+        self.energies, self.vectors = np.linalg.eigh(blocks)
+
+        # start: amplitude amp[s] on |s>|f0>; D = prod Z of the free sites
+        s = np.arange(2 * len(half))
+        amp = np.ones(len(s), dtype=np.complex128)
+        for j, (site, rot) in enumerate(zip(sites, self._rotations)):
+            amp *= rot[(s >> j) & 1, (start >> site) & 1]
+        f0 = sum(((start >> site) & 1) << bit for bit, site in enumerate(free))
+        parity = np.ones(len(diag))
+        for bit in range(len(free)):
+            parity *= 1 - 2 * ((diag >> bit) & 1)
+        low, high = amp[:len(half)], amp[len(half):][::-1]
+        self._coeffs = low[:, None] * self.vectors[:, f0, :].conj()
+        self._mirror = (high * parity[f0] / low)[:, None] * parity  # block s^ over block s
+        # flat position (block s, free state f) of each stored basis state
+        where = np.zeros_like(index)
+        for bit, site in enumerate(free + sites):
+            where |= ((index >> site) & 1) << bit
+        self._where = where
+
+    def state(self, t: float) -> np.ndarray:
+        """exp(-i t H) applied to the start state, over `index`."""
+        phased = np.exp(-1j * t * self.energies) * self._coeffs
+        low = np.matmul(self.vectors, phased[..., None])[..., 0]
+        amps = np.concatenate([low, (self._mirror * low)[::-1]]).reshape(-1)
+        for j, rot in enumerate(self._rotations):
+            _apply_1q(amps, self._n_free + j, *rot.ravel())
+        return amps[self._where]
 
 
 def apply_pauli_exponential_direct(state: StateVector, term: PauliTerm, phi: float) -> StateVector:

@@ -18,7 +18,7 @@ from vortexprop.evolve import (
     semiclassical_period_scan,
 )
 from vortexprop.circuit import compile_trotter_step
-from vortexprop.hamiltonian import build_hamiltonian
+from vortexprop.hamiltonian import build_hamiltonian, matrix_of, sparse_matrix_of
 from vortexprop.lattice import build_system, site_equivalence_classes
 from vortexprop.observables import check_class_degeneracy
 from vortexprop.statevector import (
@@ -224,6 +224,81 @@ class TestRunExact:
                                      total_over_T=0.5))
         assert len(result.samples) == 2
         assert np.linalg.norm(result.final_state.amps) == pytest.approx(1.0, abs=1e-12)
+
+
+def _exact_reference(config):
+    """Sector states at every sample: dense eigh of matrix_of on 8 sites,
+    test-side sector expm_multiply above."""
+    from scipy.sparse.linalg import expm_multiply
+
+    h = build_hamiltonian(config.system)
+    start = int(config.resolve_initial_label(), 2)
+    index = np.array([i for i in range(1 << h.n_sites) if bin(i ^ start).count("1") % 2 == 0])
+    psi = np.zeros(len(index), dtype=complex)
+    psi[np.searchsorted(index, start)] = 1.0
+    taus = [k * config.dt_over_T for k in range(0, config.n_steps + 1, config.sample_pitch)]
+    if h.n_sites <= 8:
+        energies, vectors = np.linalg.eigh(matrix_of(h)[np.ix_(index, index)])
+        coeffs = vectors.conj().T @ psi
+        return index, [vectors @ (np.exp(-2j * tau * energies) * coeffs) for tau in taus]
+    generator = -2j * config.sample_pitch * config.dt_over_T * (
+        sparse_matrix_of(h)[index][:, index])
+    states = [psi]
+    for _ in taus[1:]:
+        states.append(expm_multiply(generator, states[-1]))
+    return index, states
+
+
+class TestBlockPropagation:
+    @pytest.mark.parametrize("kind, chi, label, dt, total, pitch", [
+        ("melon", 0.0, None, 1 / 300, 4.0, 20),
+        ("melon", 0.0, "11001010", 1 / 10, 6.0, 3),
+        ("antimelon", 0.0, None, 1 / 300, 4.0, 20),
+        ("combined", 0.0, None, 1 / 10, 4.0, 2),
+        ("combined", 0.0, "1100101011000", 1 / 10, 2.0, 1),
+        ("melon", math.pi / 4, None, 1 / 10, 6.0, 2),
+        ("melon", 0.3, None, 1 / 10, 6.0, 2),  # no conserved site: sector expm_multiply
+    ])
+    def test_run_exact_matches_an_independent_propagator(self, kind, chi, label, dt, total,
+                                                         pitch):
+        config = RunConfig(system=build_system(kind, chi=chi), dt_over_T=dt,
+                           total_over_T=total, sample_pitch=pitch, initial_label=label)
+        result = run_exact(config)
+        index, states = _exact_reference(config)
+        start = int(config.resolve_initial_label(), 2)
+        assert len(result.samples) == len(states)
+        for sample, psi in zip(result.samples, states):
+            full = np.zeros(1 << config.system.n_sites, dtype=complex)
+            full[index] = psi
+            assert abs(sample.fidelity0 - abs(full[start]) ** 2) < 1e-12
+            assert max(abs(v - abs(full[int(lbl, 2)])) for lbl, v in sample.amp_norms.items()) \
+                < 1e-12
+        assert np.max(np.abs(result.final_state.amps - full)) < 1e-12
+
+    def test_conserved_sites_skip_expm_multiply(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        from vortexprop import evolve
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("expm_multiply called")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refuse)
+
+        def run(spec):
+            return run_exact(RunConfig(system=spec, dt_over_T=1 / 10, total_over_T=0.4,
+                                       sample_pitch=2))
+
+        for kind in ("melon", "antimelon", "combined"):
+            assert len(run(build_system(kind)).samples) == 3
+        assert len(run(build_system("melon", chi=math.pi / 4)).samples) == 3
+        for spec in (build_system("xxz", n=8), build_system("melon", chi=0.3)):
+            with pytest.raises(AssertionError, match="expm_multiply called"):
+                run(spec)
+        # melon's blocks hold 16 states, so a limit of 8 sends it back to expm_multiply
+        monkeypatch.setattr(evolve, "MAX_BLOCK_DIM", 8)
+        with pytest.raises(AssertionError, match="expm_multiply called"):
+            run(build_system("melon"))
 
 
 class TestEnergyDrift:

@@ -34,6 +34,14 @@ class TestParseDt:
         assert "config key 'dt'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dt", [["--dt", "-1/10"], ["--dt=-1/10"], ["--dt", "-0.1"]])
+    def test_negative_dt_reaches_the_dt_check(self, tmp_path, capsys, dt):
+        # a negative fraction is the flag's value, not an unknown option
+        out = tmp_path / "r"
+        assert run_cli(["simulate", "--system", "melon", *dt, "--out", str(out)]) == 1
+        assert "dt_over_T=-0.1 must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_writes_run_directory(self, tmp_path):

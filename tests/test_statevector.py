@@ -17,10 +17,12 @@ from vortexprop.hamiltonian import (
 from vortexprop.lattice import build_system
 from vortexprop.statevector import (
     PauliKernel,
+    SiteBlocks,
     StateVector,
     apply_circuit,
     apply_gate,
     apply_pauli_exponential_direct,
+    conserved_axes,
     expect_pauli,
     fidelity,
     index_to_label,
@@ -199,6 +201,26 @@ def term_lists(draw, even=None):
     return n, tuple(terms)
 
 
+@st.composite
+def planted_term_lists(draw):
+    """(n, terms, planted) with planted sites that carry one axis, X or Y, in every term.
+
+    Other sites take any factor; every flip touches an even number of sites.
+    """
+    n = draw(st.integers(2, 6))
+    planted = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from("XY"), min_size=1))
+    coeffs = st.floats(min_value=-2.0, max_value=2.0)
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        axes = [draw(st.sampled_from("I" + planted.get(k, "XYZ"))) for k in range(n)]
+        flipped = [k for k, a in enumerate(axes) if a in "XY"]
+        if len(flipped) % 2:
+            axes[flipped[0]] = "I" if flipped[0] in planted else "Z"
+        if set(axes) != {"I"}:
+            terms.append(_string(draw(coeffs), axes))
+    return n, tuple(terms), planted
+
+
 class TestFusedStep:
     @settings(max_examples=150, deadline=None)
     @given(case=term_lists(), bits=st.integers(0, 63), seed=st.integers(0, 2**32 - 1),
@@ -277,6 +299,99 @@ class TestParitySector:
         amps /= np.linalg.norm(amps)
         psi = kernel.embed(amps).amps
         assert abs(kernel.expectation(amps) - np.vdot(psi, dense @ psi).real) < 1e-12
+
+
+def _commutator_norm(term, site, axis):
+    """max |[term, axis_site]| entry, on just the sites the two act on."""
+    sites = sorted({*term.support, site})
+    pos = {k: i for i, k in enumerate(sites)}
+    t = matrix_of(Hamiltonian(len(sites), (
+        PauliTerm(term.coeff, tuple((pos[k], a) for k, a in term.factors)),)))
+    o = matrix_of(Hamiltonian(len(sites), (PauliTerm(1.0, ((pos[site], axis),)),)))
+    return np.max(np.abs(t @ o - o @ t))
+
+
+def _levels(energies, tol=1e-9):
+    e = np.sort(np.ravel(energies))
+    return 1 + int(np.count_nonzero(np.diff(e) > tol))
+
+
+class TestConservedSites:
+    SYSTEMS = {name: (build_system(kind, **kw), axes) for name, kind, kw, axes in (
+        ("melon", "melon", {}, "bY dX fY hX"),
+        ("antimelon", "antimelon", {}, "bY dX fY hX"),
+        ("combined", "combined", {}, "bY dX fY hX iX kY mX"),
+        ("melon-chi-pi/4", "melon", {"chi": math.pi / 4}, "aY cX eY gX"),
+        ("xxz", "xxz", {"n": 8}, ""),
+        ("xxz-d2", "xxz", {"n": 8, "delta": 2.0}, ""),
+    )}
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_axis_sites_and_their_paulis(self, name):
+        spec, want = self.SYSTEMS[name]
+        terms = build_hamiltonian(spec).terms
+        axes = conserved_axes(terms)
+        assert " ".join(spec.labels[k] + a.value for k, a in axes.items()) == want
+        for site, axis in axes.items():
+            assert max(_commutator_norm(t, site, axis) for t in terms) == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["melon", "antimelon", "combined"]),
+           chi=st.floats(min_value=-2 * math.pi, max_value=2 * math.pi).filter(
+               lambda c: abs(c / (math.pi / 4) - round(c / (math.pi / 4))) > 1e-6))
+    def test_generic_chi_conserves_no_site(self, kind, chi):
+        # every xi is a multiple of pi/4 plus chi, so no spin lies on an axis
+        assert conserved_axes(build_hamiltonian(build_system(kind, chi=chi)).terms) == {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=planted_term_lists(), bits=st.integers(0, 63),
+           t=st.floats(min_value=-3.0, max_value=3.0))
+    def test_random_strings_blocks_propagate_exactly(self, case, bits, t):
+        from scipy.linalg import expm
+
+        n, terms, planted = case
+        axes = conserved_axes(terms)
+        acted = {k for term in terms for k in term.support}
+        assert {k: a for k, a in axes.items() if k in planted} == {
+            k: PauliAxis(a) for k, a in planted.items() if k in acted}
+        for site, axis in axes.items():
+            assert max(_commutator_norm(term, site, axis) for term in terms) < 1e-12
+        if not axes:
+            return
+        start = bits % (1 << n)
+        kernel = PauliKernel(n, terms, start)
+        blocks = SiteBlocks(n, terms, kernel.index, start)
+        want = expm(-1j * t * matrix_of(Hamiltonian(n, terms)))[:, start]
+        assert np.max(np.abs(blocks.state(t) - want[kernel.index])) < 1e-12
+
+
+class TestSiteBlocks:
+    @pytest.mark.parametrize("kind, shape, levels", [
+        ("melon", (8, 16), 23), ("antimelon", (8, 16), 23), ("combined", (64, 64), 673)])
+    def test_block_spectra(self, kind, shape, levels):
+        h = build_hamiltonian(build_system(kind))
+        kernel = PauliKernel(h.n_sites, h.terms, 0)
+        blocks = SiteBlocks(h.n_sites, h.terms, kernel.index, 0)
+        assert blocks.energies.shape == shape
+        assert _levels(blocks.energies) == levels
+
+    @pytest.mark.parametrize("kind", ["melon", "antimelon"])
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_block_spectrum_is_the_sector_spectrum(self, kind, parity):
+        h = build_hamiltonian(build_system(kind))
+        kernel = PauliKernel(h.n_sites, h.terms, parity)
+        blocks = SiteBlocks(h.n_sites, h.terms, kernel.index, parity)
+        sector = matrix_of(h)[np.ix_(kernel.index, kernel.index)]
+        want = np.linalg.eigvalsh(sector)
+        assert np.max(np.abs(np.sort(blocks.energies.ravel()) - want)) < 1e-12
+
+    def test_refuses_terms_without_a_conserved_site_or_parity(self):
+        h = build_hamiltonian(build_system("xxz", n=4))
+        with pytest.raises(ValueError, match="no site Pauli"):
+            SiteBlocks(4, h.terms, np.arange(16), 0)
+        odd = (_string(1.0, "XX"), _string(0.5, "XI"))
+        with pytest.raises(ValueError, match="odd number of sites"):
+            SiteBlocks(2, odd, np.arange(4), 0)
 
 
 class TestExpectation:
