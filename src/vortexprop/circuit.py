@@ -17,17 +17,25 @@ from dataclasses import dataclass
 from .hamiltonian import Hamiltonian, PauliAxis, PauliTerm
 
 HALF_PI = math.pi / 2
+_ARITY = {"H": 1, "RX": 1, "RZ": 1, "CNOT": 2}  # qubits per gate kind
 
 
 @dataclass(frozen=True)
 class Gate:
-    kind: str  # one of H, RX, RZ, CNOT
+    kind: str  # H, RX or RZ on one qubit; CNOT on (control, target)
     qubits: tuple[int, ...]
-    lam: float | None = None
+    lam: float | None = None  # the finite angle of RX and RZ; None for H and CNOT
 
     def __post_init__(self):
-        if self.kind not in ("H", "RX", "RZ", "CNOT"):
+        if self.kind not in _ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if len(self.qubits) != _ARITY[self.kind]:
+            raise ValueError(f"{self} needs {_ARITY[self.kind]} qubit(s)")
+        if self.kind in ("RX", "RZ"):
+            if self.lam is None or not math.isfinite(self.lam):
+                raise ValueError(f"{self} needs a finite lambda")
+        elif self.lam is not None:
+            raise ValueError(f"{self} takes no lambda")
         if self.kind == "CNOT" and self.qubits[0] == self.qubits[1]:
             raise ValueError("CNOT control equals target")
 
@@ -87,13 +95,6 @@ def compile_trotter_step(h: Hamiltonian, dt_over_T: float) -> Circuit:
     for term in h.terms:
         gates.extend(compile_pauli_exponential(term, 2.0 * dt_over_T, h.n_sites).gates)
     return Circuit(n_qubits=h.n_sites, gates=tuple(gates))
-
-
-def gate_count(term: PauliTerm) -> int:
-    """Exact compiled length: 2 basis gates per X/Y factor, 2(|support|-1) CNOTs, 1 RZ."""
-    k = len(term.support)
-    n_xy = sum(axis is not PauliAxis.Z for _, axis in term.factors)
-    return 2 * n_xy + 2 * (k - 1) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 # here for perfbench/spans.py
 from .circuit import compile_trotter_step  # noqa: F401
 from .hamiltonian import Hamiltonian, build_hamiltonian, sparse_matrix_of  # noqa: F401
-from .lattice import SystemKind, SystemSpec, build_system
+from .lattice import SystemKind, SystemSpec
 from .observables import PeriodEstimate, SampleRecord, estimate_period, record_sample
 from .statevector import (  # noqa: F401
     PauliKernel,
@@ -270,24 +270,3 @@ def semiclassical_period_scan(config: RunConfig, t_max_over_T: float) -> PeriodE
     """Period estimate from the single-step feedback scan up to t_max."""
     series = fidelity_scan(config, t_max_over_T)
     return estimate_period(series, config.threshold, t_max_over_T)
-
-
-def geometry_sweep(
-    kind: SystemKind | str,
-    chis: "np.ndarray | list[float]",
-    dt_over_T: float = 1.0 / 300.0,
-    total_over_T: float = 4.0,
-) -> list[tuple[float, float]]:
-    """Fidelity at t = total for each candidate global angle chi.
-
-    The lattice rotations and reflections of the declared layout are
-    relabelings with no dynamical effect, so chi is the one geometry knob
-    that changes the evolution; this sweep implements the layout search
-    behind the single-vortex recurrence target.
-    """
-    out = []
-    for chi in chis:
-        config = RunConfig(system=build_system(kind, chi=float(chi)),
-                           dt_over_T=dt_over_T, total_over_T=dt_over_T)
-        out.append((float(chi), fidelity_scan(config, total_over_T)[-1][1]))
-    return out

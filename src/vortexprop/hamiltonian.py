@@ -42,6 +42,8 @@ class PauliTerm:
         sites = [s for s, _ in self.factors]
         if len(set(sites)) != len(sites):
             raise ValueError(f"repeated site in {self.factors}")
+        if min(sites) < 0:
+            raise ValueError(f"negative site in {self.factors}")
         if sites != sorted(sites):
             object.__setattr__(self, "factors", tuple(sorted(self.factors)))
 

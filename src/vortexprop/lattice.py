@@ -1,6 +1,7 @@
 """Site geometry, hole placement, bonds, spin angles and bond couplings.
 
-Geometry convention (config-overridable through the JSON system format):
+Geometry convention (custom geometries load through `load_system`, in the JSON
+system format):
 
 * A single vortex is the 8 perimeter sites of a 3x3 square block with the
   center removed as the hole.  Labels a..h sweep the perimeter
@@ -17,10 +18,6 @@ Spin angles: every spin lies in the XY plane at azimuth
 xi_p = w * atan2(y_p - y_h, x_p - x_h) + chi, measured from the nearest hole
 h with winding w.  Sites equidistant from two holes take the lower-indexed
 hole (this covers the shared edge of the combined system, including f).
-
-Symmetry: the square point-group operations that map sites, holes, bond kinds
-and couplings (up to a global XX <-> YY swap) onto themselves form a group, so
-a site's set of images under them is its orbit, i.e. its equivalence class.
 
 Every system, the chain included, reaches its Hamiltonian through one path:
 `build_system` or `system_from_dict` -> `bond_couplings` per bond ->
@@ -224,71 +221,6 @@ def build_system(
 
 
 # ---------------------------------------------------------------------------
-# point-group symmetry analysis
-# ---------------------------------------------------------------------------
-
-# the 8 operations of the square point group, as 2x2 integer matrices
-_POINT_GROUP = [
-    ((1, 0), (0, 1)), ((0, -1), (1, 0)), ((-1, 0), (0, -1)), ((0, 1), (-1, 0)),
-    ((-1, 0), (0, 1)), ((1, 0), (0, -1)), ((0, 1), (1, 0)), ((0, -1), (-1, 0)),
-]
-COUPLING_TOL = 1e-9  # bond couplings that agree this closely count as equal
-
-
-def _transform(pos: tuple[int, int], mat, c2: tuple[int, int]) -> tuple[int, int]:
-    # act about the centroid in doubled coordinates, where it stays integral;
-    # an odd coordinate is off the lattice and matches no doubled site or hole
-    u, v = 2 * pos[0] - c2[0], 2 * pos[1] - c2[1]
-    return (mat[0][0] * u + mat[0][1] * v + c2[0], mat[1][0] * u + mat[1][1] * v + c2[1])
-
-
-def _matches(image: dict, bonds: dict) -> bool:
-    """Same bonds, same kinds, and (XX, YY) couplings equal within COUPLING_TOL."""
-    return image.keys() == bonds.keys() and all(
-        image[k][0] is kind and max(abs(image[k][1] - xx), abs(image[k][2] - yy)) <= COUPLING_TOL
-        for k, (kind, xx, yy) in bonds.items()
-    )
-
-
-def point_symmetries(spec: SystemSpec) -> list[tuple[int, ...]]:
-    """Site permutations induced by square point-group operations that preserve
-    sites, holes, bonds, and the bond coupling pattern.
-
-    An operation that swaps every bond's XX and YY couplings simultaneously is
-    accepted: a quarter-turn spin rotation about z restores the Hamiltonian, so
-    the permutation still acts as a dynamical symmetry on z-basis observables.
-    """
-    positions = [s.pos for s in spec.sites]
-    pos_index = {(2 * x, 2 * y): i for i, (x, y) in enumerate(positions)}
-    holes = {(2 * h.pos[0], 2 * h.pos[1]) for h in spec.holes}
-    c2 = (round(2 * sum(x for x, _ in positions) / len(positions)),
-          round(2 * sum(y for _, y in positions) / len(positions)))
-    bonds = {(b.p, b.q): (b.kind, *bond_couplings(spec, b)[:2]) for b in spec.bonds}
-    swapped = {k: (kind, yy, xx) for k, (kind, xx, yy) in bonds.items()}
-
-    perms = []
-    for mat in _POINT_GROUP:
-        images = [_transform(p, mat, c2) for p in positions]
-        if not all(im in pos_index for im in images):
-            continue
-        if {_transform(h.pos, mat, c2) for h in spec.holes} != holes:
-            continue
-        perm = tuple(pos_index[im] for im in images)
-        image = {tuple(sorted((perm[p], perm[q]))): c for (p, q), c in bonds.items()}
-        if _matches(image, bonds) or _matches(image, swapped):
-            perms.append(perm)
-    return perms
-
-
-def site_equivalence_classes(spec: SystemSpec) -> list[tuple[str, ...]]:
-    """Orbits of the site labels under the valid point symmetries of `spec`."""
-    if spec.kind is SystemKind.XXZ:
-        raise ValueError("equivalence classes are defined for the vortex systems only")
-    labels, perms = spec.labels, point_symmetries(spec)
-    return sorted({tuple(sorted({labels[g[i]] for g in perms})) for i in range(len(labels))})
-
-
-# ---------------------------------------------------------------------------
 # system file format
 # ---------------------------------------------------------------------------
 
@@ -303,25 +235,33 @@ def system_to_dict(spec: SystemSpec) -> dict:
     }
 
 
+def _point(coords, what: str) -> tuple[int, int]:
+    if len(coords) != 2 or not all(type(c) is int for c in coords):
+        raise ValueError(f"{what} position {coords} must be two integers")
+    return tuple(coords)
+
+
 def system_from_dict(data: dict) -> SystemSpec:
     """Rebuild a SystemSpec from the JSON system format.
 
     Bonds and angles are recomputed from the geometry, so a dumped built-in
-    system reloads bit-identically.
+    system reloads bit-identically.  Bonds are found at exact integer
+    distances, so every coordinate must be an integer.
     """
-    positions = [tuple(s["pos"]) for s in data["sites"]]
+    positions = [_point(s["pos"], "site") for s in data["sites"]]
     labels = [s["label"] for s in data["sites"]]
     if len(set(labels)) != len(labels):
         raise ValueError("site labels must be unique")
     if len(set(positions)) != len(positions):
         raise ValueError("site positions must be unique")
-    holes = [tuple(h) for h in data["holes"]]
+    holes = [_point(h, "hole") for h in data["holes"]]
     for h in holes:
         if h in positions:
             raise ValueError(f"hole {h} coincides with a site")
     winding = tuple(data.get("winding", []))
-    if holes and len(winding) != len(holes):
-        raise ValueError("need one winding number per hole")
+    if len(winding) != len(holes):
+        raise ValueError(f"need one winding number per hole: {len(holes)} holes, "
+                         f"{len(winding)} windings")
     return _make_spec(SystemKind(data["kind"]), labels, positions, holes, winding,
                       float(data.get("chi", 0.0)), float(data.get("delta", 0.0)))
 

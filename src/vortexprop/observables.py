@@ -9,7 +9,6 @@ on every state a run reaches from a basis state.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,63 +113,6 @@ def estimate_period(
                 j += 1
             return PeriodEstimate(times[j], threshold, t_max_over_T, lower_bound=False)
     return PeriodEstimate(t_max_over_T, threshold, t_max_over_T, lower_bound=True)
-
-
-def local_maxima(series: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Interior local maxima of a sampled series, as (t, value) pairs."""
-    out = []
-    for i in range(1, len(series) - 1):
-        if series[i][1] >= series[i - 1][1] and series[i][1] >= series[i + 1][1]:
-            out.append(series[i])
-    return out
-
-
-def check_amplitude_symmetry(
-    samples: Sequence[SampleRecord], center_over_T: float
-) -> float:
-    """Max |sqrt(p)| mismatch between mirror times around `center_over_T`.
-
-    Requires uniformly sampled records covering [0, 2*center].
-    """
-    if len(samples) < 3:
-        raise ValueError("need at least three samples")
-    times = [s.time_over_T for s in samples]
-    pitch = times[1] - times[0]
-    ic = round(center_over_T / pitch)
-    if ic >= len(samples) or not math.isclose(
-        times[ic], center_over_T, rel_tol=0, abs_tol=pitch / 2
-    ):
-        raise ValueError(f"series has no sample at the center {center_over_T}")
-    if times[-1] < 2 * center_over_T - pitch / 2:
-        raise ValueError("series does not cover [0, 2*center]")
-    reach = min(ic, len(samples) - 1 - ic)
-    worst = 0.0
-    for k in range(1, reach + 1):
-        left, right = samples[ic - k].amp_norms, samples[ic + k].amp_norms
-        for lbl, v in left.items():
-            worst = max(worst, abs(v - right[lbl]))
-    return worst
-
-
-def check_class_degeneracy(
-    samples: Sequence[SampleRecord],
-    classes: Sequence[Sequence[str]],
-    site_labels: Sequence[str],
-) -> dict[tuple[str, ...], float]:
-    """Max over time of the m_z spread inside each symmetry class."""
-    index = {lbl: i for i, lbl in enumerate(site_labels)}
-    out: dict[tuple[str, ...], float] = {}
-    for cls in classes:
-        try:
-            ids = [index[lbl] for lbl in cls]
-        except KeyError as exc:
-            raise ValueError(f"unknown site label {exc.args[0]!r}") from exc
-        spread = 0.0
-        for s in samples:
-            vals = [s.m_z[i] for i in ids]
-            spread = max(spread, max(vals) - min(vals))
-        out[tuple(cls)] = spread
-    return out
 
 
 # ---------------------------------------------------------------------------

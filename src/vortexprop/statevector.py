@@ -8,9 +8,9 @@ Two kernels act on the amplitudes.  The gate kernels replay a compiled
 circuit gate by gate; they are what the dumped circuit is checked with.  The
 Pauli-term kernel fuses the Hamiltonian's terms into one precompiled op per
 bond and stores only the prod-Z parity sector of a run's initial basis state;
-Trotter stepping, expectations, the direct exponential and the sparse matrix
-all go through it.  `SiteBlocks` splits the terms by the site Paulis that
-commute with all of them and propagates exactly in the blocks' eigenbases.
+Trotter stepping, expectations and the sparse matrix all go through it.
+`SiteBlocks` splits the terms by the site Paulis that commute with all of
+them and propagates exactly in the blocks' eigenbases.
 """
 from __future__ import annotations
 
@@ -41,12 +41,6 @@ class StateVector:
     def copy(self) -> "StateVector":
         return StateVector(self.n_qubits, self.amps.copy())
 
-    def norm_sq(self) -> float:
-        return float(np.real(np.vdot(self.amps, self.amps)))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
 
 def label_to_index(label: str) -> int:
     """Basis index of a 0/1 label written most-significant site first."""
@@ -57,14 +51,6 @@ def label_to_index(label: str) -> int:
 
 def index_to_label(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b")
-
-
-def init_basis_state(label: str) -> StateVector:
-    """State with unit amplitude on the labeled basis state."""
-    n = len(label)
-    state = StateVector(n, np.zeros(1 << n, dtype=np.complex128))
-    state.amps[label_to_index(label)] = 1.0
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +390,6 @@ class SiteBlocks:
         for j, rot in enumerate(self._rotations):
             _apply_1q(amps, self._n_free + j, *rot.ravel())
         return amps[self._where]
-
-
-def apply_pauli_exponential_direct(state: StateVector, term: PauliTerm, phi: float) -> StateVector:
-    """Apply exp(-i phi coeff P) in place, without gate decomposition."""
-    PauliKernel(state.n_qubits, (term,)).step(state.amps, phi)
-    return state
 
 
 def expect_pauli(state: StateVector, term: PauliTerm) -> float:

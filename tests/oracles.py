@@ -1,0 +1,268 @@
+"""Reference code that the tests compare the program against, and the random
+Pauli terms they feed both; the program does not import it.
+
+`SpectralReference` and `reference_trotter_scan` are built from the README's
+model rules alone, sharing no code with the program's lattice, Hamiltonian,
+circuit or statevector paths.
+"""
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+from scipy.linalg import expm
+
+from vortexprop.hamiltonian import Hamiltonian, PauliAxis, PauliTerm, matrix_of
+from vortexprop.lattice import SystemKind, SystemSpec, bond_couplings
+from vortexprop.statevector import StateVector, label_to_index
+
+
+def init_basis_state(label: str) -> StateVector:
+    """State with unit amplitude on the labeled basis state."""
+    n = len(label)
+    state = StateVector(n, np.zeros(1 << n, dtype=np.complex128))
+    state.amps[label_to_index(label)] = 1.0
+    return state
+
+
+def dense_exponential(term: PauliTerm, phi: float, n: int) -> np.ndarray:
+    """exp(-i phi coeff P) on n qubits, from scipy's expm of the dense matrix."""
+    return expm(-1j * phi * matrix_of(Hamiltonian(n, (term,))))
+
+
+def random_term(n: int, rng: np.random.Generator) -> PauliTerm:
+    """A string on 1 to n of n sites with random axes, coefficient in [-2, 2)."""
+    k = int(rng.integers(1, n + 1))
+    sites = sorted(rng.choice(n, size=k, replace=False).tolist())
+    return PauliTerm(float(rng.uniform(-2, 2)),
+                     tuple((s, tuple(PauliAxis)[rng.integers(3)]) for s in sites))
+
+
+# ---------------------------------------------------------------------------
+# point-group symmetry analysis
+# ---------------------------------------------------------------------------
+# The square point-group operations that map sites, holes, bond kinds and
+# couplings (up to a global XX <-> YY swap) onto themselves form a group, so
+# a site's set of images under them is its orbit, i.e. its equivalence class.
+
+# the 8 operations of the square point group, as 2x2 integer matrices
+_POINT_GROUP = [
+    ((1, 0), (0, 1)), ((0, -1), (1, 0)), ((-1, 0), (0, -1)), ((0, 1), (-1, 0)),
+    ((-1, 0), (0, 1)), ((1, 0), (0, -1)), ((0, 1), (1, 0)), ((0, -1), (-1, 0)),
+]
+COUPLING_TOL = 1e-9  # bond couplings that agree this closely count as equal
+
+
+def _transform(pos: tuple[int, int], mat, c2: tuple[int, int]) -> tuple[int, int]:
+    # act about the centroid in doubled coordinates, where it stays integral;
+    # an odd coordinate is off the lattice and matches no doubled site or hole
+    u, v = 2 * pos[0] - c2[0], 2 * pos[1] - c2[1]
+    return (mat[0][0] * u + mat[0][1] * v + c2[0], mat[1][0] * u + mat[1][1] * v + c2[1])
+
+
+def _matches(image: dict, bonds: dict) -> bool:
+    """Same bonds, same kinds, and (XX, YY) couplings equal within COUPLING_TOL."""
+    return image.keys() == bonds.keys() and all(
+        image[k][0] is kind and max(abs(image[k][1] - xx), abs(image[k][2] - yy)) <= COUPLING_TOL
+        for k, (kind, xx, yy) in bonds.items()
+    )
+
+
+def point_symmetries(spec: SystemSpec) -> list[tuple[int, ...]]:
+    """Site permutations induced by square point-group operations that preserve
+    sites, holes, bonds, and the bond coupling pattern.
+
+    An operation that swaps every bond's XX and YY couplings simultaneously is
+    accepted: a quarter-turn spin rotation about z restores the Hamiltonian, so
+    the permutation still acts as a dynamical symmetry on z-basis observables.
+    """
+    positions = [s.pos for s in spec.sites]
+    pos_index = {(2 * x, 2 * y): i for i, (x, y) in enumerate(positions)}
+    holes = {(2 * h.pos[0], 2 * h.pos[1]) for h in spec.holes}
+    c2 = (round(2 * sum(x for x, _ in positions) / len(positions)),
+          round(2 * sum(y for _, y in positions) / len(positions)))
+    bonds = {(b.p, b.q): (b.kind, *bond_couplings(spec, b)[:2]) for b in spec.bonds}
+    swapped = {k: (kind, yy, xx) for k, (kind, xx, yy) in bonds.items()}
+
+    perms = []
+    for mat in _POINT_GROUP:
+        images = [_transform(p, mat, c2) for p in positions]
+        if not all(im in pos_index for im in images):
+            continue
+        if {_transform(h.pos, mat, c2) for h in spec.holes} != holes:
+            continue
+        perm = tuple(pos_index[im] for im in images)
+        image = {tuple(sorted((perm[p], perm[q]))): c for (p, q), c in bonds.items()}
+        if _matches(image, bonds) or _matches(image, swapped):
+            perms.append(perm)
+    return perms
+
+
+def site_equivalence_classes(spec: SystemSpec) -> list[tuple[str, ...]]:
+    """Orbits of the site labels under the valid point symmetries of `spec`."""
+    if spec.kind is SystemKind.XXZ:
+        raise ValueError("equivalence classes are defined for the vortex systems only")
+    labels, perms = spec.labels, point_symmetries(spec)
+    return sorted({tuple(sorted({labels[g[i]] for g in perms})) for i in range(len(labels))})
+
+
+# ---------------------------------------------------------------------------
+# series diagnostics
+# ---------------------------------------------------------------------------
+
+def local_maxima(series: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Interior local maxima of a sampled series, as (t, value) pairs."""
+    out = []
+    for i in range(1, len(series) - 1):
+        if series[i][1] >= series[i - 1][1] and series[i][1] >= series[i + 1][1]:
+            out.append(series[i])
+    return out
+
+
+def check_amplitude_symmetry(samples: Sequence, center_over_T: float) -> float:
+    """Max |sqrt(p)| mismatch between mirror times around `center_over_T`.
+
+    Takes records with `time_over_T` and `amp_norms`, uniformly sampled and
+    covering [0, 2*center].
+    """
+    if len(samples) < 3:
+        raise ValueError("need at least three samples")
+    times = [s.time_over_T for s in samples]
+    pitch = times[1] - times[0]
+    ic = round(center_over_T / pitch)
+    if ic >= len(samples) or not math.isclose(
+        times[ic], center_over_T, rel_tol=0, abs_tol=pitch / 2
+    ):
+        raise ValueError(f"series has no sample at the center {center_over_T}")
+    if times[-1] < 2 * center_over_T - pitch / 2:
+        raise ValueError("series does not cover [0, 2*center]")
+    reach = min(ic, len(samples) - 1 - ic)
+    worst = 0.0
+    for k in range(1, reach + 1):
+        left, right = samples[ic - k].amp_norms, samples[ic + k].amp_norms
+        for lbl, v in left.items():
+            worst = max(worst, abs(v - right[lbl]))
+    return worst
+
+
+def check_class_degeneracy(
+    samples: Sequence,
+    classes: Sequence[Sequence[str]],
+    site_labels: Sequence[str],
+) -> dict[tuple[str, ...], float]:
+    """Max over time of the m_z spread inside each symmetry class."""
+    index = {lbl: i for i, lbl in enumerate(site_labels)}
+    out: dict[tuple[str, ...], float] = {}
+    for cls in classes:
+        try:
+            ids = [index[lbl] for lbl in cls]
+        except KeyError as exc:
+            raise ValueError(f"unknown site label {exc.args[0]!r}") from exc
+        spread = 0.0
+        for s in samples:
+            vals = [s.m_z[i] for i in ids]
+            spread = max(spread, max(vals) - min(vals))
+        out[tuple(cls)] = spread
+    return out
+
+
+# ---------------------------------------------------------------------------
+# independent reference
+# ---------------------------------------------------------------------------
+# Assembled from the README's model rules alone: site and hole positions,
+# exchange (distance 1) and superexchange (distance sqrt(2), plus the opposite
+# pairs across each hole) bonds, angles from the nearest hole (ties to the
+# lower-indexed hole), XX and YY couplings, and the frozen term order of the
+# hamiltonian module (exchange bonds, then superexchange bonds, each in
+# (p, q) order; XX before YY).  Site k is bit k of the basis index, so
+# int(label, 2) is the index of a label.
+
+_BLOCK = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2), (0, 1)]
+_REF_GEOMETRY = {  # positions, holes, winding per hole
+    "melon": (_BLOCK, [(1, 1)], [1]),
+    "antimelon": (_BLOCK, [(1, 1)], [-1]),
+    "combined": (_BLOCK + [(2, 3), (2, 4), (1, 4), (0, 4), (0, 3)],
+                 [(1, 1), (1, 3)], [1, -1]),
+}
+
+
+def reference_terms(kind: str) -> tuple[int, list[tuple[float, int, int, str]]]:
+    """Site count and frozen-order (coeff, p, q, axis) bond terms of `kind`."""
+    pos, holes, winding = _REF_GEOMETRY[kind]
+    n = len(pos)
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+    def dist2(p, q):
+        return (pos[p][0] - pos[q][0]) ** 2 + (pos[p][1] - pos[q][1]) ** 2
+
+    across_hole = {(p, q) for p, q in pairs for hx, hy in holes
+                   if pos[p][0] + pos[q][0] == 2 * hx and pos[p][1] + pos[q][1] == 2 * hy}
+    bonds = ([pq for pq in pairs if dist2(*pq) == 1]
+             + sorted({pq for pq in pairs if dist2(*pq) == 2} | across_hole))
+    xi = []
+    for x, y in pos:
+        k = min(range(len(holes)),
+                key=lambda k: (x - holes[k][0]) ** 2 + (y - holes[k][1]) ** 2)
+        xi.append(winding[k] * math.atan2(y - holes[k][1], x - holes[k][0]))
+    terms = []
+    for p, q in bonds:
+        terms.append((math.cos(xi[p]) * math.cos(xi[q]), p, q, "X"))
+        terms.append((math.sin(xi[p]) * math.sin(xi[q]), p, q, "Y"))
+    return n, terms
+
+
+def _bond_string(n: int, p: int, q: int, axis: str) -> tuple[np.ndarray, np.ndarray]:
+    """(flipped index, sign) with X_pX_q or Y_pY_q |i> = sign[i] |flipped[i]>.
+
+    Y|b> = i(-1)^b |1-b>, so Y_pY_q gives -1 on equal bits and +1 otherwise.
+    Flipping both bits keeps their equality, so sign[i] = sign[flipped[i]].
+    """
+    idx = np.arange(1 << n)
+    flipped = idx ^ ((1 << p) | (1 << q))
+    if axis == "X":
+        return flipped, np.ones(1 << n)
+    equal = ((idx >> p) & 1) == ((idx >> q) & 1)
+    return flipped, np.where(equal, -1.0, 1.0)
+
+
+class SpectralReference:
+    """Exact evolution exp(-2i t H) of a basis state from a dense eigh of H."""
+
+    def __init__(self, kind: str, label: str):
+        n, terms = reference_terms(kind)
+        h = np.zeros((1 << n, 1 << n))
+        for coeff, p, q, axis in terms:
+            flipped, sign = _bond_string(n, p, q, axis)
+            h[flipped, np.arange(1 << n)] += coeff * sign
+        self.energies, self.vectors = np.linalg.eigh(h)
+        self.weights = self.vectors[int(label, 2)]  # <j|psi0>, real
+
+    def fidelity(self, t_over_T: float) -> float:
+        phases = np.exp(-2j * self.energies * t_over_T)
+        return float(abs(np.sum(self.weights ** 2 * phases)) ** 2)
+
+    def amplitude_norm(self, t_over_T: float, label: str) -> float:
+        phases = np.exp(-2j * self.energies * t_over_T)
+        return float(abs(self.vectors[int(label, 2)] @ (self.weights * phases)))
+
+
+def reference_trotter_scan(kind: str, label: str, dt_over_T: float,
+                           t_max_over_T: float) -> list[tuple[float, float]]:
+    """Fidelity after every product-formula step, one exact exponential per
+    term in frozen order: exp(-i a P) = cos(a) I - i sin(a) P, a = 2 dt c."""
+    n, terms = reference_terms(kind)
+    factors = []
+    for coeff, p, q, axis in terms:
+        flipped, sign = _bond_string(n, p, q, axis)
+        a = 2.0 * dt_over_T * coeff
+        factors.append((math.cos(a), -1j * math.sin(a) * sign, flipped))
+    start = int(label, 2)
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[start] = 1.0
+    series = [(0.0, 1.0)]
+    for step in range(1, round(t_max_over_T / dt_over_T) + 1):
+        for cos_a, minus_i_sin_sign, flipped in factors:
+            psi = cos_a * psi + minus_i_sin_sign * psi[flipped]
+        series.append((step * dt_over_T, float(abs(psi[start]) ** 2)))
+    return series

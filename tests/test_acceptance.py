@@ -7,7 +7,7 @@ Trotter runs and the 13-site combined scan.  The paper reports a 4T
 single-vortex period and a 48T combined period, but the model defined in the
 README does not have them (see *Reproduction status* there): its levels mix
 1, sqrt(5) and sqrt(17), so no time unit gives a revival.  These criteria
-therefore check each run against a reference assembled in this module from
+therefore check each run against a reference assembled in `oracles.py` from
 the README's model rules, sharing no code with the program's lattice,
 Hamiltonian, circuit or statevector paths, and print the paper target next to
 the measured value:
@@ -32,21 +32,21 @@ from vortexprop.evolve import (
     run_exact,
     run_trotter,
 )
-from vortexprop.hamiltonian import PauliAxis, PauliTerm, period_from_constants
-from vortexprop.lattice import build_system, site_equivalence_classes
-from vortexprop.observables import (
+from vortexprop.hamiltonian import period_from_constants
+from vortexprop.lattice import build_system
+from vortexprop.observables import estimate_period, read_samples_csv
+from vortexprop.runner import cli_main
+from vortexprop.statevector import StateVector, apply_circuit, max_amplitude_diff
+
+from oracles import (
+    SpectralReference,
     check_amplitude_symmetry,
     check_class_degeneracy,
-    estimate_period,
+    dense_exponential,
     local_maxima,
-    read_samples_csv,
-)
-from vortexprop.runner import cli_main
-from vortexprop.statevector import (
-    StateVector,
-    apply_circuit,
-    apply_pauli_exponential_direct,
-    max_amplitude_diff,
+    random_term,
+    reference_trotter_scan,
+    site_equivalence_classes,
 )
 
 PAPER_DT_AB = 1 / 300
@@ -62,157 +62,52 @@ def paper_status(reproduced: bool) -> str:
     return "reproduced" if reproduced else "not reproduced by this model"
 
 
-# ---------------------------------------------------------------------------
-# independent reference
-# ---------------------------------------------------------------------------
-# Assembled from the README's model rules alone: site and hole positions,
-# exchange (distance 1) and superexchange (distance sqrt(2), plus the opposite
-# pairs across each hole) bonds, angles from the nearest hole (ties to the
-# lower-indexed hole), XX and YY couplings, and the frozen term order of the
-# hamiltonian module (exchange bonds, then superexchange bonds, each in
-# (p, q) order; XX before YY).  Site k is bit k of the basis index, so
-# int(label, 2) is the index of a label.
-
 # Trotter error of a dt = T/300 run: criterion 3 measures the first-order
 # amplitude error at 1.44e-3 per T, so a 4T run stays within 4 of those.
 TROTTER_TOL_4T = 6e-3
 # Two replays of the same product formula differ only by round-off.
 ROUNDOFF_TOL = 1e-10
 
-_BLOCK = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2), (0, 1)]
-_REF_GEOMETRY = {  # positions, holes, winding per hole
-    "melon": (_BLOCK, [(1, 1)], [1]),
-    "antimelon": (_BLOCK, [(1, 1)], [-1]),
-    "combined": (_BLOCK + [(2, 3), (2, 4), (1, 4), (0, 4), (0, 3)],
-                 [(1, 1), (1, 3)], [1, -1]),
-}
-
-
-def reference_terms(kind: str) -> tuple[int, list[tuple[float, int, int, str]]]:
-    """Site count and frozen-order (coeff, p, q, axis) bond terms of `kind`."""
-    pos, holes, winding = _REF_GEOMETRY[kind]
-    n = len(pos)
-    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-
-    def dist2(p, q):
-        return (pos[p][0] - pos[q][0]) ** 2 + (pos[p][1] - pos[q][1]) ** 2
-
-    across_hole = {(p, q) for p, q in pairs for hx, hy in holes
-                   if pos[p][0] + pos[q][0] == 2 * hx and pos[p][1] + pos[q][1] == 2 * hy}
-    bonds = ([pq for pq in pairs if dist2(*pq) == 1]
-             + sorted({pq for pq in pairs if dist2(*pq) == 2} | across_hole))
-    xi = []
-    for x, y in pos:
-        k = min(range(len(holes)),
-                key=lambda k: (x - holes[k][0]) ** 2 + (y - holes[k][1]) ** 2)
-        xi.append(winding[k] * math.atan2(y - holes[k][1], x - holes[k][0]))
-    terms = []
-    for p, q in bonds:
-        terms.append((math.cos(xi[p]) * math.cos(xi[q]), p, q, "X"))
-        terms.append((math.sin(xi[p]) * math.sin(xi[q]), p, q, "Y"))
-    return n, terms
-
-
-def _bond_string(n: int, p: int, q: int, axis: str) -> tuple[np.ndarray, np.ndarray]:
-    """(flipped index, sign) with X_pX_q or Y_pY_q |i> = sign[i] |flipped[i]>.
-
-    Y|b> = i(-1)^b |1-b>, so Y_pY_q gives -1 on equal bits and +1 otherwise.
-    Flipping both bits keeps their equality, so sign[i] = sign[flipped[i]].
-    """
-    idx = np.arange(1 << n)
-    flipped = idx ^ ((1 << p) | (1 << q))
-    if axis == "X":
-        return flipped, np.ones(1 << n)
-    equal = ((idx >> p) & 1) == ((idx >> q) & 1)
-    return flipped, np.where(equal, -1.0, 1.0)
-
-
-class SpectralReference:
-    """Exact evolution exp(-2i t H) of a basis state from a dense eigh of H."""
-
-    def __init__(self, kind: str, label: str):
-        n, terms = reference_terms(kind)
-        h = np.zeros((1 << n, 1 << n))
-        for coeff, p, q, axis in terms:
-            flipped, sign = _bond_string(n, p, q, axis)
-            h[flipped, np.arange(1 << n)] += coeff * sign
-        self.energies, self.vectors = np.linalg.eigh(h)
-        self.weights = self.vectors[int(label, 2)]  # <j|psi0>, real
-
-    def fidelity(self, t_over_T: float) -> float:
-        phases = np.exp(-2j * self.energies * t_over_T)
-        return float(abs(np.sum(self.weights ** 2 * phases)) ** 2)
-
-    def amplitude_norm(self, t_over_T: float, label: str) -> float:
-        phases = np.exp(-2j * self.energies * t_over_T)
-        return float(abs(self.vectors[int(label, 2)] @ (self.weights * phases)))
-
-
-def reference_trotter_scan(kind: str, label: str, dt_over_T: float,
-                           t_max_over_T: float) -> list[tuple[float, float]]:
-    """Fidelity after every product-formula step, one exact exponential per
-    term in frozen order: exp(-i a P) = cos(a) I - i sin(a) P, a = 2 dt c."""
-    n, terms = reference_terms(kind)
-    factors = []
-    for coeff, p, q, axis in terms:
-        flipped, sign = _bond_string(n, p, q, axis)
-        a = 2.0 * dt_over_T * coeff
-        factors.append((math.cos(a), -1j * math.sin(a) * sign, flipped))
-    start = int(label, 2)
-    psi = np.zeros(1 << n, dtype=complex)
-    psi[start] = 1.0
-    series = [(0.0, 1.0)]
-    for step in range(1, round(t_max_over_T / dt_over_T) + 1):
-        for cos_a, minus_i_sin_sign, flipped in factors:
-            psi = cos_a * psi + minus_i_sin_sign * psi[flipped]
-        series.append((step * dt_over_T, float(abs(psi[start]) ** 2)))
-    return series
-
 
 # ---------------------------------------------------------------------------
 # shared runs
 # ---------------------------------------------------------------------------
 
+def figure_run(kind: str, propagate):
+    """A figure suite run: 0-4T at dt = T/300 on one vortex, 0-48T at dt = T/10 on combined."""
+    dt, total, pitch = (PAPER_DT_C, 48.0, 2) if kind == "combined" else (PAPER_DT_AB, 4.0, 20)
+    return propagate(RunConfig(system=build_system(kind), dt_over_T=dt, total_over_T=total,
+                               sample_pitch=pitch))
+
+
 @pytest.fixture(scope="module")
 def melon_run():
-    config = RunConfig(system=build_system("melon"), dt_over_T=PAPER_DT_AB,
-                       total_over_T=4.0, sample_pitch=20)
-    return run_trotter(config)
+    return figure_run("melon", run_trotter)
 
 
 @pytest.fixture(scope="module")
 def antimelon_run():
-    config = RunConfig(system=build_system("antimelon"), dt_over_T=PAPER_DT_AB,
-                       total_over_T=4.0, sample_pitch=20)
-    return run_trotter(config)
+    return figure_run("antimelon", run_trotter)
 
 
 @pytest.fixture(scope="module")
 def melon_exact_run():
-    config = RunConfig(system=build_system("melon"), dt_over_T=PAPER_DT_AB,
-                       total_over_T=4.0, sample_pitch=20)
-    return run_exact(config)
+    return figure_run("melon", run_exact)
 
 
 @pytest.fixture(scope="module")
 def antimelon_exact_run():
-    config = RunConfig(system=build_system("antimelon"), dt_over_T=PAPER_DT_AB,
-                       total_over_T=4.0, sample_pitch=20)
-    return run_exact(config)
+    return figure_run("antimelon", run_exact)
 
 
 @pytest.fixture(scope="module")
 def combined_run():
-    config = RunConfig(system=build_system("combined"), dt_over_T=PAPER_DT_C,
-                       total_over_T=48.0, sample_pitch=2)
-    return run_trotter(config)
+    return figure_run("combined", run_trotter)
 
 
 @pytest.fixture(scope="module")
 def combined_exact_run():
-    config = RunConfig(system=build_system("combined"), dt_over_T=PAPER_DT_C,
-                       total_over_T=48.0, sample_pitch=2)
-    return run_exact(config)
+    return figure_run("combined", run_exact)
 
 
 # ---------------------------------------------------------------------------
@@ -229,24 +124,19 @@ def test_criterion_02_circuit_correctness():
     from vortexprop.circuit import compile_pauli_exponential
 
     rng = np.random.default_rng(424242)
-    axes = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(1, 7))
-        k = int(rng.integers(1, n + 1))
-        sites = sorted(rng.choice(n, size=k, replace=False).tolist())
-        term = PauliTerm(float(rng.uniform(-2, 2)),
-                         tuple((s, axes[rng.integers(3)]) for s in sites))
+        term = random_term(n, rng)
         phi = float(rng.uniform(-math.pi, math.pi))
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         amps /= np.linalg.norm(amps)
-        a = StateVector(n, amps.copy())
-        b = StateVector(n, amps.copy())
-        apply_circuit(a, compile_pauli_exponential(term, phi, n))
-        apply_pauli_exponential_direct(b, term, phi)
+        a = apply_circuit(StateVector(n, amps.copy()), compile_pauli_exponential(term, phi, n))
+        b = StateVector(n, dense_exponential(term, phi, n) @ amps)
         worst = max(worst, max_amplitude_diff(a, b))
     ok = worst <= 1e-10
-    assert report(2, ok, f"1000 random terms, max amplitude deviation {worst:.3e} (<= 1e-10)")
+    assert report(2, ok, f"1000 random terms vs dense expm, max amplitude deviation "
+                         f"{worst:.3e} (<= 1e-10)")
 
 
 def test_criterion_03_trotter_convergence():

