@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from .hamiltonian import Hamiltonian, PauliAxis, PauliTerm
@@ -24,16 +25,21 @@ _ARITY = {"H": 1, "RX": 1, "RZ": 1, "CNOT": 2}  # qubits per gate kind
 class Gate:
     kind: str  # H, RX or RZ on one qubit; CNOT on (control, target)
     qubits: tuple[int, ...]
-    lam: float | None = None  # the finite angle of RX and RZ; None for H and CNOT
+    lam: float | None = None  # the finite real angle of RX and RZ; None for H and CNOT
 
     def __post_init__(self):
         if self.kind not in _ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if len(self.qubits) != _ARITY[self.kind]:
             raise ValueError(f"{self} needs {_ARITY[self.kind]} qubit(s)")
+        if not all(isinstance(q, numbers.Integral) and not isinstance(q, bool)
+                   for q in self.qubits):
+            raise ValueError(f"{self} needs integer qubits")
         if self.kind in ("RX", "RZ"):
-            if self.lam is None or not math.isfinite(self.lam):
-                raise ValueError(f"{self} needs a finite lambda")
+            lam = self.lam
+            real = isinstance(lam, numbers.Real) and not isinstance(lam, bool)
+            if not real or not math.isfinite(lam):
+                raise ValueError(f"{self} needs a finite lambda, a real number other than a bool")
         elif self.lam is not None:
             raise ValueError(f"{self} takes no lambda")
         if self.kind == "CNOT" and self.qubits[0] == self.qubits[1]:

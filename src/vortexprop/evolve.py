@@ -4,7 +4,12 @@ One period T corresponds to dimensionless phase J*T/hbar = 2 per unit
 coefficient, so evolving by tau (in units of T) applies exp(-2i tau H) with H
 in units of J.  The Trotter path applies the terms' exponentials through the
 fused Pauli-term kernel, in the frozen term order of the compiled step
-circuit, which it equals to round-off.  The exact path is the validation
+circuit, which it equals to round-off.  On a sector of at most
+`MAX_DENSE_STEP` = 256 states (the 8-site systems, XXZ chains up to 9 sites)
+the kernel multiplies the step out into one dense matrix once per run and
+each step is one matvec, since its per-op numpy calls cost more than the
+arithmetic there; larger sectors, such as combined's 4096 states, keep the
+op loop.  The exact path is the validation
 oracle: where some site Pauli commutes with every term it propagates the
 dense eigenbases of the blocks that split H (`SiteBlocks`), and elsewhere it
 steps the sparse sector matrix with `expm_multiply`, both to machine

@@ -262,6 +262,10 @@ def system_from_dict(data: dict) -> SystemSpec:
     if len(winding) != len(holes):
         raise ValueError(f"need one winding number per hole: {len(holes)} holes, "
                          f"{len(winding)} windings")
+    for h, w in zip(holes, winding):
+        if type(w) is not int or w not in (1, -1):
+            raise ValueError(f"hole {h} has winding {w!r}; a hole winds +1 (meron) "
+                             f"or -1 (antimeron)")
     return _make_spec(SystemKind(data["kind"]), labels, positions, holes, winding,
                       float(data.get("chi", 0.0)), float(data.get("delta", 0.0)))
 

@@ -8,9 +8,13 @@ Two kernels act on the amplitudes.  The gate kernels replay a compiled
 circuit gate by gate; they are what the dumped circuit is checked with.  The
 Pauli-term kernel fuses the Hamiltonian's terms into one precompiled op per
 bond and stores only the prod-Z parity sector of a run's initial basis state;
-Trotter stepping, expectations and the sparse matrix all go through it.
-`SiteBlocks` splits the terms by the site Paulis that commute with all of
-them and propagates exactly in the blocks' eigenbases.
+Trotter stepping, expectations and the sparse matrix all go through it.  On a
+sector of at most MAX_DENSE_STEP states (the 8-site systems, XXZ chains up
+to 9 sites) the step is one dense matvec, since there a few numpy calls per
+op cost more than the arithmetic; larger sectors, such as the 4096 states
+of the combined system, run the ops.  `SiteBlocks` splits the terms by the
+site Paulis that commute with all of them and propagates exactly in the
+blocks' eigenbases.
 """
 from __future__ import annotations
 
@@ -112,6 +116,32 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 # Pauli-term kernel
 # ---------------------------------------------------------------------------
 
+# Largest stored set whose Trotter step is applied as one dense matrix.  On
+# 2 cores and one BLAS thread, from the Neel state of XXZ chains at delta 0
+# and 2, the matvec takes 7-10 us at 128 states (op loop 16-29 us; 58 us on
+# melon) and 21-29 us at 256 (op loop 23-38 us), but 190 us at 512 (op loop
+# 55 us) and 800 us at 1024 (op loop 85 us): its dim^2 work outgrows the op
+# loop's few passes over dim per op.  Building the matrix costs 1.3 ms at
+# 128 states and 5 ms at 256.
+MAX_DENSE_STEP = 256
+
+
+def _apply_ops(ops: list, amps: np.ndarray, moved: np.ndarray) -> None:
+    """Apply fused ops (gather, alpha, beta) along the last axis of amps, in place.
+
+    Each op is amps <- alpha * amps + beta * amps[..., gather]; `moved` is
+    scratch of amps' shape.
+    """
+    for gather, alpha, beta in ops:
+        if gather is None:  # a run of diagonal strings only
+            amps *= alpha
+            continue
+        amps.take(gather, axis=-1, out=moved, mode="clip")
+        moved *= beta
+        amps *= alpha
+        amps += moved
+
+
 class PauliKernel:
     """Pauli terms precompiled once into one fused op per bond, on one parity sector.
 
@@ -134,9 +164,11 @@ class PauliKernel:
     lie in {0, f} into one op psi <- alpha * psi + beta * psi[g], with the
     gather g of f.  alpha and beta are the exact product of the run's
     exponentials in frozen order, so no commutation is assumed; they stay
-    scalars where they are uniform (pure XX bonds).  The energy takes one
-    gather per distinct flip.  One scratch buffer serves every call, so a
-    kernel belongs to one run at a time.
+    scalars where they are uniform (pure XX bonds).  When at most
+    MAX_DENSE_STEP states are stored, the ops are run once on the identity,
+    which gives the step's matrix, and every step is one matvec.  The energy
+    takes one gather per distinct flip.  One scratch buffer serves every
+    call, so a kernel belongs to one run at a time.
     """
 
     def __init__(self, n_qubits: int, terms: Sequence[PauliTerm], start: int | None = None):
@@ -166,6 +198,7 @@ class PauliKernel:
         self._scratch = np.empty(len(self.index), dtype=np.complex128)
         self._phi: float | None = None
         self._ops: list = []
+        self._dense: np.ndarray | None = None  # U^T of the step at _phi, if dense
 
     # -- basis states ------------------------------------------------------
 
@@ -244,19 +277,22 @@ class PauliKernel:
         """Apply exp(-i phi coeff P) for every term in frozen order, in place.
 
         The fused ops are compiled on the first call and again only when phi
-        changes.
+        changes.  A stored set of at most MAX_DENSE_STEP states then also
+        gets the step's matrix; each call is one matvec, copied back into
+        amps.  Larger sets run the ops on the amplitudes.
         """
         if phi != self._phi:
             self._ops, self._phi = self._fuse(phi), phi
-        moved = self._scratch
-        for gather, alpha, beta in self._ops:
-            if gather is None:  # a run of diagonal strings only
-                amps *= alpha
-                continue
-            amps.take(gather, out=moved, mode="clip")
-            moved *= beta
-            amps *= alpha
-            amps += moved
+            self._dense = None
+            if len(self.index) <= MAX_DENSE_STEP:
+                eye = np.eye(len(self.index), dtype=np.complex128)
+                _apply_ops(self._ops, eye, np.empty_like(eye))
+                self._dense = eye  # row r is the step applied to basis state r: U^T
+        if self._dense is None:
+            _apply_ops(self._ops, amps, self._scratch)
+        else:
+            np.matmul(amps, self._dense, out=self._scratch)
+            amps[:] = self._scratch
 
     def expectation(self, amps: np.ndarray) -> float:
         """sum_k coeff_k <psi|P_k|psi>, real for the Hermitian strings used here."""

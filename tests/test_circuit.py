@@ -213,6 +213,11 @@ class TestDumpFormat:
         ({"g": "RX", "q": [0], "lambda": math.nan}, "needs a finite lambda"),
         ({"g": "H", "q": [0], "lambda": 0.5}, "takes no lambda"),
         ({"g": "CNOT", "q": [0]}, "needs 2 qubit"),
+        ({"g": "RX", "q": [0], "lambda": True}, "a real number other than a bool"),
+        ({"g": "RZ", "q": [0], "lambda": "1"}, "a real number other than a bool"),
+        ({"g": "RZ", "q": [True], "lambda": 0.1}, "needs integer qubits"),
+        ({"g": "H", "q": [0.5]}, "needs integer qubits"),
+        ({"g": "CNOT", "q": [0, 1.0]}, "needs integer qubits"),
     ])
     def test_from_dict_refuses_malformed_gates(self, gate, message):
         with pytest.raises(ValueError, match=f"Gate\\(kind='{gate['g']}'.*{message}"):

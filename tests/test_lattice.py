@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -259,6 +260,17 @@ class TestSystemFileFormat:
         d = system_to_dict(build_system("xxz", n=4))
         d["winding"] = [1, -1, 1]
         with pytest.raises(ValueError, match="0 holes, 3 windings"):
+            system_from_dict(d)
+
+    @pytest.mark.parametrize("kind, winding, bad", [
+        ("melon", [0.5], 0), ("melon", [2], 0), ("melon", [True], 0), ("antimelon", [-1.0], 0),
+        ("melon", [0], 0), ("combined", [1, -2], 1)])
+    def test_rejects_winding_other_than_plus_or_minus_one(self, kind, winding, bad):
+        # a hole is a meron (+1) or an antimeron (-1); other windings form no vortex
+        d = system_to_dict(build_system(kind))
+        d["winding"] = winding
+        hole = re.escape(str(tuple(d["holes"][bad])))
+        with pytest.raises(ValueError, match=f"hole {hole} has winding"):
             system_from_dict(d)
 
     @pytest.mark.parametrize("site, hole", [

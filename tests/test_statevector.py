@@ -1,10 +1,12 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vortexprop import statevector
 from vortexprop.circuit import Gate, compile_pauli_exponential, compile_trotter_step
 from vortexprop.hamiltonian import (
     Hamiltonian,
@@ -32,6 +34,16 @@ from vortexprop.statevector import (
 from oracles import dense_exponential, init_basis_state, random_term
 
 INV_SQRT2 = 1 / math.sqrt(2)
+# PauliKernel.step takes the dense path on stored sets up to the cap; cap 0
+# sends every set through the op loop
+STEP_CAPS = (statevector.MAX_DENSE_STEP, 0)
+
+
+@contextmanager
+def step_cap(cap):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statevector, "MAX_DENSE_STEP", cap)
+        yield
 
 
 class TestBasisLabels:
@@ -152,15 +164,18 @@ class TestKernelInvariants:
            phi=st.floats(min_value=-2.0, max_value=2.0))
     def test_step_keeps_norm_and_parity(self, label, kind, phi):
         h = self.SYSTEMS[kind]
-        kernel = PauliKernel(h.n_sites, h.terms)
-        state = init_basis_state(label)
-        for _ in range(5):
-            kernel.step(state.amps, phi)
-        assert abs(np.vdot(state.amps, state.amps).real - 1.0) < 1e-12
-        # every term commutes with prod Z: the other sector keeps exact zeros
         parity = np.array([bin(i).count("1") % 2 for i in range(1 << h.n_sites)])
-        leak = np.sum(np.abs(state.amps[parity != label.count("1") % 2]) ** 2)
-        assert leak == 0.0
+        for cap in STEP_CAPS:  # the full 256-state space steps densely, then by ops
+            with step_cap(cap):
+                kernel = PauliKernel(h.n_sites, h.terms)
+                state = init_basis_state(label)
+                for _ in range(5):
+                    kernel.step(state.amps, phi)
+            assert (kernel._dense is None) == (cap == 0)
+            assert abs(np.vdot(state.amps, state.amps).real - 1.0) < 1e-12
+            # every term commutes with prod Z: the other sector keeps exact zeros
+            leak = np.sum(np.abs(state.amps[parity != label.count("1") % 2]) ** 2)
+            assert leak == 0.0
 
 
 def _string(coeff, axes):
@@ -226,25 +241,80 @@ class TestFusedStep:
         h = Hamiltonian(n, terms)
         circuit = compile_trotter_step(h, dt)
         start = bits % (1 << n)
-        kernel = PauliKernel(n, terms, start)
         odd = any(sum(a is not PauliAxis.Z for _, a in t.factors) % 2 for t in terms)
-        assert len(kernel.index) == 1 << (n - (not odd))
         # from a basis state, on its parity sector (or the full space)
-        psi = kernel.basis(start)
         replay = init_basis_state(index_to_label(start, n))
         # from a random state, on the full space
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        full = PauliKernel(n, terms)
-        dense = StateVector(n, amps / np.linalg.norm(amps))
-        dense_replay = dense.copy()
+        amps /= np.linalg.norm(amps)
+        amps_replay = StateVector(n, amps.copy())
         for _ in range(3):
-            kernel.step(psi, 2.0 * dt)
             apply_circuit(replay, circuit)
-            full.step(dense.amps, 2.0 * dt)
-            apply_circuit(dense_replay, circuit)
-        assert np.max(np.abs(kernel.embed(psi).amps - replay.amps)) < 1e-12
-        assert np.max(np.abs(dense.amps - dense_replay.amps)) < 1e-12
+            apply_circuit(amps_replay, circuit)
+        for cap in STEP_CAPS:
+            with step_cap(cap):
+                kernel = PauliKernel(n, terms, start)
+                full = PauliKernel(n, terms)
+                psi, rand = kernel.basis(start), amps.copy()
+                for _ in range(3):
+                    kernel.step(psi, 2.0 * dt)
+                    full.step(rand, 2.0 * dt)
+            assert len(kernel.index) == 1 << (n - (not odd))
+            assert (kernel._dense is None) == (full._dense is None) == (cap == 0)
+            assert np.max(np.abs(kernel.embed(psi).amps - replay.amps)) < 1e-12
+            assert np.max(np.abs(rand - amps_replay.amps)) < 1e-12
+
+
+class TestDenseStep:
+    SYSTEMS = {name: build_hamiltonian(build_system(kind, **kw)) for name, kind, kw in (
+        ("melon", "melon", {}), ("antimelon", "antimelon", {}),
+        ("xxz", "xxz", {"n": 8}), ("xxz-d2", "xxz", {"n": 8, "delta": 2.0}))}
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.one_of(term_lists(), st.sampled_from(sorted(SYSTEMS)).map(
+               lambda name: (8, TestDenseStep.SYSTEMS[name].terms))),
+           bits=st.integers(0, 255), seed=st.integers(0, 2**32 - 1),
+           dt=st.floats(min_value=0.01, max_value=1.0))
+    def test_dense_step_equals_op_loop(self, case, bits, seed, dt):
+        n, terms = case
+        start = bits % (1 << n)
+        dim = len(PauliKernel(n, terms, start).index)
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        amps /= np.linalg.norm(amps)
+        kernels, states = [], []
+        for cap in STEP_CAPS:
+            with step_cap(cap):
+                kernel, psi = PauliKernel(n, terms, start), amps.copy()
+                for k in range(50):  # a new phi halfway rebuilds the step
+                    kernel.step(psi, 2.0 * dt if k < 25 else dt)
+            kernels.append(kernel)
+            states.append(psi)
+        assert kernels[0]._dense is not None and kernels[1]._dense is None
+        assert np.max(np.abs(states[0] - states[1])) < 1e-12
+
+    def test_combined_stays_on_the_op_loop(self):
+        # 4096 stored states: the step runs the fused ops, with unchanged arithmetic
+        h = build_hamiltonian(build_system("combined"))
+        start = label_to_index("0101010110101")
+        kernel = PauliKernel(h.n_sites, h.terms, start)
+        assert len(kernel.index) == 4096 > statevector.MAX_DENSE_STEP
+        psi = kernel.basis(start)
+        want, moved = psi.copy(), np.empty_like(psi)
+        ops = kernel._fuse(0.2)
+        for _ in range(20):
+            kernel.step(psi, 0.2)
+            for gather, alpha, beta in ops:  # the op loop, spelled out
+                if gather is None:
+                    want *= alpha
+                    continue
+                want.take(gather, out=moved, mode="clip")
+                moved *= beta
+                want *= alpha
+                want += moved
+        assert kernel._dense is None
+        assert np.array_equal(psi, want)
 
 
 class TestParitySector:
