@@ -118,6 +118,8 @@ def circuit_to_dict(c: Circuit) -> dict:
 
 
 def circuit_from_dict(data: dict) -> Circuit:
+    if type(data["n"]) is not int:
+        raise ValueError(f"circuit key 'n' must be an integer, got {data['n']!r}")
     gates = tuple(
         Gate(d["g"], tuple(d["q"]), d.get("lambda")) for d in data["gates"]
     )

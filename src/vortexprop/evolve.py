@@ -9,13 +9,13 @@ circuit, which it equals to round-off.  On a sector of at most
 the kernel multiplies the step out into one dense matrix once per run and
 each step is one matvec, since its per-op numpy calls cost more than the
 arithmetic there; larger sectors, such as combined's 4096 states, keep the
-op loop.  The exact path is the validation
-oracle: where some site Pauli commutes with every term it propagates the
-dense eigenbases of the blocks that split H (`SiteBlocks`), and elsewhere it
-steps the sparse sector matrix with `expm_multiply`, both to machine
-precision.  Both paths propagate only the prod-Z parity sector of the
-initial basis state (see `PauliKernel`); final states are embedded back into
-the full space.
+op loop.  The exact path is the validation oracle: where some site Pauli
+commutes with every term it propagates the dense eigenbases of the blocks
+that split H (`SiteBlocks`, which diagonalises one block per orbit of the
+free-site Pauli strings and fills in the rest), and elsewhere it steps the
+sparse sector matrix with `expm_multiply`, both to machine precision.  Both
+paths propagate only the prod-Z parity sector of the initial basis state (see
+`PauliKernel`); final states are embedded back into the full space.
 """
 from __future__ import annotations
 
@@ -45,7 +45,9 @@ MAX_STEPS = 10_000_000
 # Largest block run_exact diagonalises.  On 13 sites, 2 cores and one BLAS
 # thread, the batched eigh of 16 blocks of 256 states takes 0.4 s, as long as
 # 30 expm_multiply samples of the sector; 8 blocks of 512 take 1.7 s and 4 of
-# 1024 take 6 s, longer than 240 samples (3 s).
+# 1024 take 6 s, longer than 240 samples (3 s).  These are the worst case, no
+# two blocks related; SiteBlocks diagonalises one block per orbit, which on
+# the built-in systems is a quarter or half of them.
 MAX_BLOCK_DIM = 256
 MAX_HELD_BYTES = 1 << 30  # sampled sector states a run may hold until it ends
 TRACK_TOP_K = 8  # labels tracked beyond the four fixed ones, by peak |amplitude|

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -241,6 +242,13 @@ def _point(coords, what: str) -> tuple[int, int]:
     return tuple(coords)
 
 
+def _number(data: dict, key: str) -> float:
+    value = data.get(key, 0.0)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"system key {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def system_from_dict(data: dict) -> SystemSpec:
     """Rebuild a SystemSpec from the JSON system format.
 
@@ -267,7 +275,7 @@ def system_from_dict(data: dict) -> SystemSpec:
             raise ValueError(f"hole {h} has winding {w!r}; a hole winds +1 (meron) "
                              f"or -1 (antimeron)")
     return _make_spec(SystemKind(data["kind"]), labels, positions, holes, winding,
-                      float(data.get("chi", 0.0)), float(data.get("delta", 0.0)))
+                      _number(data, "chi"), _number(data, "delta"))
 
 
 def dump_system(spec: SystemSpec) -> str:

@@ -304,6 +304,8 @@ def _merge_options(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     given = vars(args)
     if "config" in given:
         overrides = json.loads(Path(given["config"]).read_text())
+        if not isinstance(overrides, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(overrides) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

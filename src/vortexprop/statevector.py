@@ -14,7 +14,8 @@ to 9 sites) the step is one dense matvec, since there a few numpy calls per
 op cost more than the arithmetic; larger sectors, such as the 4096 states
 of the combined system, run the ops.  `SiteBlocks` splits the terms by the
 site Paulis that commute with all of them and propagates exactly in the
-blocks' eigenbases.
+blocks' eigenbases; it diagonalises one block per orbit of the Pauli strings
+on the free sites and maps that block's eigenbasis onto the others.
 """
 from __future__ import annotations
 
@@ -347,6 +348,60 @@ def conserved_axes(terms: Sequence[PauliTerm]) -> dict[int, PauliAxis]:
             if not rest and axis is not PauliAxis.Z}
 
 
+def _orbits(weights: np.ndarray, strings: Sequence[tuple[int, int]], parity: np.ndarray):
+    """Sort the blocks into orbits of H_b = eps Q H_r Q, Q a Pauli string on the free sites.
+
+    weights[k, b] is the weight of free string k in block b, strings[k] its
+    (x bits, z bits), and parity[j] = (-1)^popcount(j) over the free basis
+    states.  Q = Z^qz X^qx (up to a phase) gives Q P_k Q = -P_k exactly when
+    popcount(qx & z_k) + popcount(qz & x_k) is odd, so the relation holds when
+    w_k(b) = eps (-1)^[Q anticommutes with k] w_k(r) for every string k of
+    nonzero weight; the empty string commutes with every Q and so fixes eps.
+    Related blocks sum the same terms in the same order, so their |w| agree
+    exactly and only blocks of equal |w| are compared.  Returns the
+    representatives (the first block of each orbit) and, per block, the
+    position of its representative among them, eps, qx and qz; eps = +1 is
+    tried first, and the identity before any other Q.
+    """
+    n_strings, n_blocks = weights.shape
+    dim = len(parity)
+    qx, qz = np.arange(dim * dim) % dim, np.arange(dim * dim) // dim
+    # bit k % 64 of word k // 64 in column q: Q anticommutes with string k
+    shift = (np.arange(n_strings) % 64).astype(np.uint64)
+    anti = np.zeros(((n_strings + 63) // 64, dim * dim), dtype=np.uint64)
+    for k, (x, z) in enumerate(strings):
+        anti[k // 64] |= (parity[(qx & z) ^ (qz & x)] < 0).astype(np.uint64) << shift[k]
+    one_at = np.uint64(1) << shift
+
+    def pack(bits: np.ndarray) -> np.ndarray:  # the words of a bit per string
+        return np.add.reduceat(np.where(bits, one_at, 0), np.arange(0, n_strings, 64))[:, None]
+
+    def relation(b: int, r: int, care: np.ndarray):
+        flipped = pack(weights[:, b] != weights[:, r])  # 0 == -0, so only where w != 0
+        for sign, want in ((1.0, flipped), (-1.0, flipped ^ care)):
+            hit = np.flatnonzero(((anti & care) == want).all(axis=0))
+            if len(hit):
+                return sign, hit[0]
+        return None
+
+    reps: list[int] = []
+    slot, pauli = np.zeros(n_blocks, dtype=int), np.zeros(n_blocks, dtype=int)
+    eps = np.ones(n_blocks)
+    groups: dict[bytes, list] = {}  # |w| -> (r, care) per representative so far
+    for b in range(n_blocks):
+        members = groups.setdefault(np.abs(weights[:, b]).tobytes(), [])
+        for r, care in members:
+            found = relation(b, r, care)
+            if found is not None:
+                slot[b], (eps[b], pauli[b]) = slot[r], found
+                break
+        else:
+            slot[b] = len(reps)
+            reps.append(b)
+            members.append((b, pack(weights[:, b] != 0)))
+    return reps, slot, eps, qx[pauli], qz[pauli]
+
+
 class SiteBlocks:
     """Exact propagation of one basis state on the blocks of the conserved site Paulis.
 
@@ -356,8 +411,16 @@ class SiteBlocks:
     of the conserved sites (bit j for the j-th lowest, 0 for +1).  Every term
     commutes with prod Z, which maps s to its complement s^, so H_s^ = D H_s D
     with D the prod Z of the free sites.  Only the 2^(m-1) blocks with the
-    top conserved bit 0 are built, and diagonalised in one batched eigh; the
-    block s^ shares `energies[s]` and has eigenvectors D `vectors[s]`.
+    top conserved bit 0 are kept; the block s^ shares `energies[s]` and has
+    eigenvectors D `vectors[s]`.
+
+    Pauli strings on the free sites relate more of the kept blocks: where
+    H_s = eps Q H_r Q (see `_orbits`), block s has energies eps E_r and
+    eigenvectors Q V_r, Q acting as the signed permutation
+    (Q v)[j] = (-1)^popcount(qz & j) v[j ^ qx].  Only one block per orbit is
+    diagonalised, in one batched eigh (`diagonalised` counts them: 16 of
+    combined's 64, 2 of melon's 8); the others are filled in from it.  A row
+    of `energies` is therefore ascending, or descending where eps = -1.
 
     The rotated start state holds one free basis state f0 in every block, so
     its coefficients in s and in s^ are multiples of the same row
@@ -394,11 +457,24 @@ class SiteBlocks:
             kernel = PauliKernel(len(free), [PauliTerm(1.0, string) for string in strings])
             for string, (_, _, gather, phase) in zip(strings, kernel._rows):
                 actions[string] = (diag if gather is None else gather, phase)
-        blocks = np.zeros((len(half), len(diag), len(diag)), dtype=np.complex128)
+        parity = np.ones(len(diag))  # (-1)^popcount(f): D's diagonal
+        for bit in range(len(free)):
+            parity *= 1 - 2 * ((diag >> bit) & 1)
+
+        bits = [(sum(1 << f for f, a in string if a is not PauliAxis.Z),
+                 sum(1 << f for f, a in string if a is not PauliAxis.X)) for string in weights]
+        reps, slot, eps, qx, qz = _orbits(np.array(list(weights.values())), bits, parity)
+        self._diagonalised = len(reps)
+        blocks = np.zeros((len(reps), len(diag), len(diag)), dtype=np.complex128)
         for string, w in weights.items():
             cols, phase = actions[string]
-            blocks[:, diag, cols] += w[:, None] * phase
-        self.energies, self.vectors = np.linalg.eigh(blocks)
+            blocks[:, diag, cols] += w[reps, None] * phase
+        energies, vectors = np.linalg.eigh(blocks)
+        del blocks  # freed before the gather allocates every block's vectors
+        self.energies = eps[:, None] * energies[slot]
+        self.vectors = vectors[slot[:, None], diag ^ qx[:, None]]  # row j of V_r is row j ^ qx
+        del vectors
+        self.vectors *= parity[qz[:, None] & diag][..., None]
 
         # start: amplitude amp[s] on |s>|f0>; D = prod Z of the free sites
         s = np.arange(2 * len(half))
@@ -406,9 +482,6 @@ class SiteBlocks:
         for j, (site, rot) in enumerate(zip(sites, self._rotations)):
             amp *= rot[(s >> j) & 1, (start >> site) & 1]
         f0 = sum(((start >> site) & 1) << bit for bit, site in enumerate(free))
-        parity = np.ones(len(diag))
-        for bit in range(len(free)):
-            parity *= 1 - 2 * ((diag >> bit) & 1)
         low, high = amp[:len(half)], amp[len(half):][::-1]
         self._coeffs = low[:, None] * self.vectors[:, f0, :].conj()
         self._mirror = (high * parity[f0] / low)[:, None] * parity  # block s^ over block s
@@ -417,6 +490,11 @@ class SiteBlocks:
         for bit, site in enumerate(free + sites):
             where |= ((index >> site) & 1) << bit
         self._where = where
+
+    @property
+    def diagonalised(self) -> int:
+        """How many blocks the eigh diagonalised: one per orbit."""
+        return self._diagonalised
 
     def state(self, t: float) -> np.ndarray:
         """exp(-i t H) applied to the start state, over `index`."""

@@ -15,7 +15,7 @@ from scipy.linalg import expm
 
 from vortexprop.hamiltonian import Hamiltonian, PauliAxis, PauliTerm, matrix_of
 from vortexprop.lattice import SystemKind, SystemSpec, bond_couplings
-from vortexprop.statevector import StateVector, label_to_index
+from vortexprop.statevector import StateVector, conserved_axes, label_to_index
 
 
 def init_basis_state(label: str) -> StateVector:
@@ -37,6 +37,30 @@ def random_term(n: int, rng: np.random.Generator) -> PauliTerm:
     sites = sorted(rng.choice(n, size=k, replace=False).tolist())
     return PauliTerm(float(rng.uniform(-2, 2)),
                      tuple((s, tuple(PauliAxis)[rng.integers(3)]) for s in sites))
+
+
+def all_site_blocks(n: int, terms: Sequence[PauliTerm]) -> np.ndarray:
+    """Every one of the 2^(m-1) blocks H_s that `SiteBlocks` keeps, each built in full.
+
+    With each conserved site rotated to z, a term is its string on the free
+    sites (a dense `matrix_of`, the identity when empty) times the Z signs of
+    its conserved sites in s: bit j of s for the j-th lowest conserved site,
+    top bit 0.
+    """
+    axes = conserved_axes(terms)
+    sites = list(axes)
+    free = [k for k in range(n) if k not in axes]
+    dim = 1 << len(free)
+    blocks = np.zeros((1 << (len(sites) - 1), dim, dim), dtype=np.complex128)
+    for term in terms:
+        string = tuple((free.index(k), a) for k, a in term.factors if k not in axes)
+        mat = (matrix_of(Hamiltonian(len(free), (PauliTerm(1.0, string),))) if string
+               else np.eye(dim))
+        for s in range(len(blocks)):
+            sign = math.prod(1 - 2 * ((s >> j) & 1) for j, site in enumerate(sites)
+                             if site in term.support)
+            blocks[s] += term.coeff * sign * mat
+    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -222,3 +222,8 @@ class TestDumpFormat:
     def test_from_dict_refuses_malformed_gates(self, gate, message):
         with pytest.raises(ValueError, match=f"Gate\\(kind='{gate['g']}'.*{message}"):
             circuit_from_dict({"n": 2, "gates": [gate]})
+
+    @pytest.mark.parametrize("n", [True, 2.5, "2", None])
+    def test_from_dict_refuses_malformed_qubit_count(self, n):
+        with pytest.raises(ValueError, match=f"circuit key 'n' must be an integer, got {n!r}"):
+            circuit_from_dict({"n": n, "gates": [{"g": "H", "q": [0]}]})

@@ -201,6 +201,14 @@ class TestEquivalenceClasses:
 
 
 class TestSystemFileFormat:
+    @pytest.mark.parametrize("key, value", [
+        ("chi", True), ("chi", "0.5"), ("delta", "2"), ("delta", False), ("chi", None)])
+    def test_rejects_parameters_that_are_not_numbers(self, key, value):
+        d = system_to_dict(build_system("xxz", n=4) if key == "delta" else build_system("melon"))
+        d[key] = value
+        with pytest.raises(ValueError, match=f"system key '{key}' must be a number, got {value!r}"):
+            system_from_dict(d)
+
     def test_round_trip_bit_identical(self):
         for spec in [build_system(k) for k in ("melon", "antimelon", "combined")] + [
             build_system("melon", chi=0.3), build_system("xxz", n=8, delta=2.0),

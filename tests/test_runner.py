@@ -153,6 +153,10 @@ class TestSimulateCommand:
         ({"system": "xxz", "n": 4.0}, "config key 'n': invalid int value 4.0"),
         ({"system": "pyramid"}, "config key 'system': 'pyramid' is not one of"),
         ({"total": None}, "config key 'total': expected a string or a number, got None"),
+        (3, "error: config file must hold a JSON object"),
+        ("dt", "error: config file must hold a JSON object"),
+        (["dt"], "error: config file must hold a JSON object"),
+        (None, "error: config file must hold a JSON object"),
     ])
     def test_config_value_checked_as_its_flag_exit_1(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"

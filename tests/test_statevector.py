@@ -1,3 +1,4 @@
+import itertools
 import math
 from contextlib import contextmanager
 
@@ -31,7 +32,7 @@ from vortexprop.statevector import (
     max_amplitude_diff,
 )
 
-from oracles import dense_exponential, init_basis_state, random_term
+from oracles import all_site_blocks, dense_exponential, init_basis_state, random_term
 
 INV_SQRT2 = 1 / math.sqrt(2)
 # PauliKernel.step takes the dense path on stored sets up to the cap; cap 0
@@ -377,6 +378,16 @@ def _commutator_norm(term, site, axis):
     return np.max(np.abs(t @ o - o @ t))
 
 
+def _assert_eigenpairs(blocks, n, terms):
+    """Each block of the oracle has the energies and unitary vectors of `blocks`."""
+    want = all_site_blocks(n, terms)
+    assert blocks.vectors.shape == want.shape
+    eye = np.eye(want.shape[-1])
+    for h_b, e_b, v_b in zip(want, blocks.energies, blocks.vectors):
+        assert np.linalg.norm(h_b @ v_b - v_b * e_b) <= 1e-12
+        assert np.linalg.norm(v_b.conj().T @ v_b - eye) <= 1e-12
+
+
 def _levels(energies, tol=1e-9):
     e = np.sort(np.ravel(energies))
     return 1 + int(np.count_nonzero(np.diff(e) > tol))
@@ -429,6 +440,7 @@ class TestConservedSites:
         blocks = SiteBlocks(n, terms, kernel.index, start)
         want = expm(-1j * t * matrix_of(Hamiltonian(n, terms)))[:, start]
         assert np.max(np.abs(blocks.state(t) - want[kernel.index])) < 1e-12
+        _assert_eigenpairs(blocks, n, terms)
 
 
 class TestSiteBlocks:
@@ -450,6 +462,62 @@ class TestSiteBlocks:
         sector = matrix_of(h)[np.ix_(kernel.index, kernel.index)]
         want = np.linalg.eigvalsh(sector)
         assert np.max(np.abs(np.sort(blocks.energies.ravel()) - want)) < 1e-12
+
+    @pytest.mark.parametrize("kind, chi, diagonalised, kept", [
+        ("melon", 0.0, 2, 8), ("antimelon", 0.0, 2, 8), ("combined", 0.0, 16, 64),
+        ("melon", math.pi / 4, 4, 8), ("combined", math.pi / 4, 16, 32)],
+        ids=["melon", "antimelon", "combined", "melon-chi-pi/4", "combined-chi-pi/4"])
+    def test_one_block_per_orbit_is_diagonalised(self, kind, chi, diagonalised, kept):
+        h = build_hamiltonian(build_system(kind, chi=chi))
+        kernel = PauliKernel(h.n_sites, h.terms, 0)
+        blocks = SiteBlocks(h.n_sites, h.terms, kernel.index, 0)
+        _assert_eigenpairs(blocks, h.n_sites, h.terms)
+        assert (blocks.diagonalised, len(blocks.energies)) == (diagonalised, kept)
+
+    # sites 0 and 1 free, 2, 3 and 4 conserved (X); the kept blocks are
+    # (s2, s3) = ++, -+, +-, -- with s4 = +.  X0 weighs 0.5 (s2 + s3), zero
+    # in blocks 1 and 2, which only Q = Y0 relates (Z0 weighs 0.6 s2): Y0
+    # anticommutes with X0, so counting its zero weight would split them.
+    # Block 3 is Y0 block 0 Y0.
+    CANCELLING = [(0.5, "XIXII"), (0.5, "XIIXI"), (0.4, "YYIII"), (0.3, "IXIIX"),
+                  (0.2, "IZXXI"), (0.6, "ZIXIX"), (0.7, "IIXXI")]
+    # site 0 free, 1 and 2 conserved (X): block 1 = -Z0 block 0 Z0, and the
+    # conserved-only string X1X2 forbids eps = +1
+    NEGATED = [(1.0, "IXX"), (0.5, "ZXX"), (0.3, "XIX")]
+
+    @pytest.mark.parametrize("strings, diagonalised", [(CANCELLING, 2), (NEGATED, 1)],
+                             ids=["cancelling", "negated"])
+    def test_hand_made_orbits(self, strings, diagonalised):
+        from scipy.linalg import expm
+
+        terms = tuple(_string(c, axes) for c, axes in strings)
+        n = len(strings[0][1])
+        kernel = PauliKernel(n, terms, 0)
+        blocks = SiteBlocks(n, terms, kernel.index, 0)
+        _assert_eigenpairs(blocks, n, terms)
+        assert blocks.diagonalised == diagonalised
+        want = expm(-0.7j * matrix_of(Hamiltonian(n, terms)))[:, 0]
+        assert np.max(np.abs(blocks.state(0.7) - want[kernel.index])) < 1e-12
+
+    def test_strings_beyond_one_word(self):
+        # sites 0-3 free, 4 and 5 conserved (X); 70 distinct free strings, each
+        # with X4 when it flips an odd number of sites, so Z0Z1Z2Z3 would relate
+        # the two blocks, but the last string carries X5 in place of X4: only
+        # its bit, in the second 64-bit word, rules the relation out
+        free = [s for s in itertools.product("IXYZ", repeat=4) if set(s) != {"I"}][::3][:70]
+        assert sum(a in "XY" for a in free[-1]) % 2 == 1
+        terms = tuple(_string(0.05 * (k + 1), "".join(s) + (
+            "II" if sum(a in "XY" for a in s) % 2 == 0 else "IX" if k == 69 else "XI"))
+            for k, s in enumerate(free))
+        blocks = SiteBlocks(6, terms, PauliKernel(6, terms, 0).index, 0)
+        _assert_eigenpairs(blocks, 6, terms)
+        assert (blocks.diagonalised, len(blocks.energies)) == (2, 2)
+
+    def test_negated_block_has_negated_energies(self):
+        terms = tuple(_string(c, axes) for c, axes in self.NEGATED)
+        blocks = SiteBlocks(3, terms, PauliKernel(3, terms, 0).index, 0)
+        assert np.array_equal(blocks.energies[1], -blocks.energies[0])
+        assert blocks.energies[1][0] > blocks.energies[1][1]  # descending
 
     def test_refuses_terms_without_a_conserved_site_or_parity(self):
         h = build_hamiltonian(build_system("xxz", n=4))

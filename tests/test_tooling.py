@@ -50,3 +50,15 @@ def test_readme_lists_every_module_and_suite():
     assert sorted(documented) == sorted(modules)
     suites = re.search(r"# reproduction suites: (.*)", README).group(1)
     assert tuple(suites.split(" | ")) == SUITE_NAMES
+
+
+def test_src_calls_nothing_newer_than_the_numpy_floor():
+    # pyproject.toml declares numpy>=1.24; these module functions arrived in
+    # numpy 2.0 (np.bitwise_count among them: use int.bit_count or a table)
+    assert '"numpy>=1.24"' in (ROOT / "pyproject.toml").read_text()
+    newer = {"bitwise_count", "concat", "isdtype", "permute_dims", "matrix_transpose",
+             "vecdot", "vecmat", "matvec", "unique_all", "unique_counts", "unique_inverse",
+             "unique_values", "cumulative_sum", "cumulative_prod", "astype", "trapezoid"}
+    used = {name for path in (ROOT / "src" / "vortexprop").glob("*.py")
+            for name in re.findall(r"\bnp\.(\w+)", path.read_text())}
+    assert used & newer == set()
