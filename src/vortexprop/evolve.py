@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -49,7 +48,7 @@ MAX_STEPS = 10_000_000
 # two blocks related; SiteBlocks diagonalises one block per orbit, which on
 # the built-in systems is a quarter or half of them.
 MAX_BLOCK_DIM = 256
-MAX_HELD_BYTES = 1 << 30  # sampled sector states a run may hold until it ends
+MAX_HELD_BYTES = 1 << 30  # a run's sampled sector states and kernel working set, at their peak
 TRACK_TOP_K = 8  # labels tracked beyond the four fixed ones, by peak |amplitude|
 
 
@@ -106,9 +105,15 @@ class RunConfig:
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         samples = _whole_steps(self.total_over_T, self.dt_over_T) // self.sample_pitch + 1
-        held = samples * (8 << self.system.n_sites)  # complex128 on the 2^(n-1) sector
+        n = self.system.n_sites
+        # bytes per state of the 2^(n-1) sector: 16 per sample (complex128); the
+        # kernel's z-signs (8 per site); per bond a gather (4), a YY phase (8)
+        # and a fused op's alpha and beta (32); and ten states of scratch,
+        # start, full-space embed and peak search (160).  On XXZ chains of 14
+        # to 18 sites this is 0.7 to 1.9 times the peak RSS growth of a run.
+        held = (16 * samples + 8 * n + 44 * len(self.system.bonds) + 160) << (n - 1)
         if held > MAX_HELD_BYTES:
-            raise ValueError(f"{samples} samples would hold {held} bytes of states, "
+            raise ValueError(f"{samples} samples and the kernel would hold {held} bytes, "
                              f"over the {MAX_HELD_BYTES} byte guard")
 
     @property
@@ -166,42 +171,45 @@ def _kernel(config: RunConfig) -> tuple[Hamiltonian, PauliKernel]:
     return h, PauliKernel(h.n_sites, h.terms, start)
 
 
-def _run(
-    config: RunConfig,
-    h: Hamiltonian,
-    kernel: PauliKernel,
-    advance: Callable[[np.ndarray, int], np.ndarray],
-) -> RunResult:
+def _run(config: RunConfig, h: Hamiltonian, kernel: PauliKernel, state_at) -> RunResult:
     """Sample every pitch, then estimate the period from the fidelity series.
 
-    `advance(psi, k)` returns the kernel's sector amplitudes k steps of dt
-    later.  Every sampled state is held until the tracked labels are resolved
-    from the peak amplitude norms; the unsampled remainder is advanced to the
-    total time.
+    `state_at(step)` returns the kernel's sector amplitudes `step` steps of dt
+    in, for steps that never decrease; step 0 is the start basis state
+    itself.  Every sampled state is held until the tracked labels are
+    resolved from the peak amplitude norms.  The final state is the last
+    sample, or `state_at(n_steps)` when the total is not a whole number of
+    pitches.
     """
     spec = config.system
-    pitch, n_steps = config.sample_pitch, config.n_steps
-    psi = kernel.basis(kernel.start)
-    states = [(0, psi.copy())]
-    step = 0
-    while step + pitch <= n_steps:
-        psi = advance(psi, pitch)
-        step += pitch
-        states.append((step, psi.copy()))
-    if step < n_steps:
-        psi = advance(psi, n_steps - step)
-    n = spec.n_sites
+    n_steps, n = config.n_steps, spec.n_sites
+    steps = range(0, n_steps + 1, config.sample_pitch)
+    states = [(0, kernel.basis(kernel.start))] + [(k, state_at(k).copy()) for k in steps[1:]]
+    final = states[-1][1] if steps[-1] == n_steps else state_at(n_steps)
     peak = np.zeros(len(kernel.index))
     for _, st in states:
         np.maximum(peak, np.abs(st), out=peak)
     full_peak = np.zeros(1 << n)
     full_peak[kernel.index] = peak
     tracked = _resolve_tracked(config.resolve_initial_label(), full_peak, n)
-    samples = [record_sample(st, kernel, tracked, k, config.dt_over_T) for k, st in states]
+    positions = {label: kernel.position(label_to_index(label)) for label in tracked}
+    samples = [record_sample(st, kernel, positions, k, config.dt_over_T) for k, st in states]
     period = estimate_period(
         [(s.time_over_T, s.fidelity0) for s in samples], config.threshold, config.total_over_T
     )
-    return RunResult(config, samples, period, kernel.embed(psi), spec.labels, tracked, h)
+    return RunResult(config, samples, period, kernel.embed(final), spec.labels, tracked, h)
+
+
+def _stepwise(kernel: PauliKernel, forward):
+    """state_at for a propagator that carries one state on: forward(psi, k) is k steps later."""
+    psi, last = kernel.basis(kernel.start), 0
+
+    def state_at(step: int) -> np.ndarray:
+        nonlocal psi, last
+        psi, last = forward(psi, step - last), step
+        return psi
+
+    return state_at
 
 
 def run_trotter(config: RunConfig) -> RunResult:
@@ -209,12 +217,12 @@ def run_trotter(config: RunConfig) -> RunResult:
     h, kernel = _kernel(config)
     phi = 2.0 * config.dt_over_T
 
-    def advance(psi: np.ndarray, k: int) -> np.ndarray:
+    def forward(psi: np.ndarray, k: int) -> np.ndarray:
         for _ in range(k):
             kernel.step(psi, phi)
         return psi
 
-    return _run(config, h, kernel, advance)
+    return _run(config, h, kernel, _stepwise(kernel, forward))
 
 
 def run_exact(config: RunConfig) -> RunResult:
@@ -228,30 +236,18 @@ def run_exact(config: RunConfig) -> RunResult:
     if config.system.n_sites > 14:  # a 14-site sector is as large as the 13-site space
         raise ValueError("exact propagation capped at 14 sites")
     h, kernel = _kernel(config)
-    pitch, dt = config.sample_pitch, config.dt_over_T
+    dt = config.dt_over_T
     conserved = len(conserved_axes(h.terms))
     # shift 1: the kernel keeps one parity sector, so every term commutes with prod Z
     if conserved and kernel.shift and 1 << (h.n_sites - conserved) <= MAX_BLOCK_DIM:
-        blocks = SiteBlocks(h.n_sites, h.terms, kernel.index, kernel.start)
-        elapsed = 0  # steps since the start; each call continues from the last
-
-        def advance(psi: np.ndarray, k: int) -> np.ndarray:
-            nonlocal elapsed
-            elapsed += k
-            return blocks.state(2.0 * elapsed * dt)
-
-        return _run(config, h, kernel, advance)
+        blocks = SiteBlocks(kernel, h.terms)
+        return _run(config, h, kernel, lambda step: blocks.state(2.0 * step * dt))
 
     from scipy.sparse.linalg import expm_multiply
 
     hs = kernel.sparse_matrix()  # on the sector only; real for these Hamiltonians
-    sampled = -2j * (pitch * dt) * hs
-
-    def advance(psi: np.ndarray, k: int) -> np.ndarray:
-        generator = sampled if k == pitch else -2j * k * dt * hs
-        return expm_multiply(generator, psi)
-
-    return _run(config, h, kernel, advance)
+    return _run(config, h, kernel,
+                _stepwise(kernel, lambda psi, k: expm_multiply(-2j * (k * dt) * hs, psi)))
 
 
 def fidelity_scan(config: RunConfig, t_max_over_T: float) -> list[tuple[float, float]]:

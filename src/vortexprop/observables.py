@@ -10,18 +10,13 @@ on every state a run reaches from a basis state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .hamiltonian import CONSTANTS
 # expect_pauli and fidelity stay bound here for perfbench/spans.py
-from .statevector import (  # noqa: F401
-    PauliKernel,
-    expect_pauli,
-    fidelity,
-    label_to_index,
-)
+from .statevector import PauliKernel, expect_pauli, fidelity  # noqa: F401
 
 
 @dataclass
@@ -57,25 +52,21 @@ def site_moments_z(amps: np.ndarray, kernel: PauliKernel) -> np.ndarray:
 def record_sample(
     amps: np.ndarray,
     kernel: PauliKernel,
-    tracked: Sequence[str],
+    positions: Mapping[str, int | None],
     step: int,
     dt_over_T: float,
 ) -> SampleRecord:
     """Measure every tracked quantity on the current state.
 
     `amps` lie over the basis states of `kernel`, the run's precompiled
-    Hamiltonian, which gives the energy.  fidelity0 is the weight on the
-    kernel's start state.
+    Hamiltonian, which gives the energy.  `positions` maps each tracked
+    label to where the kernel stores it, None outside the sector, where its
+    norm reads 0.  fidelity0 is the weight on the kernel's start state.
     """
     mz = site_moments_z(amps, kernel)
     energy = kernel.expectation(amps)
     mag = float(mz.sum())
-
-    def norm(label: str) -> float:
-        pos = kernel.position(label_to_index(label))
-        return 0.0 if pos is None else float(abs(amps[pos]))
-
-    norms = {lbl: norm(lbl) for lbl in tracked}
+    norms = {lbl: 0.0 if pos is None else float(abs(amps[pos])) for lbl, pos in positions.items()}
     fid0 = float(abs(amps[kernel.position(kernel.start)]) ** 2)
     return SampleRecord(
         step=step,

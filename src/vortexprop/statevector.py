@@ -71,17 +71,8 @@ def _apply_1q(amps: np.ndarray, q: int, u00, u01, u10, u11) -> None:
 
 
 def _apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
-    hi, lo = max(control, target), min(control, target)
-    # axis 1 is bit hi, axis 3 is bit lo
-    v = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    if control == hi:
-        tmp = v[:, 1, :, 0, :].copy()
-        v[:, 1, :, 0, :] = v[:, 1, :, 1, :]
-        v[:, 1, :, 1, :] = tmp
-    else:
-        tmp = v[:, 0, :, 1, :].copy()
-        v[:, 0, :, 1, :] = v[:, 1, :, 1, :]
-        v[:, 1, :, 1, :] = tmp
+    i = np.arange(len(amps))
+    amps[:] = amps[i ^ (((i >> control) & 1) << target)]
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -405,6 +396,12 @@ def _orbits(weights: np.ndarray, strings: Sequence[tuple[int, int]], parity: np.
 class SiteBlocks:
     """Exact propagation of one basis state on the blocks of the conserved site Paulis.
 
+    A view of a run's kernel: the qubit count, the stored basis states
+    `index` and the start state all come from the `PauliKernel` built for
+    `terms`, which must store one prod-Z parity sector.  Each term is keyed
+    by its string's (x bits, z bits) on the free sites, and acts in a block
+    as <f|P|f ^ x> = (-i)^popcount(x & z) (-1)^popcount(f & z).
+
     Rotating each conserved site to z (H for X, (Y + Z)/sqrt2 for Y) turns a
     term into its string on the free sites times the Z signs of its conserved
     sites.  In that basis H = sum_s |s><s| (x) H_s over the 2^m bit patterns s
@@ -430,45 +427,39 @@ class SiteBlocks:
     and a gather to the amplitudes over `index`, like the kernel's.
     """
 
-    def __init__(self, n_qubits: int, terms: Sequence[PauliTerm], index: np.ndarray, start: int):
+    def __init__(self, kernel: PauliKernel, terms: Sequence[PauliTerm]):
         axes = conserved_axes(terms)
         if not axes:
             raise ValueError("no site Pauli commutes with every term")
-        if any(sum(a is not PauliAxis.Z for _, a in t.factors) & 1 for t in terms):
-            raise ValueError("a term flips an odd number of sites, so prod Z is not conserved")
+        if not kernel.shift:
+            raise ValueError("the kernel stores the full space: it has no start, or a term "
+                             "flips an odd number of sites, so prod Z is not conserved")
         sites = list(axes)
         self._rotations = [_TO_Z[axis] for axis in axes.values()]  # each its own inverse
-        free = [k for k in range(n_qubits) if k not in axes]
+        free = [k for k in range(kernel.n_qubits) if k not in axes]
         self._n_free = len(free)
+        bit_of = {k: 1 << f for f, k in enumerate(free)}  # conserved sites add no bit
         half = np.arange(1 << (len(axes) - 1))  # block s; its complement is 2^m - 1 - s
-        weights: dict[tuple, np.ndarray] = {}  # free string -> its weight in each block
+        weights: dict[tuple, np.ndarray] = {}  # (x bits, z bits) on the free sites -> weights
         for term in terms:
             w = np.full(len(half), term.coeff)
             for j, site in enumerate(sites):
                 if site in term.support:
                     w = w * (1 - 2 * ((half >> j) & 1))
-            string = tuple((free.index(k), a) for k, a in term.factors if k not in axes)
-            weights[string] = weights.get(string, 0.0) + w
-        # <f|P|cols[f]> = phase[f], from the kernel's rows; the empty string is 1
+            key = (sum(bit_of.get(k, 0) for k, a in term.factors if a is not PauliAxis.Z),
+                   sum(bit_of.get(k, 0) for k, a in term.factors if a is not PauliAxis.X))
+            weights[key] = weights.get(key, 0.0) + w
         diag = np.arange(1 << len(free))
-        actions = {(): (diag, 1.0)}
-        strings = [string for string in weights if string]
-        if strings:
-            kernel = PauliKernel(len(free), [PauliTerm(1.0, string) for string in strings])
-            for string, (_, _, gather, phase) in zip(strings, kernel._rows):
-                actions[string] = (diag if gather is None else gather, phase)
         parity = np.ones(len(diag))  # (-1)^popcount(f): D's diagonal
         for bit in range(len(free)):
             parity *= 1 - 2 * ((diag >> bit) & 1)
 
-        bits = [(sum(1 << f for f, a in string if a is not PauliAxis.Z),
-                 sum(1 << f for f, a in string if a is not PauliAxis.X)) for string in weights]
-        reps, slot, eps, qx, qz = _orbits(np.array(list(weights.values())), bits, parity)
+        reps, slot, eps, qx, qz = _orbits(np.array(list(weights.values())), list(weights), parity)
         self._diagonalised = len(reps)
         blocks = np.zeros((len(reps), len(diag), len(diag)), dtype=np.complex128)
-        for string, w in weights.items():
-            cols, phase = actions[string]
-            blocks[:, diag, cols] += w[reps, None] * phase
+        for (x, z), w in weights.items():
+            phase = (1, -1j, -1, 1j)[(x & z).bit_count() % 4] * parity[diag & z]
+            blocks[:, diag, diag ^ x] += w[reps, None] * phase
         energies, vectors = np.linalg.eigh(blocks)
         del blocks  # freed before the gather allocates every block's vectors
         self.energies = eps[:, None] * energies[slot]
@@ -480,15 +471,15 @@ class SiteBlocks:
         s = np.arange(2 * len(half))
         amp = np.ones(len(s), dtype=np.complex128)
         for j, (site, rot) in enumerate(zip(sites, self._rotations)):
-            amp *= rot[(s >> j) & 1, (start >> site) & 1]
-        f0 = sum(((start >> site) & 1) << bit for bit, site in enumerate(free))
+            amp *= rot[(s >> j) & 1, (kernel.start >> site) & 1]
+        f0 = sum(((kernel.start >> site) & 1) << bit for bit, site in enumerate(free))
         low, high = amp[:len(half)], amp[len(half):][::-1]
         self._coeffs = low[:, None] * self.vectors[:, f0, :].conj()
         self._mirror = (high * parity[f0] / low)[:, None] * parity  # block s^ over block s
         # flat position (block s, free state f) of each stored basis state
-        where = np.zeros_like(index)
+        where = np.zeros_like(kernel.index)
         for bit, site in enumerate(free + sites):
-            where |= ((index >> site) & 1) << bit
+            where |= ((kernel.index >> site) & 1) << bit
         self._where = where
 
     @property

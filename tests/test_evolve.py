@@ -70,6 +70,12 @@ class TestRunConfig:
         RunConfig(system=spec, dt_over_T=1 / 10, total_over_T=100000.0, sample_pitch=1000)
         RunConfig(system=spec, dt_over_T=1 / 10, total_over_T=400.0, sample_pitch=1)
 
+    def test_held_state_guard_counts_the_kernel(self):
+        # 3 samples of the 2^23-state XXZ sector hold 384 MiB, but the kernel's
+        # z-signs, gathers, phases and fused ops add about 1.2 KB per state
+        with pytest.raises(ValueError, match=f"over the {MAX_HELD_BYTES} byte guard"):
+            RunConfig(system=build_system("xxz", n=24), dt_over_T=1 / 10, total_over_T=0.2)
+
     def test_rejects_wrong_initial_length(self):
         spec = build_system("melon")
         config = RunConfig(system=spec, dt_over_T=0.5, total_over_T=1.0,
@@ -169,6 +175,23 @@ class TestRunTrotter:
         assert scan[-1][1] == pytest.approx(fidelity(psi0, replay), abs=1e-12)
 
 
+    def test_total_past_the_last_pitch_matches_circuit_replay(self):
+        # 50 steps at pitch 7: samples at 0, 7, ..., 49, then one more step
+        spec = build_system("xxz", n=8, delta=2.0)
+        config = RunConfig(system=spec, dt_over_T=1 / 10, total_over_T=5.0, sample_pitch=7)
+        circuit = compile_trotter_step(build_hamiltonian(spec), 1 / 10)
+        psi0 = init_basis_state(config.resolve_initial_label())
+        replay, fids = psi0.copy(), [1.0]
+        for _ in range(config.n_steps):
+            apply_circuit(replay, circuit)
+            fids.append(fidelity(psi0, replay))
+        result = run_trotter(config)
+        assert [s.step for s in result.samples] == list(range(0, 50, 7))
+        for sample in result.samples:
+            assert sample.fidelity0 == pytest.approx(fids[sample.step], abs=1e-12)
+        assert np.max(np.abs(result.final_state.amps - replay.amps)) < 1e-12
+
+
 class TestRunExact:
     def test_first_sample_matches_trotter(self):
         spec = build_system("melon")
@@ -211,8 +234,8 @@ class TestRunExact:
 
 
 def _exact_reference(config):
-    """Sector states at every sample: dense eigh of matrix_of on 8 sites,
-    test-side sector expm_multiply above."""
+    """Sector states at every sample and at the total time: dense eigh of
+    matrix_of on 8 sites, test-side sector expm_multiply above."""
     from scipy.sparse.linalg import expm_multiply
 
     h = build_hamiltonian(config.system)
@@ -220,17 +243,23 @@ def _exact_reference(config):
     index = np.array([i for i in range(1 << h.n_sites) if bin(i ^ start).count("1") % 2 == 0])
     psi = np.zeros(len(index), dtype=complex)
     psi[np.searchsorted(index, start)] = 1.0
-    taus = [k * config.dt_over_T for k in range(0, config.n_steps + 1, config.sample_pitch)]
+    dt, pitch, n_steps = config.dt_over_T, config.sample_pitch, config.n_steps
+    taus = [k * dt for k in range(0, n_steps + 1, pitch)]
     if h.n_sites <= 8:
         energies, vectors = np.linalg.eigh(matrix_of(h)[np.ix_(index, index)])
         coeffs = vectors.conj().T @ psi
-        return index, [vectors @ (np.exp(-2j * tau * energies) * coeffs) for tau in taus]
-    generator = -2j * config.sample_pitch * config.dt_over_T * (
-        sparse_matrix_of(h)[index][:, index])
+
+        def at(tau):
+            return vectors @ (np.exp(-2j * tau * energies) * coeffs)
+
+        return index, [at(tau) for tau in taus], at(n_steps * dt)
+    sector = sparse_matrix_of(h)[index][:, index]
     states = [psi]
     for _ in taus[1:]:
-        states.append(expm_multiply(generator, states[-1]))
-    return index, states
+        states.append(expm_multiply(-2j * pitch * dt * sector, states[-1]))
+    rest = n_steps % pitch
+    final = expm_multiply(-2j * rest * dt * sector, states[-1]) if rest else states[-1]
+    return index, states, final
 
 
 class TestBlockPropagation:
@@ -242,13 +271,16 @@ class TestBlockPropagation:
         ("combined", 0.0, "1100101011000", 1 / 10, 2.0, 1),
         ("melon", math.pi / 4, None, 1 / 10, 6.0, 2),
         ("melon", 0.3, None, 1 / 10, 6.0, 2),  # no conserved site: sector expm_multiply
+        # 31 steps: 7 whole pitches, then 3 more steps to the final state
+        ("melon", 0.0, None, 1 / 10, 3.1, 4),
+        ("melon", 0.3, None, 1 / 10, 3.1, 4),
     ])
     def test_run_exact_matches_an_independent_propagator(self, kind, chi, label, dt, total,
                                                          pitch):
         config = RunConfig(system=build_system(kind, chi=chi), dt_over_T=dt,
                            total_over_T=total, sample_pitch=pitch, initial_label=label)
         result = run_exact(config)
-        index, states = _exact_reference(config)
+        index, states, final = _exact_reference(config)
         start = int(config.resolve_initial_label(), 2)
         assert len(result.samples) == len(states)
         for sample, psi in zip(result.samples, states):
@@ -257,6 +289,8 @@ class TestBlockPropagation:
             assert abs(sample.fidelity0 - abs(full[start]) ** 2) < 1e-12
             assert max(abs(v - abs(full[int(lbl, 2)])) for lbl, v in sample.amp_norms.items()) \
                 < 1e-12
+        full = np.zeros(1 << config.system.n_sites, dtype=complex)
+        full[index] = final
         assert np.max(np.abs(result.final_state.amps - full)) < 1e-12
 
     def test_conserved_sites_skip_expm_multiply(self, monkeypatch):

@@ -437,7 +437,7 @@ class TestConservedSites:
             return
         start = bits % (1 << n)
         kernel = PauliKernel(n, terms, start)
-        blocks = SiteBlocks(n, terms, kernel.index, start)
+        blocks = SiteBlocks(kernel, terms)
         want = expm(-1j * t * matrix_of(Hamiltonian(n, terms)))[:, start]
         assert np.max(np.abs(blocks.state(t) - want[kernel.index])) < 1e-12
         _assert_eigenpairs(blocks, n, terms)
@@ -449,7 +449,7 @@ class TestSiteBlocks:
     def test_block_spectra(self, kind, shape, levels):
         h = build_hamiltonian(build_system(kind))
         kernel = PauliKernel(h.n_sites, h.terms, 0)
-        blocks = SiteBlocks(h.n_sites, h.terms, kernel.index, 0)
+        blocks = SiteBlocks(kernel, h.terms)
         assert blocks.energies.shape == shape
         assert _levels(blocks.energies) == levels
 
@@ -458,7 +458,7 @@ class TestSiteBlocks:
     def test_block_spectrum_is_the_sector_spectrum(self, kind, parity):
         h = build_hamiltonian(build_system(kind))
         kernel = PauliKernel(h.n_sites, h.terms, parity)
-        blocks = SiteBlocks(h.n_sites, h.terms, kernel.index, parity)
+        blocks = SiteBlocks(kernel, h.terms)
         sector = matrix_of(h)[np.ix_(kernel.index, kernel.index)]
         want = np.linalg.eigvalsh(sector)
         assert np.max(np.abs(np.sort(blocks.energies.ravel()) - want)) < 1e-12
@@ -470,7 +470,7 @@ class TestSiteBlocks:
     def test_one_block_per_orbit_is_diagonalised(self, kind, chi, diagonalised, kept):
         h = build_hamiltonian(build_system(kind, chi=chi))
         kernel = PauliKernel(h.n_sites, h.terms, 0)
-        blocks = SiteBlocks(h.n_sites, h.terms, kernel.index, 0)
+        blocks = SiteBlocks(kernel, h.terms)
         _assert_eigenpairs(blocks, h.n_sites, h.terms)
         assert (blocks.diagonalised, len(blocks.energies)) == (diagonalised, kept)
 
@@ -493,7 +493,7 @@ class TestSiteBlocks:
         terms = tuple(_string(c, axes) for c, axes in strings)
         n = len(strings[0][1])
         kernel = PauliKernel(n, terms, 0)
-        blocks = SiteBlocks(n, terms, kernel.index, 0)
+        blocks = SiteBlocks(kernel, terms)
         _assert_eigenpairs(blocks, n, terms)
         assert blocks.diagonalised == diagonalised
         want = expm(-0.7j * matrix_of(Hamiltonian(n, terms)))[:, 0]
@@ -509,23 +509,29 @@ class TestSiteBlocks:
         terms = tuple(_string(0.05 * (k + 1), "".join(s) + (
             "II" if sum(a in "XY" for a in s) % 2 == 0 else "IX" if k == 69 else "XI"))
             for k, s in enumerate(free))
-        blocks = SiteBlocks(6, terms, PauliKernel(6, terms, 0).index, 0)
+        blocks = SiteBlocks(PauliKernel(6, terms, 0), terms)
         _assert_eigenpairs(blocks, 6, terms)
         assert (blocks.diagonalised, len(blocks.energies)) == (2, 2)
 
     def test_negated_block_has_negated_energies(self):
         terms = tuple(_string(c, axes) for c, axes in self.NEGATED)
-        blocks = SiteBlocks(3, terms, PauliKernel(3, terms, 0).index, 0)
+        blocks = SiteBlocks(PauliKernel(3, terms, 0), terms)
         assert np.array_equal(blocks.energies[1], -blocks.energies[0])
         assert blocks.energies[1][0] > blocks.energies[1][1]  # descending
 
     def test_refuses_terms_without_a_conserved_site_or_parity(self):
         h = build_hamiltonian(build_system("xxz", n=4))
         with pytest.raises(ValueError, match="no site Pauli"):
-            SiteBlocks(4, h.terms, np.arange(16), 0)
+            SiteBlocks(PauliKernel(4, h.terms, 0), h.terms)
         odd = (_string(1.0, "XX"), _string(0.5, "XI"))
         with pytest.raises(ValueError, match="odd number of sites"):
-            SiteBlocks(2, odd, np.arange(4), 0)
+            SiteBlocks(PauliKernel(2, odd, 0), odd)
+
+    def test_refuses_a_full_space_kernel(self):
+        # a kernel built without a start stores all 2^n states, not one parity sector
+        h = build_hamiltonian(build_system("melon"))
+        with pytest.raises(ValueError, match="stores the full space"):
+            SiteBlocks(PauliKernel(h.n_sites, h.terms), h.terms)
 
 
 class TestExpectation:
