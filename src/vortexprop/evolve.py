@@ -2,20 +2,29 @@
 
 One period T corresponds to dimensionless phase J*T/hbar = 2 per unit
 coefficient, so evolving by tau (in units of T) applies exp(-2i tau H) with H
-in units of J.  The Trotter path applies the terms' exponentials through the
-fused Pauli-term kernel, in the frozen term order of the compiled step
-circuit, which it equals to round-off.  On a sector of at most
-`MAX_DENSE_STEP` = 256 states (the 8-site systems, XXZ chains up to 9 sites)
-the kernel multiplies the step out into one dense matrix once per run and
-each step is one matvec, since its per-op numpy calls cost more than the
-arithmetic there; larger sectors, such as combined's 4096 states, keep the
-op loop.  The exact path is the validation oracle: where some site Pauli
-commutes with every term it propagates the dense eigenbases of the blocks
-that split H (`SiteBlocks`, which diagonalises one block per orbit of the
-free-site Pauli strings and fills in the rest), and elsewhere it steps the
-sparse sector matrix with `expm_multiply`, both to machine precision.  Both
-paths propagate only the prod-Z parity sector of the initial basis state (see
-`PauliKernel`); final states are embedded back into the full space.
+in units of J.  The Trotter path applies the terms' exponentials as fused
+ops, in the frozen term order of the compiled step circuit, which it equals
+to round-off.  One rule (`_propagator`) picks where they run:
+
+- on a sector of at most `MAX_DENSE_STEP` = 256 states (the 8-site systems,
+  XXZ chains up to 9 sites) the kernel multiplies the step out into one
+  dense matrix once per run and each step is one matvec, since its per-op
+  numpy calls cost more than the arithmetic there;
+- on larger sectors where some site Pauli commutes with every term (the
+  combined system's 4096 states), on the blocks of `SiteBlocks`, rotated back
+  to z only for a sample; a scan reads the fidelity off the blocks;
+- elsewhere (XXZ chains of 10 or more sites, a generic chi) the kernel's op
+  loop in the z basis.
+
+The exact path is the validation oracle: where some site Pauli commutes
+with every term it propagates the dense eigenbases of the blocks that split
+H (`SiteBlocks`, which diagonalises one block per orbit of the free-site
+Pauli strings and fills in the rest), and elsewhere it steps the sparse
+sector matrix with `expm_multiply`, both to machine precision.  Both paths
+propagate only the prod-Z parity sector of the initial basis state (see
+`PauliKernel`); final states are embedded back into the full space.  A run
+records which propagator it used (`RunResult.propagator`, written to the
+manifest).
 """
 from __future__ import annotations
 
@@ -46,7 +55,9 @@ MAX_STEPS = 10_000_000
 # 30 expm_multiply samples of the sector; 8 blocks of 512 take 1.7 s and 4 of
 # 1024 take 6 s, longer than 240 samples (3 s).  These are the worst case, no
 # two blocks related; SiteBlocks diagonalises one block per orbit, which on
-# the built-in systems is a quarter or half of them.
+# the built-in systems is a quarter or half of them.  The same cap bounds the
+# 2^(m-1) rows and columns of the two back-rotation matrices of m conserved
+# sites, on the Trotter and the exact path alike.
 MAX_BLOCK_DIM = 256
 MAX_HELD_BYTES = 1 << 30  # a run's sampled sector states and kernel working set, at their peak
 TRACK_TOP_K = 8  # labels tracked beyond the four fixed ones, by peak |amplitude|
@@ -111,6 +122,11 @@ class RunConfig:
         # and a fused op's alpha and beta (32); and ten states of scratch,
         # start, full-space embed and peak search (160).  On XXZ chains of 14
         # to 18 sites this is 0.7 to 1.9 times the peak RSS growth of a run.
+        # The block step (SiteBlocks) holds its alpha and beta in place of the
+        # kernel's, within the same 32 per bond, since a bond's terms flip the
+        # same free sites and so share an op.  Its rows hold a column over the
+        # free states and a row over the blocks per term, and its two
+        # back-rotation matrices at most 2 * 16 * MAX_BLOCK_DIM^2 bytes (2 MiB).
         held = (16 * samples + 8 * n + 44 * len(self.system.bonds) + 160) << (n - 1)
         if held > MAX_HELD_BYTES:
             raise ValueError(f"{samples} samples and the kernel would hold {held} bytes, "
@@ -137,6 +153,7 @@ class RunResult:
     final_state: StateVector
     site_labels: tuple[str, ...]
     tracked: tuple[str, ...]
+    propagator: dict  # kind, stored states, ops per step, conserved sites
     hamiltonian: Hamiltonian = field(repr=False)
 
 
@@ -171,7 +188,37 @@ def _kernel(config: RunConfig) -> tuple[Hamiltonian, PauliKernel]:
     return h, PauliKernel(h.n_sites, h.terms, start)
 
 
-def _run(config: RunConfig, h: Hamiltonian, kernel: PauliKernel, state_at) -> RunResult:
+def _propagator(kernel: PauliKernel, h: Hamiltonian) -> PauliKernel | SiteBlocks:
+    """The Trotter propagator of a run, by one rule.
+
+    A dense kernel steps by one matvec.  Otherwise, where some site Pauli
+    commutes with every term and the kernel keeps one parity sector, the
+    steps run on the blocks of `SiteBlocks`, whose two back-rotation
+    matrices have 2^(m-1) rows and columns for m conserved sites, at most
+    MAX_BLOCK_DIM.  Everything else runs the kernel's op loop.
+    """
+    if kernel.dense or not kernel.shift:
+        return kernel
+    conserved = len(conserved_axes(h.terms))
+    if not conserved or 1 << (conserved - 1) > MAX_BLOCK_DIM:
+        return kernel
+    return SiteBlocks(kernel, h.terms)
+
+
+def _describe(kind: str, config: RunConfig, h: Hamiltonian, kernel: PauliKernel,
+              ops_per_step: int | None = None) -> dict:
+    """The manifest's record of the propagator a run used; deterministic."""
+    labels = config.system.labels
+    return {
+        "kind": kind,
+        "stored_states": len(kernel.index),
+        "ops_per_step": ops_per_step,
+        "conserved_sites": {labels[k]: axis.value for k, axis in conserved_axes(h.terms).items()},
+    }
+
+
+def _run(config: RunConfig, h: Hamiltonian, kernel: PauliKernel, state_at,
+         propagator: dict) -> RunResult:
     """Sample every pitch, then estimate the period from the fidelity series.
 
     `state_at(step)` returns the kernel's sector amplitudes `step` steps of dt
@@ -179,7 +226,7 @@ def _run(config: RunConfig, h: Hamiltonian, kernel: PauliKernel, state_at) -> Ru
     itself.  Every sampled state is held until the tracked labels are
     resolved from the peak amplitude norms.  The final state is the last
     sample, or `state_at(n_steps)` when the total is not a whole number of
-    pitches.
+    pitches.  `propagator` describes what `state_at` runs.
     """
     spec = config.system
     n_steps, n = config.n_steps, spec.n_sites
@@ -197,17 +244,22 @@ def _run(config: RunConfig, h: Hamiltonian, kernel: PauliKernel, state_at) -> Ru
     period = estimate_period(
         [(s.time_over_T, s.fidelity0) for s in samples], config.threshold, config.total_over_T
     )
-    return RunResult(config, samples, period, kernel.embed(final), spec.labels, tracked, h)
+    return RunResult(config, samples, period, kernel.embed(final), spec.labels, tracked,
+                     propagator, h)
 
 
-def _stepwise(kernel: PauliKernel, forward):
-    """state_at for a propagator that carries one state on: forward(psi, k) is k steps later."""
-    psi, last = kernel.basis(kernel.start), 0
+def _stepwise(psi: np.ndarray, forward, read=lambda psi: psi):
+    """state_at for a propagator that carries one state on from psi.
+
+    forward(psi, k) is the state k steps later; read(psi) its amplitudes over
+    the kernel's `index`.
+    """
+    last = 0
 
     def state_at(step: int) -> np.ndarray:
         nonlocal psi, last
         psi, last = forward(psi, step - last), step
-        return psi
+        return read(psi)
 
     return state_at
 
@@ -215,14 +267,17 @@ def _stepwise(kernel: PauliKernel, forward):
 def run_trotter(config: RunConfig) -> RunResult:
     """Propagate with repeated first-order Trotter steps, sampling every pitch."""
     h, kernel = _kernel(config)
+    prop = _propagator(kernel, h)
     phi = 2.0 * config.dt_over_T
 
     def forward(psi: np.ndarray, k: int) -> np.ndarray:
         for _ in range(k):
-            kernel.step(psi, phi)
+            prop.step(psi, phi)
         return psi
 
-    return _run(config, h, kernel, _stepwise(kernel, forward))
+    kind = "blocks" if prop is not kernel else "dense" if kernel.dense else "ops"
+    return _run(config, h, kernel, _stepwise(prop.initial(), forward, prop.sector),
+                _describe(kind, config, h, kernel, prop.ops_per_step))
 
 
 def run_exact(config: RunConfig) -> RunResult:
@@ -230,8 +285,9 @@ def run_exact(config: RunConfig) -> RunResult:
 
     Where some site Pauli commutes with every term, each sample is rebuilt
     from the start state's coefficients in the eigenbasis of the blocks of
-    `SiteBlocks`.  Otherwise, or when a block would exceed MAX_BLOCK_DIM
-    states, `expm_multiply` steps the sparse sector matrix.
+    `SiteBlocks`.  Otherwise, or when a block or the back-rotation matrices
+    would exceed MAX_BLOCK_DIM states, `expm_multiply` steps the sparse
+    sector matrix.
     """
     if config.system.n_sites > 14:  # a 14-site sector is as large as the 13-site space
         raise ValueError("exact propagation capped at 14 sites")
@@ -239,15 +295,21 @@ def run_exact(config: RunConfig) -> RunResult:
     dt = config.dt_over_T
     conserved = len(conserved_axes(h.terms))
     # shift 1: the kernel keeps one parity sector, so every term commutes with prod Z
-    if conserved and kernel.shift and 1 << (h.n_sites - conserved) <= MAX_BLOCK_DIM:
+    if conserved and kernel.shift and max(
+            1 << (h.n_sites - conserved), 1 << (conserved - 1)) <= MAX_BLOCK_DIM:
         blocks = SiteBlocks(kernel, h.terms)
-        return _run(config, h, kernel, lambda step: blocks.state(2.0 * step * dt))
+        return _run(config, h, kernel, lambda step: blocks.state(2.0 * step * dt),
+                    _describe("exact blocks", config, h, kernel))
 
     from scipy.sparse.linalg import expm_multiply
 
     hs = kernel.sparse_matrix()  # on the sector only; real for these Hamiltonians
-    return _run(config, h, kernel,
-                _stepwise(kernel, lambda psi, k: expm_multiply(-2j * (k * dt) * hs, psi)))
+
+    def forward(psi: np.ndarray, k: int) -> np.ndarray:
+        return expm_multiply(-2j * (k * dt) * hs, psi)
+
+    return _run(config, h, kernel, _stepwise(kernel.initial(), forward),
+                _describe("expm", config, h, kernel))
 
 
 def fidelity_scan(config: RunConfig, t_max_over_T: float) -> list[tuple[float, float]]:
@@ -255,17 +317,17 @@ def fidelity_scan(config: RunConfig, t_max_over_T: float) -> list[tuple[float, f
 
     This is the semiclassical scheme: each output statevector feeds back as
     the next input, so the propagator is built once and applied repeatedly.
-    The initial state is a basis state, so the fidelity is the weight on it.
+    The initial state is a basis state, so the fidelity is |<start|psi>|^2.
     """
     n_steps = _whole_steps(t_max_over_T, config.dt_over_T, "t_max_over_T")
-    _, kernel = _kernel(config)
-    psi = kernel.basis(kernel.start)
-    r0 = kernel.position(kernel.start)
+    h, kernel = _kernel(config)
+    prop = _propagator(kernel, h)
+    psi = prop.initial()
     phi = 2.0 * config.dt_over_T
     series = [(0.0, 1.0)]
     for step in range(1, n_steps + 1):
-        kernel.step(psi, phi)
-        series.append((step * config.dt_over_T, float(abs(psi[r0]) ** 2)))
+        prop.step(psi, phi)
+        series.append((step * config.dt_over_T, float(abs(prop.overlap(psi)) ** 2)))
     return series
 
 

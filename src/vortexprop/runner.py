@@ -104,6 +104,7 @@ def manifest_dict(opts: SimulateOptions, config: RunConfig, result: RunResult) -
             "hbar_ev_s": CONSTANTS.hbar_ev_s,
         },
         "hamiltonian_hash": hamiltonian_hash(h),
+        "propagator": result.propagator,
         "period_estimate": {
             "period_over_T": result.period.period_over_T,
             "threshold": result.period.threshold,

@@ -11,16 +11,21 @@ bond and stores only the prod-Z parity sector of a run's initial basis state;
 Trotter stepping, expectations and the sparse matrix all go through it.  On a
 sector of at most MAX_DENSE_STEP states (the 8-site systems, XXZ chains up
 to 9 sites) the step is one dense matvec, since there a few numpy calls per
-op cost more than the arithmetic; larger sectors, such as the 4096 states
-of the combined system, run the ops.  `SiteBlocks` splits the terms by the
-site Paulis that commute with all of them and propagates exactly in the
-blocks' eigenbases; it diagonalises one block per orbit of the Pauli strings
-on the free sites and maps that block's eigenbasis onto the others.
+op cost more than the arithmetic; larger sectors run the ops.
+
+`SiteBlocks` splits the terms by the site Paulis that commute with all of
+them, rotated to z.  It propagates a Trotter state on the blocks with the
+same fused ops, which there gather whole rows of blocks and need fewer ops
+(10 against 22 on the 4096 states of the combined system), and takes it
+back to z with one matrix product per free-parity half.  It also propagates
+exactly in the blocks' eigenbases, diagonalising one block per orbit of the
+Pauli strings on the free sites and mapping that block's eigenbasis onto
+the others.
 """
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -118,20 +123,65 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 MAX_DENSE_STEP = 256
 
 
-def _apply_ops(ops: list, amps: np.ndarray, moved: np.ndarray) -> None:
-    """Apply fused ops (gather, alpha, beta) along the last axis of amps, in place.
+def _apply_ops(ops: list, amps: np.ndarray, moved: np.ndarray, axis: int = -1) -> None:
+    """Apply fused ops (gather, alpha, beta) to amps in place, gathering along `axis`.
 
-    Each op is amps <- alpha * amps + beta * amps[..., gather]; `moved` is
-    scratch of amps' shape.
+    Each op is amps <- alpha * amps + beta * amps[gather], the gather taken
+    along `axis`; alpha and beta broadcast against amps.  `moved` is scratch
+    of amps' shape.
     """
     for gather, alpha, beta in ops:
         if gather is None:  # a run of diagonal strings only
             amps *= alpha
             continue
-        amps.take(gather, axis=-1, out=moved, mode="clip")
+        amps.take(gather, axis=axis, out=moved, mode="clip")
         moved *= beta
         amps *= alpha
         amps += moved
+
+
+def _runs(rows):
+    """Yield (gather of f, rows) per maximal run of consecutive rows whose flips lie in {0, f}.
+
+    A row is (coeff, flip, gather, phase), with one gather array per distinct
+    flip, so equal flips share it; a run's gather stays None while every row
+    is diagonal.
+    """
+    gather, run = None, []
+    for row in rows:
+        if run and not (row[2] is None or gather is None or row[2] is gather):
+            yield gather, run
+            gather, run = None, []
+        gather = row[2] if gather is None else gather
+        run.append(row)
+    if run:
+        yield gather, run
+
+
+def _fuse(rows, phi: float) -> list:
+    """(gather, alpha, beta) per run of rows (see `_runs`), the exact product in row order.
+
+    Row (coeff, flip, gather, phase) is the term coeff * P with (P psi)[j] =
+    phase[j] psi[gather[j]]; coeff and phase are scalars or arrays that
+    broadcast against the state, the phase indexed along the gathered axis 0.
+    On every pair (j, j ^ f) a string acts as the 2x2 matrix [[0, p], [q, 0]],
+    or [[p, 0], [0, q]] when diagonal, with p = phase[j] and q = phase[j ^ f];
+    exp(-i a P) = cos(a) I - i sin(a) P.  The run's product, row j, gives
+    psi'[j] = alpha[j] psi[j] + beta[j] psi[j ^ f].
+    """
+    ops = []
+    for gather, run in _runs(rows):
+        m = None
+        for coeff, flip, _, p in run:
+            c, s = np.cos(phi * coeff), -1j * np.sin(phi * coeff)
+            q = p if gather is None or np.ndim(p) == 0 else p[gather]
+            e = (c, s * p, s * q, c) if flip else (c + s * p, 0.0, 0.0, c + s * q)
+            m = e if m is None else (
+                e[0] * m[0] + e[1] * m[2], e[0] * m[1] + e[1] * m[3],
+                e[2] * m[0] + e[3] * m[2], e[2] * m[1] + e[3] * m[3],
+            )
+        ops.append((gather, m[0], m[1]))
+    return ops
 
 
 class PauliKernel:
@@ -145,22 +195,26 @@ class PauliKernel:
     basis state i sits at position i >> shift.  Every method takes and returns
     amplitudes over `index`; `embed` gives the full 2^n state.
 
-    Each term coeff * P is built once into a row (coeff, flip, gather, phase):
-    P|j ^ flip> = phase[j] |j>, where flip holds the X and Y sites, gather is
-    the position of j ^ flip (one array per distinct flip, None for a diagonal
-    string), and phase = (-i)^#Y times the Z signs of the Y and Z sites, the
-    scalar 1.0 for an X-only string.  The step, the energy and the sparse
-    matrix all read these rows.
+    Each term coeff * P is built once, on first use, into a row (coeff, flip,
+    gather, phase): P|j ^ flip> = phase[j] |j>, where flip holds the X and Y
+    sites, gather is the position of j ^ flip (one array per distinct flip,
+    None for a diagonal string), and phase = (-i)^#Y times the Z signs of the
+    Y and Z sites, the scalar 1.0 for an X-only string.  The step, the energy
+    and the sparse matrix all read these rows; a run stepped by `SiteBlocks`
+    builds them only for its samples' energies.
 
     A Trotter step fuses each maximal run of consecutive terms whose flips
     lie in {0, f} into one op psi <- alpha * psi + beta * psi[g], with the
-    gather g of f.  alpha and beta are the exact product of the run's
-    exponentials in frozen order, so no commutation is assumed; they stay
-    scalars where they are uniform (pure XX bonds).  When at most
-    MAX_DENSE_STEP states are stored, the ops are run once on the identity,
-    which gives the step's matrix, and every step is one matvec.  The energy
-    takes one gather per distinct flip.  One scratch buffer serves every
-    call, so a kernel belongs to one run at a time.
+    gather g of f (`_fuse`).  alpha and beta are the exact product of the
+    run's exponentials in frozen order, so no commutation is assumed; they
+    stay scalars where they are uniform (pure XX bonds).  When at most
+    MAX_DENSE_STEP states are stored (`dense`), the ops are run once on the
+    identity, which gives the step's matrix, and every step is one matvec.
+    The energy takes one gather per distinct flip.  One scratch buffer
+    serves every call, so a kernel belongs to one run at a time.
+
+    `initial`, `step`, `overlap` and `sector` make the kernel a Trotter
+    propagator of its start state, as `SiteBlocks` is on the rotated blocks.
     """
 
     def __init__(self, n_qubits: int, terms: Sequence[PauliTerm], start: int | None = None):
@@ -180,13 +234,7 @@ class PauliKernel:
             for site in range(n_qubits - 1):
                 low ^= (half >> site) & 1
             self.index, self.shift = half << 1 | low, 1
-        gathers = {f: (self.index ^ f) >> self.shift for f in flips if f}
-        self._rows = []
-        for term, flip in zip(terms, flips):
-            n_y = sum(axis is PauliAxis.Y for _, axis in term.factors)
-            signs = [self.z_signs[k] for k, axis in term.factors if axis is not PauliAxis.X]
-            phase = (1, -1j, -1, 1j)[n_y % 4] * math.prod(signs, start=1.0)  # (-i)^#Y
-            self._rows.append((term.coeff, flip, gathers.get(flip), phase))
+        self._terms = list(zip(terms, flips))
         self._scratch = np.empty(len(self.index), dtype=np.complex128)
         self._phi: float | None = None
         self._ops: list = []
@@ -217,7 +265,19 @@ class PauliKernel:
         sites = np.arange(self.n_qubits)[:, None]
         return 1.0 - 2.0 * ((self.index[None, :] >> sites) & 1)
 
-    # -- precompiled actions -----------------------------------------------
+    # -- precompiled actions -------------------------------------------------
+
+    @cached_property
+    def _rows(self) -> list:
+        """(coeff, flip, gather, phase) per term, in frozen order; see the class doc."""
+        gathers = {f: (self.index ^ f) >> self.shift for _, f in self._terms if f}
+        rows = []
+        for term, flip in self._terms:
+            n_y = sum(axis is PauliAxis.Y for _, axis in term.factors)
+            signs = [self.z_signs[k] for k, axis in term.factors if axis is not PauliAxis.X]
+            phase = (1, -1j, -1, 1j)[n_y % 4] * math.prod(signs, start=1.0)  # (-i)^#Y
+            rows.append((term.coeff, flip, gathers.get(flip), phase))
+        return rows
 
     @cached_property
     def _bonds(self) -> list:
@@ -232,51 +292,42 @@ class PauliKernel:
             weights[flip] = (gather, w + coeff * phase)
         return list(weights.values())
 
-    def _fuse(self, phi: float) -> list:
-        """(gather, alpha, beta) per maximal run of terms whose flips lie in {0, f}.
+    # -- Trotter propagation ---------------------------------------------------
 
-        On every pair (j, j ^ f) a string acts as the 2x2 matrix [[0, p], [q, 0]],
-        or [[p, 0], [0, q]] when diagonal, with p = phase[j] and q = phase[j ^ f];
-        exp(-i a P) = cos(a) I - i sin(a) P.  The run's product, row j, gives
-        psi'[j] = alpha[j] psi[j] + beta[j] psi[j ^ f].
-        """
-        runs: list[list] = []  # [gather of f, rows]; gather None while every row is diagonal
-        for row in self._rows:
-            gather = row[2]
-            if runs and (gather is None or runs[-1][0] is None or gather is runs[-1][0]):
-                if runs[-1][0] is None:
-                    runs[-1][0] = gather
-                runs[-1][1].append(row)
-            else:
-                runs.append([gather, [row]])
-        ops = []
-        for gather, rows in runs:
-            m = None
-            for coeff, flip, _, p in rows:
-                c, s = math.cos(phi * coeff), -1j * math.sin(phi * coeff)
-                q = p if gather is None or np.ndim(p) == 0 else p[gather]
-                e = (c, s * p, s * q, c) if flip else (c + s * p, 0.0, 0.0, c + s * q)
-                m = e if m is None else (
-                    e[0] * m[0] + e[1] * m[2], e[0] * m[1] + e[1] * m[3],
-                    e[2] * m[0] + e[3] * m[2], e[2] * m[1] + e[3] * m[3],
-                )
-            ops.append((gather, m[0], m[1]))
-        return ops
+    @property
+    def dense(self) -> bool:
+        """Whether `step` is one dense matvec: at most MAX_DENSE_STEP stored states."""
+        return len(self.index) <= MAX_DENSE_STEP
 
-    # -- kernels ---------------------------------------------------------------
+    @property
+    def ops_per_step(self) -> int:
+        """How many fused ops a step runs (or, when dense, multiplies into its matrix)."""
+        return sum(1 for _ in _runs(self._rows))
+
+    def initial(self) -> np.ndarray:
+        """The start basis state, as `step` takes it."""
+        return self.basis(self.start)
+
+    def overlap(self, amps: np.ndarray) -> complex:
+        """<start|psi>; the start always lies in the stored set."""
+        return amps[self.start >> self.shift]
+
+    def sector(self, amps: np.ndarray) -> np.ndarray:
+        """Amplitudes over `index`: the stepped ones themselves."""
+        return amps
 
     def step(self, amps: np.ndarray, phi: float) -> None:
         """Apply exp(-i phi coeff P) for every term in frozen order, in place.
 
         The fused ops are compiled on the first call and again only when phi
-        changes.  A stored set of at most MAX_DENSE_STEP states then also
-        gets the step's matrix; each call is one matvec, copied back into
-        amps.  Larger sets run the ops on the amplitudes.
+        changes.  A `dense` kernel then also gets the step's matrix; each
+        call is one matvec, copied back into amps.  Larger sets run the ops
+        on the amplitudes.
         """
         if phi != self._phi:
-            self._ops, self._phi = self._fuse(phi), phi
+            self._ops, self._phi = _fuse(self._rows, phi), phi
             self._dense = None
-            if len(self.index) <= MAX_DENSE_STEP:
+            if self.dense:
                 eye = np.eye(len(self.index), dtype=np.complex128)
                 _apply_ops(self._ops, eye, np.empty_like(eye))
                 self._dense = eye  # row r is the step applied to basis state r: U^T
@@ -285,6 +336,8 @@ class PauliKernel:
         else:
             np.matmul(amps, self._dense, out=self._scratch)
             amps[:] = self._scratch
+
+    # -- H itself ----------------------------------------------------------------
 
     def expectation(self, amps: np.ndarray) -> float:
         """sum_k coeff_k <psi|P_k|psi>, real for the Hermitian strings used here."""
@@ -394,7 +447,7 @@ def _orbits(weights: np.ndarray, strings: Sequence[tuple[int, int]], parity: np.
 
 
 class SiteBlocks:
-    """Exact propagation of one basis state on the blocks of the conserved site Paulis.
+    """Propagation of one basis state on the blocks of the conserved site Paulis.
 
     A view of a run's kernel: the qubit count, the stored basis states
     `index` and the start state all come from the `PauliKernel` built for
@@ -406,11 +459,27 @@ class SiteBlocks:
     term into its string on the free sites times the Z signs of its conserved
     sites.  In that basis H = sum_s |s><s| (x) H_s over the 2^m bit patterns s
     of the conserved sites (bit j for the j-th lowest, 0 for +1).  Every term
-    commutes with prod Z, which maps s to its complement s^, so H_s^ = D H_s D
-    with D the prod Z of the free sites.  Only the 2^(m-1) blocks with the
-    top conserved bit 0 are kept; the block s^ shares `energies[s]` and has
-    eigenvectors D `vectors[s]`.
+    commutes with prod Z, which maps s to its complement s^, and acts on
+    block s^ as D times its action on block s times D, with D the prod Z of
+    the free sites.  Only the 2^(m-1) blocks with the top conserved bit 0 are
+    kept.  The rotated start state is one free basis state f0 in every block,
+    with amplitude low[s] in s and high[s] in s^, so block s^ of every state
+    propagated from it, by H or by Trotter steps, stays the fixed multiple
+    high[s] parity[f0] / low[s] of D times block s.  Such a state is held as a
+    (free state f, kept block s) array, which holds the whole sector.
 
+    Trotter steps (`initial`, `step`, `overlap`, `sector`, as on the kernel):
+    each term is a row of the kernel's kind on that array, its phase the one
+    above times the term's sign in block s, and the rows go through the same
+    `_fuse` and `_apply_ops`, gathering whole rows of blocks along axis 0.
+    A term on conserved sites only is diagonal and joins the run around it,
+    and terms flipping the same free sites share an op: combined's 26 terms
+    make 10 ops, against 22 in the z basis.  `overlap` reads <start|psi> off
+    row f0 alone; `sector` takes a state back to z with one matrix product
+    per free-parity half, then a gather to the amplitudes over `index`.
+
+    Exact propagation (`state`) diagonalises the blocks on first use.  The
+    block s^ shares `energies[s]` and has eigenvectors D `vectors[s]`.
     Pauli strings on the free sites relate more of the kept blocks: where
     H_s = eps Q H_r Q (see `_orbits`), block s has energies eps E_r and
     eigenvectors Q V_r, Q acting as the signed permutation
@@ -418,13 +487,7 @@ class SiteBlocks:
     diagonalised, in one batched eigh (`diagonalised` counts them: 16 of
     combined's 64, 2 of melon's 8); the others are filled in from it.  A row
     of `energies` is therefore ascending, or descending where eps = -1.
-
-    The rotated start state holds one free basis state f0 in every block, so
-    its coefficients in s and in s^ are multiples of the same row
-    conj(vectors[s][f0]), and block s^ of the propagated state stays a fixed
-    multiple of D times block s.  `state(t)` therefore takes one phase
-    multiply, one batched matvec, one butterfly per conserved site back to z
-    and a gather to the amplitudes over `index`, like the kernel's.
+    `state(t)` takes one phase multiply, one batched matvec and `sector`.
     """
 
     def __init__(self, kernel: PauliKernel, terms: Sequence[PauliTerm]):
@@ -435,66 +498,149 @@ class SiteBlocks:
             raise ValueError("the kernel stores the full space: it has no start, or a term "
                              "flips an odd number of sites, so prod Z is not conserved")
         sites = list(axes)
-        self._rotations = [_TO_Z[axis] for axis in axes.values()]  # each its own inverse
         free = [k for k in range(kernel.n_qubits) if k not in axes]
-        self._n_free = len(free)
         bit_of = {k: 1 << f for f, k in enumerate(free)}  # conserved sites add no bit
-        half = np.arange(1 << (len(axes) - 1))  # block s; its complement is 2^m - 1 - s
-        weights: dict[tuple, np.ndarray] = {}  # (x bits, z bits) on the free sites -> weights
+        kept = np.arange(1 << (len(sites) - 1))  # block s; its complement is 2^m - 1 - s
+        mirror = 2 * len(kept) - 1 - kept
+        z_sign = {site: 1 - 2 * ((kept >> j) & 1) for j, site in enumerate(sites)}
+        self._terms = []  # (weight per kept block, x bits, z bits on the free sites)
         for term in terms:
-            w = np.full(len(half), term.coeff)
-            for j, site in enumerate(sites):
-                if site in term.support:
-                    w = w * (1 - 2 * ((half >> j) & 1))
-            key = (sum(bit_of.get(k, 0) for k, a in term.factors if a is not PauliAxis.Z),
-                   sum(bit_of.get(k, 0) for k, a in term.factors if a is not PauliAxis.X))
-            weights[key] = weights.get(key, 0.0) + w
-        diag = np.arange(1 << len(free))
-        parity = np.ones(len(diag))  # (-1)^popcount(f): D's diagonal
+            w = np.full(len(kept), term.coeff)
+            for k, _ in term.factors:
+                if k in z_sign:
+                    w = w * z_sign[k]
+            self._terms.append((
+                w, sum(bit_of.get(k, 0) for k, a in term.factors if a is not PauliAxis.Z),
+                sum(bit_of.get(k, 0) for k, a in term.factors if a is not PauliAxis.X)))
+        self._free = np.arange(1 << len(free))
+        parity = np.ones(len(self._free))  # (-1)^popcount(f): D's diagonal
         for bit in range(len(free)):
-            parity *= 1 - 2 * ((diag >> bit) & 1)
+            parity *= 1 - 2 * ((self._free >> bit) & 1)
+        self._parity = parity
 
+        # rot[c, s] = prod_j R_j[c_j, s_j], the rotation of the conserved sites;
+        # each R_j is its own inverse, so the start's conserved bits b give column b
+        rot = reduce(np.kron, [_TO_Z[axis] for axis in reversed(axes.values())])
+        b = sum(((kernel.start >> site) & 1) << j for j, site in enumerate(sites))
+        self._f0 = sum(((kernel.start >> site) & 1) << bit for bit, site in enumerate(free))
+        self._low, high = rot[kept, b], rot[mirror, b]
+        ratio = high * parity[self._f0] / self._low  # block s^ over D block s
+        self._bra = self._low.conj() + np.abs(high) ** 2 / self._low  # <start| on row f0
+
+        # back to z: amplitude (f, c) = sum_s (rot[c, s] + parity[f] ratio[s] rot[c, s^])
+        # psi[f, s], nonzero only where c completes the sector's parity: one half
+        # of the c per sign of parity[f]
+        c_odd = np.array([c.bit_count() & 1 for c in range(len(rot))])
+        odd_start = kernel.start.bit_count() & 1
+        rank = np.zeros(len(rot), dtype=np.intp)  # c's place among the c of its parity
+        self._halves = []  # (free states of one parity, matrix (s, place of c))
+        for sign, f_half in ((1.0, parity > 0), (-1.0, parity < 0)):
+            c = np.flatnonzero(c_odd == odd_start ^ (sign < 0))
+            rank[c] = np.arange(len(c))
+            back = rot[c[:, None], kept] + sign * ratio * rot[c[:, None], mirror]
+            self._halves.append((np.flatnonzero(f_half), back.T))
+        f_of, c_of = np.zeros_like(kernel.index), np.zeros_like(kernel.index)
+        for bit, site in enumerate(free):
+            f_of |= ((kernel.index >> site) & 1) << bit
+        for j, site in enumerate(sites):
+            c_of |= ((kernel.index >> site) & 1) << j
+        self._where = f_of * len(kept) + rank[c_of]  # into (free state, place of c)
+
+        self._scratch = np.empty((len(self._free), len(kept)), dtype=np.complex128)
+        self._phi: float | None = None
+        self._ops: list = []
+
+    # -- Trotter propagation -------------------------------------------------
+
+    @cached_property
+    def _rows(self) -> list:
+        """The kernel's (coeff, flip, gather, phase) rows on the block array, in frozen order.
+
+        coeff is the term's weight per kept block (the last axis); phase is a
+        column over the free states, the scalar 1.0 for a string with no Y or
+        Z on the free sites; gather is a row gather, one per distinct flip.
+        """
+        gathers = {x: self._free ^ x for _, x, _ in self._terms if x}
+        return [(w, x, gathers.get(x), self._phase(x, z)[:, None] if z else 1.0)
+                for w, x, z in self._terms]
+
+    def _phase(self, x: int, z: int) -> np.ndarray:
+        """<f|P|f ^ x> over the free states f of the string with bits (x, z)."""
+        return (1, -1j, -1, 1j)[(x & z).bit_count() % 4] * self._parity[self._free & z]
+
+    @property
+    def ops_per_step(self) -> int:
+        """How many fused ops a step runs."""
+        return sum(1 for _ in _runs(self._rows))
+
+    def initial(self) -> np.ndarray:
+        """The rotated start state: low[s] at free state f0 of every kept block s."""
+        psi = np.zeros_like(self._scratch)
+        psi[self._f0] = self._low
+        return psi
+
+    def step(self, psi: np.ndarray, phi: float) -> None:
+        """Apply exp(-i phi coeff P) for every term in frozen order, in place.
+
+        The fused ops are compiled on the first call and again only when phi
+        changes.  One op copies whole rows of blocks.
+        """
+        if phi != self._phi:
+            self._ops, self._phi = _fuse(self._rows, phi), phi
+        _apply_ops(self._ops, psi, self._scratch, axis=0)
+
+    def overlap(self, psi: np.ndarray) -> complex:
+        """<start|psi>: row f0 of the kept blocks, with the mirror blocks folded into the bra."""
+        return self._bra @ psi[self._f0]
+
+    def sector(self, psi: np.ndarray) -> np.ndarray:
+        """Amplitudes over the kernel's `index` of a (free state, kept block) array."""
+        out = np.empty(psi.shape, dtype=np.complex128)
+        for f, back in self._halves:
+            out[f] = psi[f] @ back
+        return out.reshape(-1)[self._where]
+
+    # -- exact propagation ---------------------------------------------------
+
+    @cached_property
+    def _spectrum(self) -> tuple:
+        """(energies, vectors, blocks diagonalised, start coefficients); see the class doc."""
+        weights: dict[tuple, np.ndarray] = {}  # (x bits, z bits) on the free sites -> weights
+        for w, x, z in self._terms:
+            weights[x, z] = weights.get((x, z), 0.0) + w
+        diag, parity = self._free, self._parity
         reps, slot, eps, qx, qz = _orbits(np.array(list(weights.values())), list(weights), parity)
-        self._diagonalised = len(reps)
         blocks = np.zeros((len(reps), len(diag), len(diag)), dtype=np.complex128)
         for (x, z), w in weights.items():
-            phase = (1, -1j, -1, 1j)[(x & z).bit_count() % 4] * parity[diag & z]
-            blocks[:, diag, diag ^ x] += w[reps, None] * phase
+            blocks[:, diag, diag ^ x] += w[reps, None] * self._phase(x, z)
         energies, vectors = np.linalg.eigh(blocks)
         del blocks  # freed before the gather allocates every block's vectors
-        self.energies = eps[:, None] * energies[slot]
-        self.vectors = vectors[slot[:, None], diag ^ qx[:, None]]  # row j of V_r is row j ^ qx
-        del vectors
-        self.vectors *= parity[qz[:, None] & diag][..., None]
+        energies = eps[:, None] * energies[slot]
+        vectors = vectors[slot[:, None], diag ^ qx[:, None]]  # row j of V_r is row j ^ qx
+        vectors *= parity[qz[:, None] & diag][..., None]
+        coeffs = self._low[:, None] * vectors[:, self._f0, :].conj()
+        return energies, vectors, len(reps), coeffs
 
-        # start: amplitude amp[s] on |s>|f0>; D = prod Z of the free sites
-        s = np.arange(2 * len(half))
-        amp = np.ones(len(s), dtype=np.complex128)
-        for j, (site, rot) in enumerate(zip(sites, self._rotations)):
-            amp *= rot[(s >> j) & 1, (kernel.start >> site) & 1]
-        f0 = sum(((kernel.start >> site) & 1) << bit for bit, site in enumerate(free))
-        low, high = amp[:len(half)], amp[len(half):][::-1]
-        self._coeffs = low[:, None] * self.vectors[:, f0, :].conj()
-        self._mirror = (high * parity[f0] / low)[:, None] * parity  # block s^ over block s
-        # flat position (block s, free state f) of each stored basis state
-        where = np.zeros_like(kernel.index)
-        for bit, site in enumerate(free + sites):
-            where |= ((kernel.index >> site) & 1) << bit
-        self._where = where
+    @property
+    def energies(self) -> np.ndarray:
+        """Eigenvalues of each kept block, one row per block."""
+        return self._spectrum[0]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Eigenvectors of each kept block, in its columns."""
+        return self._spectrum[1]
 
     @property
     def diagonalised(self) -> int:
         """How many blocks the eigh diagonalised: one per orbit."""
-        return self._diagonalised
+        return self._spectrum[2]
 
     def state(self, t: float) -> np.ndarray:
         """exp(-i t H) applied to the start state, over `index`."""
-        phased = np.exp(-1j * t * self.energies) * self._coeffs
-        low = np.matmul(self.vectors, phased[..., None])[..., 0]
-        amps = np.concatenate([low, (self._mirror * low)[::-1]]).reshape(-1)
-        for j, rot in enumerate(self._rotations):
-            _apply_1q(amps, self._n_free + j, *rot.ravel())
-        return amps[self._where]
+        energies, vectors, _, coeffs = self._spectrum
+        phased = np.exp(-1j * t * energies) * coeffs
+        return self.sector(np.matmul(vectors, phased[..., None])[..., 0].T)
 
 
 def expect_pauli(state: StateVector, term: PauliTerm) -> float:

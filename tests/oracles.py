@@ -63,6 +63,46 @@ def all_site_blocks(n: int, terms: Sequence[PauliTerm]) -> np.ndarray:
     return blocks
 
 
+# rotation taking a conserved site's axis to z, as in `SiteBlocks`
+_TO_Z = {PauliAxis.X: np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+         PauliAxis.Y: np.array([[1, -1j], [1j, -1]]) / math.sqrt(2)}
+
+
+def butterfly_back_rotation(n: int, terms: Sequence[PauliTerm], start: int,
+                            psi: np.ndarray) -> np.ndarray:
+    """z-basis amplitudes, over start's prod-Z parity sector in ascending order, of a
+    (free state, kept block) array of `SiteBlocks`, one butterfly per conserved site.
+
+    The start is |f0> in every rotated block s, with amplitude a[s] = prod_j
+    R_j[s_j, b_j] for the start's conserved bits b; block s^ (the complement
+    of s) is a[s^] (-1)^popcount(f0) / a[s] times D times block s, D the
+    prod Z of the free sites.  The 2^m blocks are laid out with the free
+    bits low and the conserved bits high, and each conserved site is
+    rotated back to z in turn.
+    """
+    axes = conserved_axes(terms)
+    sites = list(axes)
+    free = [k for k in range(n) if k not in axes]
+    n_free, n_kept = psi.shape
+    f = np.arange(n_free)
+    parity = np.array([(-1.0) ** bin(j).count("1") for j in f])
+    s = np.arange(2 * n_kept)
+    amp = np.ones(len(s), dtype=complex)
+    for j, site in enumerate(sites):
+        amp *= _TO_Z[axes[site]][(s >> j) & 1, (start >> site) & 1]
+    f0 = sum(((start >> site) & 1) << bit for bit, site in enumerate(free))
+    ratio = amp[::-1][:n_kept] * parity[f0] / amp[:n_kept]
+    blocks = np.concatenate([psi.T, (ratio[:, None] * parity * psi.T)[::-1]])
+    amps = blocks.reshape(-1).copy()
+    for j, site in enumerate(sites):
+        v = amps.reshape(-1, 2, 1 << (len(free) + j))
+        v[:] = np.einsum("ab,ibk->iak", _TO_Z[axes[site]], v)
+    sector = [i for i in range(1 << n) if bin(i).count("1") % 2 == bin(start).count("1") % 2]
+    where = [sum(((i >> site) & 1) << bit for bit, site in enumerate(free + sites))
+             for i in sector]
+    return amps[where]
+
+
 # ---------------------------------------------------------------------------
 # point-group symmetry analysis
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from vortexprop.evolve import (
 )
 from vortexprop.circuit import compile_trotter_step
 from vortexprop.hamiltonian import build_hamiltonian, matrix_of, sparse_matrix_of
-from vortexprop.lattice import build_system
-from vortexprop.statevector import apply_circuit, fidelity
+from vortexprop.lattice import build_system, system_from_dict
+from vortexprop.statevector import apply_circuit, conserved_axes, fidelity
 
 from oracles import check_class_degeneracy, init_basis_state, site_equivalence_classes
 
@@ -174,6 +174,31 @@ class TestRunTrotter:
         scan = fidelity_scan(config, n_steps * dt)
         assert scan[-1][1] == pytest.approx(fidelity(psi0, replay), abs=1e-12)
 
+    @pytest.mark.parametrize("label, total, pitch", [
+        (None, 6.0, 2),  # the figures run, cut to 6T
+        ("1100101011000", 6.1, 4),  # 61 steps: the final state is one step past a sample
+    ])
+    def test_combined_blocks_match_the_op_loop(self, monkeypatch, label, total, pitch):
+        from vortexprop import evolve
+
+        config = RunConfig(system=build_system("combined"), dt_over_T=1 / 10,
+                           total_over_T=total, sample_pitch=pitch, initial_label=label)
+        blocks, scan = run_trotter(config), fidelity_scan(config, total)
+        monkeypatch.setattr(evolve, "MAX_BLOCK_DIM", 0)  # no room for the back-rotation
+        ops, want = run_trotter(config), fidelity_scan(config, total)
+        assert (blocks.propagator["kind"], ops.propagator["kind"]) == ("blocks", "ops")
+        assert (blocks.propagator["ops_per_step"], ops.propagator["ops_per_step"]) == (10, 22)
+        assert blocks.tracked == ops.tracked
+        assert len(blocks.samples) == len(ops.samples)
+        for a, b in zip(blocks.samples, ops.samples):
+            assert (a.step, a.time_over_T) == (b.step, b.time_over_T)
+            assert abs(a.fidelity0 - b.fidelity0) < 1e-12
+            assert abs(a.energy - b.energy) < 1e-12
+            assert np.max(np.abs(np.subtract(a.m_z, b.m_z))) < 1e-12
+            assert max(abs(a.amp_norms[lbl] - b.amp_norms[lbl]) for lbl in a.amp_norms) < 1e-12
+        assert np.max(np.abs(blocks.final_state.amps - ops.final_state.amps)) < 1e-12
+        assert [t for t, _ in scan] == [t for t, _ in want]
+        assert max(abs(f - g) for (_, f), (_, g) in zip(scan, want)) < 1e-12
 
     def test_total_past_the_last_pitch_matches_circuit_replay(self):
         # 50 steps at pitch 7: samples at 0, 7, ..., 49, then one more step
@@ -317,6 +342,20 @@ class TestBlockPropagation:
         monkeypatch.setattr(evolve, "MAX_BLOCK_DIM", 8)
         with pytest.raises(AssertionError, match="expm_multiply called"):
             run(build_system("melon"))
+
+    def test_back_rotation_cap_sends_many_conserved_sites_elsewhere(self):
+        # eleven spins on a line beside one hole all point along x: XX bonds
+        # only, so every site is conserved and the back-rotation matrices
+        # would be 1024 x 1024, over MAX_BLOCK_DIM; commuting terms make the
+        # Trotter steps exact
+        spec = system_from_dict({"kind": "melon", "holes": [[0, 0]], "winding": [1], "sites": [
+            {"label": chr(ord("a") + k), "pos": [k + 1, 0]} for k in range(11)]})
+        assert len(conserved_axes(build_hamiltonian(spec).terms)) == 11
+        config = RunConfig(system=spec, dt_over_T=1 / 10, total_over_T=0.4, sample_pitch=2,
+                           initial_label="10110100101")
+        exact, trotter = run_exact(config), run_trotter(config)
+        assert (exact.propagator["kind"], trotter.propagator["kind"]) == ("expm", "ops")
+        assert np.max(np.abs(exact.final_state.amps - trotter.final_state.amps)) < 1e-12
 
 
 class TestEnergyDrift:

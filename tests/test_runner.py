@@ -67,6 +67,24 @@ class TestSimulateCommand:
         assert manifest["constants"]["period_fs"] == pytest.approx(40.5054, abs=0.001)
         assert len(manifest["hamiltonian_hash"]) == 64
 
+    VORTEX_AXES = {"b": "Y", "d": "X", "f": "Y", "h": "X"}
+
+    @pytest.mark.parametrize("flags, want", [
+        (["--system", "melon"], ("dense", 128, 12, VORTEX_AXES)),
+        (["--system", "combined"], ("blocks", 4096, 10, {**VORTEX_AXES, "i": "X", "k": "Y",
+                                                          "m": "X"})),
+        (["--system", "xxz", "--n", "10"], ("ops", 512, 9, {})),
+        (["--system", "melon", "--exact"], ("exact blocks", 128, None, VORTEX_AXES)),
+        (["--system", "xxz", "--exact"], ("expm", 128, None, {})),
+    ], ids=["melon", "combined", "xxz-10", "melon-exact", "xxz-exact"])
+    def test_manifest_records_the_propagator(self, tmp_path, flags, want):
+        out = tmp_path / "p"
+        run_cli(["simulate", *flags, "--dt", "1/10", "--total", "0.4", "--pitch", "2",
+                 "--out", str(out)])
+        record = json.loads((out / "manifest.json").read_text())["propagator"]
+        assert (record["kind"], record["stored_states"], record["ops_per_step"],
+                record["conserved_sites"]) == want
+
     def test_csv_round_trip_through_cli(self, tmp_path):
         out = tmp_path / "r"
         run_cli(["simulate", "--system", "xxz", "--n", "4", "--delta", "1.0",

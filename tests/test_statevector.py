@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from vortexprop import statevector
 from vortexprop.circuit import Gate, compile_pauli_exponential, compile_trotter_step
+from vortexprop.evolve import RunConfig, fidelity_scan, run_trotter
 from vortexprop.hamiltonian import (
     Hamiltonian,
     PauliAxis,
@@ -32,7 +33,13 @@ from vortexprop.statevector import (
     max_amplitude_diff,
 )
 
-from oracles import all_site_blocks, dense_exponential, init_basis_state, random_term
+from oracles import (
+    all_site_blocks,
+    butterfly_back_rotation,
+    dense_exponential,
+    init_basis_state,
+    random_term,
+)
 
 INV_SQRT2 = 1 / math.sqrt(2)
 # PauliKernel.step takes the dense path on stored sets up to the cap; cap 0
@@ -295,15 +302,17 @@ class TestDenseStep:
         assert kernels[0]._dense is not None and kernels[1]._dense is None
         assert np.max(np.abs(states[0] - states[1])) < 1e-12
 
-    def test_combined_stays_on_the_op_loop(self):
-        # 4096 stored states: the step runs the fused ops, with unchanged arithmetic
-        h = build_hamiltonian(build_system("combined"))
+    def test_large_sectors_without_blocks_run_the_op_loop(self, monkeypatch):
+        # combined at a generic chi: 4096 stored states and no conserved site, so
+        # its runs step the z-basis fused ops, with unchanged arithmetic
+        h = build_hamiltonian(build_system("combined", chi=0.3))
         start = label_to_index("0101010110101")
         kernel = PauliKernel(h.n_sites, h.terms, start)
         assert len(kernel.index) == 4096 > statevector.MAX_DENSE_STEP
+        assert conserved_axes(h.terms) == {}
         psi = kernel.basis(start)
         want, moved = psi.copy(), np.empty_like(psi)
-        ops = kernel._fuse(0.2)
+        ops = statevector._fuse(kernel._rows, 0.2)
         for _ in range(20):
             kernel.step(psi, 0.2)
             for gather, alpha, beta in ops:  # the op loop, spelled out
@@ -316,6 +325,15 @@ class TestDenseStep:
                 want += moved
         assert kernel._dense is None
         assert np.array_equal(psi, want)
+
+        # at chi 0 combined conserves seven site Paulis: its runs step SiteBlocks
+        def refuse(*args):
+            raise AssertionError("z-basis step on combined")
+
+        monkeypatch.setattr(PauliKernel, "step", refuse)
+        config = RunConfig(system=build_system("combined"), dt_over_T=1 / 10, total_over_T=0.4)
+        assert run_trotter(config).propagator["kind"] == "blocks"
+        assert len(fidelity_scan(config, 0.4)) == 5
 
 
 class TestParitySector:
@@ -532,6 +550,58 @@ class TestSiteBlocks:
         h = build_hamiltonian(build_system("melon"))
         with pytest.raises(ValueError, match="stores the full space"):
             SiteBlocks(PauliKernel(h.n_sites, h.terms), h.terms)
+
+
+class TestBlockStep:
+    COMBINED = build_hamiltonian(build_system("combined")).terms
+    # sites 1 (Y), 3 and 4 (X) conserved, sites 0 and 2 free; a Y on a free
+    # site gives complex phases
+    CUSTOM = tuple(_string(c, axes) for c, axes in [
+        (0.7, "XYIII"), (0.4, "ZIYXI"), (0.3, "IYIIX"), (0.5, "YIYII"), (0.2, "IIZXX"),
+        (-0.6, "XYXXI")])
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.one_of(planted_term_lists().map(lambda c: c[:2]),
+                          st.just((13, COMBINED))),
+           bits=st.integers(0, 2**13 - 1), dt=st.floats(min_value=0.01, max_value=1.0))
+    def test_block_step_equals_the_op_loop(self, case, bits, dt):
+        n, terms = case
+        if not conserved_axes(terms):
+            return
+        start = bits % (1 << n)
+        with step_cap(0):
+            kernel = PauliKernel(n, terms, start)
+            blocks = SiteBlocks(kernel, terms)
+            psi, want = blocks.initial(), kernel.initial()
+            assert np.max(np.abs(blocks.sector(psi) - want)) < 1e-12
+            for k in range(50):  # a new phi halfway rebuilds both steps' ops
+                blocks.step(psi, 2.0 * dt if k < 25 else dt)
+                kernel.step(want, 2.0 * dt if k < 25 else dt)
+        assert kernel._dense is None
+        assert np.max(np.abs(blocks.sector(psi) - want)) < 1e-12
+        assert abs(blocks.overlap(psi) - kernel.overlap(want)) < 1e-12
+
+    def test_combined_fuses_ten_ops(self):
+        kernel = PauliKernel(13, self.COMBINED, label_to_index("0101010110101"))
+        blocks = SiteBlocks(kernel, self.COMBINED)
+        assert (len(self.COMBINED), kernel.ops_per_step, blocks.ops_per_step) == (26, 22, 10)
+        psi = blocks.initial()
+        blocks.step(psi, 0.2)
+        assert len(blocks._ops) == 10
+        assert "_spectrum" not in vars(blocks)  # Trotter steps never diagonalise
+
+    @pytest.mark.parametrize("name", ["melon", "combined", "custom"])
+    def test_back_rotation_equals_the_butterflies(self, name):
+        terms = self.CUSTOM if name == "custom" else build_hamiltonian(build_system(name)).terms
+        n = 5 if name == "custom" else 1 + max(t.support[-1] for t in terms)
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            start = int(rng.integers(1 << n))
+            blocks = SiteBlocks(PauliKernel(n, terms, start), terms)
+            shape = blocks.initial().shape
+            psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            want = butterfly_back_rotation(n, terms, start, psi)
+            assert np.max(np.abs(blocks.sector(psi) - want)) < 1e-12
 
 
 class TestExpectation:
