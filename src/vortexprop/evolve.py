@@ -4,7 +4,7 @@ One period T corresponds to dimensionless phase J*T/hbar = 2 per unit
 coefficient, so evolving by tau (in units of T) applies exp(-2i tau H) with H
 in units of J.  The Trotter path applies the terms' exponentials as fused
 ops, in the frozen term order of the compiled step circuit, which it equals
-to round-off.  One rule (`_propagator`) picks where they run:
+to round-off.  One rule (`_propagation`) picks where they run:
 
 - on a sector of at most `MAX_DENSE_STEP` = 256 states (the 8-site systems,
   XXZ chains up to 9 sites) the kernel multiplies the step out into one
@@ -16,15 +16,15 @@ to round-off.  One rule (`_propagator`) picks where they run:
 - elsewhere (XXZ chains of 10 or more sites, a generic chi) the kernel's op
   loop in the z basis.
 
-The exact path is the validation oracle: where some site Pauli commutes
-with every term it propagates the dense eigenbases of the blocks that split
-H (`SiteBlocks`, which diagonalises one block per orbit of the free-site
-Pauli strings and fills in the rest), and elsewhere it steps the sparse
-sector matrix with `expm_multiply`, both to machine precision.  Both paths
-propagate only the prod-Z parity sector of the initial basis state (see
-`PauliKernel`); final states are embedded back into the full space.  A run
-records which propagator it used (`RunResult.propagator`, written to the
-manifest).
+The exact path is the validation oracle, picked by the same rule: where
+some site Pauli commutes with every term it propagates the dense eigenbases
+of the blocks that split H (`SiteBlocks`, which diagonalises one block per
+orbit of the free-site Pauli strings and fills in the rest), and elsewhere
+it steps the sparse sector matrix with `expm_multiply`, both to machine
+precision.  Both paths propagate only the prod-Z parity sector of the
+initial basis state (see `PauliKernel`); final states are embedded back into
+the full space.  A run records which propagator it used
+(`RunResult.propagator`, written to the manifest).
 """
 from __future__ import annotations
 
@@ -44,7 +44,6 @@ from .statevector import (  # noqa: F401
     SiteBlocks,
     StateVector,
     apply_circuit,
-    conserved_axes,
     fidelity,
     label_to_index,
 )
@@ -181,39 +180,35 @@ def _resolve_tracked(initial: str, peak_norm: np.ndarray, n: int) -> tuple[str, 
     return tuple(dict.fromkeys(fixed)) + tuple(extra)
 
 
-def _kernel(config: RunConfig) -> tuple[Hamiltonian, PauliKernel]:
-    """The run's Hamiltonian and its kernel on the initial state's parity sector."""
-    h = build_hamiltonian(config.system)
-    start = label_to_index(config.resolve_initial_label())
-    return h, PauliKernel(h.n_sites, h.terms, start)
+def _propagation(config: RunConfig, exact: bool = False) -> tuple[
+        Hamiltonian, PauliKernel, PauliKernel | SiteBlocks, dict]:
+    """(Hamiltonian, kernel, propagator, manifest record) of a run, by one rule.
 
-
-def _propagator(kernel: PauliKernel, h: Hamiltonian) -> PauliKernel | SiteBlocks:
-    """The Trotter propagator of a run, by one rule.
-
-    A dense kernel steps by one matvec.  Otherwise, where some site Pauli
-    commutes with every term and the kernel keeps one parity sector, the
-    steps run on the blocks of `SiteBlocks`, whose two back-rotation
-    matrices have 2^(m-1) rows and columns for m conserved sites, at most
-    MAX_BLOCK_DIM.  Everything else runs the kernel's op loop.
+    The kernel holds the initial state's parity sector.  `SiteBlocks` needs a
+    conserved site Pauli, one parity sector and, for m conserved sites,
+    back-rotation matrices of 2^(m-1) <= MAX_BLOCK_DIM rows; exact runs also
+    diagonalise its blocks of 2^(n-m) states, under the same cap.  Trotter
+    runs step a dense kernel by one matvec (`dense`), else the blocks
+    (`blocks`), else the kernel's op loop (`ops`).  Exact runs take the
+    blocks' eigenbases (`exact blocks`), else `expm_multiply` on the
+    kernel's sparse matrix (`expm`).  The record is deterministic.
     """
-    if kernel.dense or not kernel.shift:
-        return kernel
-    conserved = len(conserved_axes(h.terms))
-    if not conserved or 1 << (conserved - 1) > MAX_BLOCK_DIM:
-        return kernel
-    return SiteBlocks(kernel, h.terms)
-
-
-def _describe(kind: str, config: RunConfig, h: Hamiltonian, kernel: PauliKernel,
-              ops_per_step: int | None = None) -> dict:
-    """The manifest's record of the propagator a run used; deterministic."""
+    h = build_hamiltonian(config.system)
+    kernel = PauliKernel(h.n_sites, h.terms, label_to_index(config.resolve_initial_label()))
+    m = len(kernel.conserved)
+    blocks = m and kernel.shift and max(
+        1 << (m - 1), 1 << (h.n_sites - m) if exact else 0) <= MAX_BLOCK_DIM
+    if exact:
+        kind = "exact blocks" if blocks else "expm"
+    else:
+        kind = "dense" if kernel.dense else "blocks" if blocks else "ops"
+    prop = SiteBlocks(kernel) if kind.endswith("blocks") else kernel
     labels = config.system.labels
-    return {
+    return h, kernel, prop, {
         "kind": kind,
         "stored_states": len(kernel.index),
-        "ops_per_step": ops_per_step,
-        "conserved_sites": {labels[k]: axis.value for k, axis in conserved_axes(h.terms).items()},
+        "ops_per_step": None if exact else prop.ops_per_step,
+        "conserved_sites": {labels[k]: axis.value for k, axis in kernel.conserved.items()},
     }
 
 
@@ -266,8 +261,7 @@ def _stepwise(psi: np.ndarray, forward, read=lambda psi: psi):
 
 def run_trotter(config: RunConfig) -> RunResult:
     """Propagate with repeated first-order Trotter steps, sampling every pitch."""
-    h, kernel = _kernel(config)
-    prop = _propagator(kernel, h)
+    h, kernel, prop, record = _propagation(config)
     phi = 2.0 * config.dt_over_T
 
     def forward(psi: np.ndarray, k: int) -> np.ndarray:
@@ -275,9 +269,7 @@ def run_trotter(config: RunConfig) -> RunResult:
             prop.step(psi, phi)
         return psi
 
-    kind = "blocks" if prop is not kernel else "dense" if kernel.dense else "ops"
-    return _run(config, h, kernel, _stepwise(prop.initial(), forward, prop.sector),
-                _describe(kind, config, h, kernel, prop.ops_per_step))
+    return _run(config, h, kernel, _stepwise(prop.initial(), forward, prop.sector), record)
 
 
 def run_exact(config: RunConfig) -> RunResult:
@@ -291,15 +283,10 @@ def run_exact(config: RunConfig) -> RunResult:
     """
     if config.system.n_sites > 14:  # a 14-site sector is as large as the 13-site space
         raise ValueError("exact propagation capped at 14 sites")
-    h, kernel = _kernel(config)
+    h, kernel, prop, record = _propagation(config, exact=True)
     dt = config.dt_over_T
-    conserved = len(conserved_axes(h.terms))
-    # shift 1: the kernel keeps one parity sector, so every term commutes with prod Z
-    if conserved and kernel.shift and max(
-            1 << (h.n_sites - conserved), 1 << (conserved - 1)) <= MAX_BLOCK_DIM:
-        blocks = SiteBlocks(kernel, h.terms)
-        return _run(config, h, kernel, lambda step: blocks.state(2.0 * step * dt),
-                    _describe("exact blocks", config, h, kernel))
+    if prop is not kernel:
+        return _run(config, h, kernel, lambda step: prop.state(2.0 * step * dt), record)
 
     from scipy.sparse.linalg import expm_multiply
 
@@ -308,8 +295,7 @@ def run_exact(config: RunConfig) -> RunResult:
     def forward(psi: np.ndarray, k: int) -> np.ndarray:
         return expm_multiply(-2j * (k * dt) * hs, psi)
 
-    return _run(config, h, kernel, _stepwise(kernel.initial(), forward),
-                _describe("expm", config, h, kernel))
+    return _run(config, h, kernel, _stepwise(kernel.initial(), forward), record)
 
 
 def fidelity_scan(config: RunConfig, t_max_over_T: float) -> list[tuple[float, float]]:
@@ -320,8 +306,7 @@ def fidelity_scan(config: RunConfig, t_max_over_T: float) -> list[tuple[float, f
     The initial state is a basis state, so the fidelity is |<start|psi>|^2.
     """
     n_steps = _whole_steps(t_max_over_T, config.dt_over_T, "t_max_over_T")
-    h, kernel = _kernel(config)
-    prop = _propagator(kernel, h)
+    prop = _propagation(config)[2]
     psi = prop.initial()
     phi = 2.0 * config.dt_over_T
     series = [(0.0, 1.0)]

@@ -6,21 +6,24 @@ site a.  Bit value 0 is an up spin, 1 a down spin.
 
 Two kernels act on the amplitudes.  The gate kernels replay a compiled
 circuit gate by gate; they are what the dumped circuit is checked with.  The
-Pauli-term kernel fuses the Hamiltonian's terms into one precompiled op per
-bond and stores only the prod-Z parity sector of a run's initial basis state;
-Trotter stepping, expectations and the sparse matrix all go through it.  On a
-sector of at most MAX_DENSE_STEP states (the 8-site systems, XXZ chains up
-to 9 sites) the step is one dense matvec, since there a few numpy calls per
-op cost more than the arithmetic; larger sectors run the ops.
+Pauli-term kernel encodes each term once as (coeff, x bits, z bits), fuses
+the terms into one precompiled op per bond and stores only the prod-Z
+parity sector of a run's initial basis state; Trotter stepping,
+expectations and the sparse matrix all go through it.  On a sector of at
+most MAX_DENSE_STEP states (the 8-site systems, XXZ chains up to 9 sites)
+the step is one dense matvec, since there a few numpy calls per op cost more
+than the arithmetic; larger sectors run the ops.
 
-`SiteBlocks` splits the terms by the site Paulis that commute with all of
-them, rotated to z.  It propagates a Trotter state on the blocks with the
-same fused ops, which there gather whole rows of blocks and need fewer ops
-(10 against 22 on the 4096 states of the combined system), and takes it
-back to z with one matrix product per free-parity half.  It also propagates
-exactly in the blocks' eigenbases, diagonalising one block per orbit of the
-Pauli strings on the free sites and mapping that block's eigenbasis onto
-the others.
+`SiteBlocks` splits the kernel's strings by the site Paulis that commute
+with all of them, rotated to z.  It propagates a Trotter state on the
+blocks with the kernel's step, whose ops there gather whole rows of blocks
+and are fewer (10 against 22 on the 4096 states of the combined system),
+and takes it back to z with one matrix product per free-parity half.  It
+also propagates exactly in the blocks' eigenbases, diagonalising one block
+per orbit of the Pauli strings on the free sites and mapping that block's
+eigenbasis onto the others.  One function (`_string_rows`) builds every
+string's gather and phase, for the kernel's rows, the blocks' rows and the
+blocks' matrices; `evolve._propagation` picks the propagator of a run.
 """
 from __future__ import annotations
 
@@ -140,12 +143,37 @@ def _apply_ops(ops: list, amps: np.ndarray, moved: np.ndarray, axis: int = -1) -
         amps += moved
 
 
+def _signs(n_bits: int) -> np.ndarray:
+    """(-1)^popcount(b) for b = 0, 1, ..., 2^n_bits - 1, as floats."""
+    signs = np.ones(1)
+    for _ in range(n_bits):  # setting the next bit up flips the sign
+        signs = np.concatenate([signs, -signs])
+    return signs
+
+
+def _string_rows(strings, states: np.ndarray, shift: int = 0) -> list:
+    """(coeff, flip, gather, phase) per string (coeff, x bits, z bits), in order.
+
+    P|j ^ x> = phase[j] |j> over the basis states j in `states` (their bits, j
+    stored at position j >> shift): flip is x, gather the flat positions of
+    j ^ x (one array per distinct flip, None for a diagonal string), and
+    phase = (-i)^popcount(x & z) (-1)^popcount(j & z), shaped like `states`,
+    or the scalar 1.0 when z = 0.  The kernel's rows and the blocks' rows and
+    matrices all come from here.
+    """
+    gathers = {x: ((states ^ x) >> shift).ravel() for _, x, _ in strings if x}
+    signs = _signs(max((z.bit_length() for _, _, z in strings), default=0))
+    return [(coeff, x, gathers.get(x),
+             (1, -1j, -1, 1j)[(x & z).bit_count() % 4] * signs[states & z] if z else 1.0)
+            for coeff, x, z in strings]
+
+
 def _runs(rows):
     """Yield (gather of f, rows) per maximal run of consecutive rows whose flips lie in {0, f}.
 
-    A row is (coeff, flip, gather, phase), with one gather array per distinct
-    flip, so equal flips share it; a run's gather stays None while every row
-    is diagonal.
+    A row is (coeff, flip, gather, phase) (see `_string_rows`), with one
+    gather array per distinct flip, so equal flips share it; a run's gather
+    stays None while every row is diagonal.
     """
     gather, run = None, []
     for row in rows:
@@ -184,7 +212,42 @@ def _fuse(rows, phi: float) -> list:
     return ops
 
 
-class PauliKernel:
+class _FusedSteps:
+    """Trotter stepping through the fused ops of `_rows`, shared by both propagators.
+
+    A subclass sets `_rows` and `_scratch` (of the stepped array's shape).
+    The ops are compiled on the first `step` and again only when phi
+    changes; a `dense` propagator then runs them once on the identity and
+    steps by one matvec.  The ops gather along axis 0: the kernel's flat
+    amplitudes, or whole rows of the blocks' array.
+    """
+
+    _phi: float | None = None
+    _dense: np.ndarray | None = None  # U^T of the step at _phi, if dense
+    dense = False
+
+    @property
+    def ops_per_step(self) -> int:
+        """How many fused ops a step runs (or, when dense, multiplies into its matrix)."""
+        return sum(1 for _ in _runs(self._rows))
+
+    def step(self, amps: np.ndarray, phi: float) -> None:
+        """Apply exp(-i phi coeff P) for every term in frozen order, in place."""
+        if phi != self._phi:
+            self._ops, self._phi = _fuse(self._rows, phi), phi
+            self._dense = None
+            if self.dense:
+                eye = np.eye(len(amps), dtype=np.complex128)
+                _apply_ops(self._ops, eye, np.empty_like(eye))
+                self._dense = eye  # row r is the step applied to basis state r: U^T
+        if self._dense is None:
+            _apply_ops(self._ops, amps, self._scratch, axis=0)
+        else:
+            np.matmul(amps, self._dense, out=self._scratch)
+            amps[:] = self._scratch
+
+
+class PauliKernel(_FusedSteps):
     """Pauli terms precompiled once into one fused op per bond, on one parity sector.
 
     Built with the basis index `start` of a run's initial state, the kernel
@@ -195,13 +258,11 @@ class PauliKernel:
     basis state i sits at position i >> shift.  Every method takes and returns
     amplitudes over `index`; `embed` gives the full 2^n state.
 
-    Each term coeff * P is built once, on first use, into a row (coeff, flip,
-    gather, phase): P|j ^ flip> = phase[j] |j>, where flip holds the X and Y
-    sites, gather is the position of j ^ flip (one array per distinct flip,
-    None for a diagonal string), and phase = (-i)^#Y times the Z signs of the
-    Y and Z sites, the scalar 1.0 for an X-only string.  The step, the energy
-    and the sparse matrix all read these rows; a run stepped by `SiteBlocks`
-    builds them only for its samples' energies.
+    Each term coeff * P is encoded once as a string (coeff, x bits, z bits),
+    x holding the X and Y sites and z the Y and Z sites, and built on first
+    use into a row (coeff, flip, gather, phase) by `_string_rows`.  The step,
+    the energy and the sparse matrix all read these rows; a run stepped by
+    `SiteBlocks` builds them only for its samples' energies.
 
     A Trotter step fuses each maximal run of consecutive terms whose flips
     lie in {0, f} into one op psi <- alpha * psi + beta * psi[g], with the
@@ -223,22 +284,18 @@ class PauliKernel:
                 raise IndexError(f"term {term} outside {n_qubits} qubits")
         self.n_qubits = n_qubits
         self.start = start
-        flips = [sum(1 << k for k, axis in t.factors if axis is not PauliAxis.Z) for t in terms]
+        self.conserved = conserved_axes(terms)  # the site Paulis every term commutes with
+        self.strings = [(t.coeff, sum(1 << k for k, a in t.factors if a is not PauliAxis.Z),
+                         sum(1 << k for k, a in t.factors if a is not PauliAxis.X)) for t in terms]
         itype = np.int32 if n_qubits < 32 else np.int64
-        if start is None or any(f.bit_count() & 1 for f in flips):
+        if start is None or any(x.bit_count() & 1 for _, x, _ in self.strings):
             self.index, self.shift = np.arange(1 << n_qubits, dtype=itype), 0
         else:
             # bit 0 completes the parity of the upper bits, so i >> 1 is i's position
             half = np.arange(1 << (n_qubits - 1), dtype=itype)
-            low = np.full_like(half, start.bit_count() & 1)
-            for site in range(n_qubits - 1):
-                low ^= (half >> site) & 1
+            low = (_signs(n_qubits - 1) < 0).astype(itype) ^ (start.bit_count() & 1)
             self.index, self.shift = half << 1 | low, 1
-        self._terms = list(zip(terms, flips))
         self._scratch = np.empty(len(self.index), dtype=np.complex128)
-        self._phi: float | None = None
-        self._ops: list = []
-        self._dense: np.ndarray | None = None  # U^T of the step at _phi, if dense
 
     # -- basis states ------------------------------------------------------
 
@@ -269,15 +326,8 @@ class PauliKernel:
 
     @cached_property
     def _rows(self) -> list:
-        """(coeff, flip, gather, phase) per term, in frozen order; see the class doc."""
-        gathers = {f: (self.index ^ f) >> self.shift for _, f in self._terms if f}
-        rows = []
-        for term, flip in self._terms:
-            n_y = sum(axis is PauliAxis.Y for _, axis in term.factors)
-            signs = [self.z_signs[k] for k, axis in term.factors if axis is not PauliAxis.X]
-            phase = (1, -1j, -1, 1j)[n_y % 4] * math.prod(signs, start=1.0)  # (-i)^#Y
-            rows.append((term.coeff, flip, gathers.get(flip), phase))
-        return rows
+        """(coeff, flip, gather, phase) per term, in frozen order (`_string_rows`)."""
+        return _string_rows(self.strings, self.index, self.shift)
 
     @cached_property
     def _bonds(self) -> list:
@@ -299,11 +349,6 @@ class PauliKernel:
         """Whether `step` is one dense matvec: at most MAX_DENSE_STEP stored states."""
         return len(self.index) <= MAX_DENSE_STEP
 
-    @property
-    def ops_per_step(self) -> int:
-        """How many fused ops a step runs (or, when dense, multiplies into its matrix)."""
-        return sum(1 for _ in _runs(self._rows))
-
     def initial(self) -> np.ndarray:
         """The start basis state, as `step` takes it."""
         return self.basis(self.start)
@@ -315,27 +360,6 @@ class PauliKernel:
     def sector(self, amps: np.ndarray) -> np.ndarray:
         """Amplitudes over `index`: the stepped ones themselves."""
         return amps
-
-    def step(self, amps: np.ndarray, phi: float) -> None:
-        """Apply exp(-i phi coeff P) for every term in frozen order, in place.
-
-        The fused ops are compiled on the first call and again only when phi
-        changes.  A `dense` kernel then also gets the step's matrix; each
-        call is one matvec, copied back into amps.  Larger sets run the ops
-        on the amplitudes.
-        """
-        if phi != self._phi:
-            self._ops, self._phi = _fuse(self._rows, phi), phi
-            self._dense = None
-            if self.dense:
-                eye = np.eye(len(self.index), dtype=np.complex128)
-                _apply_ops(self._ops, eye, np.empty_like(eye))
-                self._dense = eye  # row r is the step applied to basis state r: U^T
-        if self._dense is None:
-            _apply_ops(self._ops, amps, self._scratch)
-        else:
-            np.matmul(amps, self._dense, out=self._scratch)
-            amps[:] = self._scratch
 
     # -- H itself ----------------------------------------------------------------
 
@@ -446,14 +470,21 @@ def _orbits(weights: np.ndarray, strings: Sequence[tuple[int, int]], parity: np.
     return reps, slot, eps, qx[pauli], qz[pauli]
 
 
-class SiteBlocks:
+def _pack(bits, sites: Sequence[int]):
+    """The bits at `sites` of an int or integer array, packed in that order from bit 0."""
+    # bits & 0 starts the sum, so no sites give a zero of bits' own type
+    return sum((((bits >> site) & 1) << j for j, site in enumerate(sites)), bits & 0)
+
+
+class SiteBlocks(_FusedSteps):
     """Propagation of one basis state on the blocks of the conserved site Paulis.
 
-    A view of a run's kernel: the qubit count, the stored basis states
-    `index` and the start state all come from the `PauliKernel` built for
-    `terms`, which must store one prod-Z parity sector.  Each term is keyed
-    by its string's (x bits, z bits) on the free sites, and acts in a block
-    as <f|P|f ^ x> = (-i)^popcount(x & z) (-1)^popcount(f & z).
+    A view of a run's kernel, which must store one prod-Z parity sector: the
+    qubit count, the stored basis states `index`, the start state, the
+    conserved sites and the terms' strings all come from it.  Each string is
+    packed onto the free sites (x bits, z bits), and acts in a block as
+    <f|P|f ^ x> = (-i)^popcount(x & z) (-1)^popcount(f & z), the kernel's
+    phase on the free basis states (`_string_rows`).
 
     Rotating each conserved site to z (H for X, (Y + Z)/sqrt2 for Y) turns a
     term into its string on the free sites times the Z signs of its conserved
@@ -470,8 +501,8 @@ class SiteBlocks:
 
     Trotter steps (`initial`, `step`, `overlap`, `sector`, as on the kernel):
     each term is a row of the kernel's kind on that array, its phase the one
-    above times the term's sign in block s, and the rows go through the same
-    `_fuse` and `_apply_ops`, gathering whole rows of blocks along axis 0.
+    above and its coefficient the term's weight per block s, and the rows go
+    through the kernel's `step`, whose ops gather whole rows of blocks.
     A term on conserved sites only is diagonal and joins the run around it,
     and terms flipping the same free sites share an op: combined's 26 terms
     make 10 ops, against 22 in the z basis.  `overlap` reads <start|psi> off
@@ -490,8 +521,8 @@ class SiteBlocks:
     `state(t)` takes one phase multiply, one batched matvec and `sector`.
     """
 
-    def __init__(self, kernel: PauliKernel, terms: Sequence[PauliTerm]):
-        axes = conserved_axes(terms)
+    def __init__(self, kernel: PauliKernel):
+        axes = kernel.conserved
         if not axes:
             raise ValueError("no site Pauli commutes with every term")
         if not kernel.shift:
@@ -499,30 +530,22 @@ class SiteBlocks:
                              "flips an odd number of sites, so prod Z is not conserved")
         sites = list(axes)
         free = [k for k in range(kernel.n_qubits) if k not in axes]
-        bit_of = {k: 1 << f for f, k in enumerate(free)}  # conserved sites add no bit
         kept = np.arange(1 << (len(sites) - 1))  # block s; its complement is 2^m - 1 - s
         mirror = 2 * len(kept) - 1 - kept
-        z_sign = {site: 1 - 2 * ((kept >> j) & 1) for j, site in enumerate(sites)}
-        self._terms = []  # (weight per kept block, x bits, z bits on the free sites)
-        for term in terms:
-            w = np.full(len(kept), term.coeff)
-            for k, _ in term.factors:
-                if k in z_sign:
-                    w = w * z_sign[k]
-            self._terms.append((
-                w, sum(bit_of.get(k, 0) for k, a in term.factors if a is not PauliAxis.Z),
-                sum(bit_of.get(k, 0) for k, a in term.factors if a is not PauliAxis.X)))
+        # (weight per kept block, x bits, z bits on the free sites): a conserved
+        # site's Pauli, X or Y, sets its x bit and turns into Z, of sign
+        # (-1)^bit j of s for the j-th conserved site
+        coeff, x, z = (np.array(v) for v in zip(*kernel.strings))
+        weights = coeff[:, None] * _signs(len(sites) - 1)[kept & _pack(x, sites)[:, None]]
+        self._strings = list(zip(weights, _pack(x, free).tolist(), _pack(z, free).tolist()))
         self._free = np.arange(1 << len(free))
-        parity = np.ones(len(self._free))  # (-1)^popcount(f): D's diagonal
-        for bit in range(len(free)):
-            parity *= 1 - 2 * ((self._free >> bit) & 1)
-        self._parity = parity
+        self._parity = parity = _signs(len(free))  # (-1)^popcount(f): D's diagonal
 
         # rot[c, s] = prod_j R_j[c_j, s_j], the rotation of the conserved sites;
         # each R_j is its own inverse, so the start's conserved bits b give column b
         rot = reduce(np.kron, [_TO_Z[axis] for axis in reversed(axes.values())])
-        b = sum(((kernel.start >> site) & 1) << j for j, site in enumerate(sites))
-        self._f0 = sum(((kernel.start >> site) & 1) << bit for bit, site in enumerate(free))
+        b = _pack(kernel.start, sites)
+        self._f0 = _pack(kernel.start, free)
         self._low, high = rot[kept, b], rot[mirror, b]
         ratio = high * parity[self._f0] / self._low  # block s^ over D block s
         self._bra = self._low.conj() + np.abs(high) ** 2 / self._low  # <start| on row f0
@@ -530,7 +553,7 @@ class SiteBlocks:
         # back to z: amplitude (f, c) = sum_s (rot[c, s] + parity[f] ratio[s] rot[c, s^])
         # psi[f, s], nonzero only where c completes the sector's parity: one half
         # of the c per sign of parity[f]
-        c_odd = np.array([c.bit_count() & 1 for c in range(len(rot))])
+        c_odd = _signs(len(sites)) < 0
         odd_start = kernel.start.bit_count() & 1
         rank = np.zeros(len(rot), dtype=np.intp)  # c's place among the c of its parity
         self._halves = []  # (free states of one parity, matrix (s, place of c))
@@ -539,16 +562,8 @@ class SiteBlocks:
             rank[c] = np.arange(len(c))
             back = rot[c[:, None], kept] + sign * ratio * rot[c[:, None], mirror]
             self._halves.append((np.flatnonzero(f_half), back.T))
-        f_of, c_of = np.zeros_like(kernel.index), np.zeros_like(kernel.index)
-        for bit, site in enumerate(free):
-            f_of |= ((kernel.index >> site) & 1) << bit
-        for j, site in enumerate(sites):
-            c_of |= ((kernel.index >> site) & 1) << j
-        self._where = f_of * len(kept) + rank[c_of]  # into (free state, place of c)
-
+        self._where = _pack(kernel.index, free) * len(kept) + rank[_pack(kernel.index, sites)]
         self._scratch = np.empty((len(self._free), len(kept)), dtype=np.complex128)
-        self._phi: float | None = None
-        self._ops: list = []
 
     # -- Trotter propagation -------------------------------------------------
 
@@ -560,34 +575,13 @@ class SiteBlocks:
         column over the free states, the scalar 1.0 for a string with no Y or
         Z on the free sites; gather is a row gather, one per distinct flip.
         """
-        gathers = {x: self._free ^ x for _, x, _ in self._terms if x}
-        return [(w, x, gathers.get(x), self._phase(x, z)[:, None] if z else 1.0)
-                for w, x, z in self._terms]
-
-    def _phase(self, x: int, z: int) -> np.ndarray:
-        """<f|P|f ^ x> over the free states f of the string with bits (x, z)."""
-        return (1, -1j, -1, 1j)[(x & z).bit_count() % 4] * self._parity[self._free & z]
-
-    @property
-    def ops_per_step(self) -> int:
-        """How many fused ops a step runs."""
-        return sum(1 for _ in _runs(self._rows))
+        return _string_rows(self._strings, self._free[:, None])
 
     def initial(self) -> np.ndarray:
         """The rotated start state: low[s] at free state f0 of every kept block s."""
         psi = np.zeros_like(self._scratch)
         psi[self._f0] = self._low
         return psi
-
-    def step(self, psi: np.ndarray, phi: float) -> None:
-        """Apply exp(-i phi coeff P) for every term in frozen order, in place.
-
-        The fused ops are compiled on the first call and again only when phi
-        changes.  One op copies whole rows of blocks.
-        """
-        if phi != self._phi:
-            self._ops, self._phi = _fuse(self._rows, phi), phi
-        _apply_ops(self._ops, psi, self._scratch, axis=0)
 
     def overlap(self, psi: np.ndarray) -> complex:
         """<start|psi>: row f0 of the kept blocks, with the mirror blocks folded into the bra."""
@@ -606,13 +600,13 @@ class SiteBlocks:
     def _spectrum(self) -> tuple:
         """(energies, vectors, blocks diagonalised, start coefficients); see the class doc."""
         weights: dict[tuple, np.ndarray] = {}  # (x bits, z bits) on the free sites -> weights
-        for w, x, z in self._terms:
+        for w, x, z in self._strings:
             weights[x, z] = weights.get((x, z), 0.0) + w
         diag, parity = self._free, self._parity
         reps, slot, eps, qx, qz = _orbits(np.array(list(weights.values())), list(weights), parity)
         blocks = np.zeros((len(reps), len(diag), len(diag)), dtype=np.complex128)
-        for (x, z), w in weights.items():
-            blocks[:, diag, diag ^ x] += w[reps, None] * self._phase(x, z)
+        for w, _, gather, phase in _string_rows([(w, *xz) for xz, w in weights.items()], diag):
+            blocks[:, diag, diag if gather is None else gather] += w[reps, None] * phase
         energies, vectors = np.linalg.eigh(blocks)
         del blocks  # freed before the gather allocates every block's vectors
         energies = eps[:, None] * energies[slot]

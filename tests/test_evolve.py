@@ -321,11 +321,12 @@ class TestBlockPropagation:
     def test_conserved_sites_skip_expm_multiply(self, monkeypatch):
         import scipy.sparse.linalg
 
-        from vortexprop import evolve
+        from vortexprop import evolve, statevector
 
         def refuse(*args, **kwargs):
             raise AssertionError("expm_multiply called")
 
+        expm_multiply = scipy.sparse.linalg.expm_multiply
         monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refuse)
 
         def run(spec):
@@ -342,6 +343,14 @@ class TestBlockPropagation:
         monkeypatch.setattr(evolve, "MAX_BLOCK_DIM", 8)
         with pytest.raises(AssertionError, match="expm_multiply called"):
             run(build_system("melon"))
+        # while its back-rotation matrices hold 8 states: without the dense step,
+        # its Trotter runs still take the blocks
+        monkeypatch.setattr(statevector, "MAX_DENSE_STEP", 0)
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", expm_multiply)
+        config = RunConfig(system=build_system("melon"), dt_over_T=1 / 10, total_over_T=0.4,
+                           sample_pitch=2)
+        assert run_trotter(config).propagator["kind"] == "blocks"
+        assert run_exact(config).propagator["kind"] == "expm"
 
     def test_back_rotation_cap_sends_many_conserved_sites_elsewhere(self):
         # eleven spins on a line beside one hole all point along x: XX bonds

@@ -455,7 +455,7 @@ class TestConservedSites:
             return
         start = bits % (1 << n)
         kernel = PauliKernel(n, terms, start)
-        blocks = SiteBlocks(kernel, terms)
+        blocks = SiteBlocks(kernel)
         want = expm(-1j * t * matrix_of(Hamiltonian(n, terms)))[:, start]
         assert np.max(np.abs(blocks.state(t) - want[kernel.index])) < 1e-12
         _assert_eigenpairs(blocks, n, terms)
@@ -467,7 +467,7 @@ class TestSiteBlocks:
     def test_block_spectra(self, kind, shape, levels):
         h = build_hamiltonian(build_system(kind))
         kernel = PauliKernel(h.n_sites, h.terms, 0)
-        blocks = SiteBlocks(kernel, h.terms)
+        blocks = SiteBlocks(kernel)
         assert blocks.energies.shape == shape
         assert _levels(blocks.energies) == levels
 
@@ -476,7 +476,7 @@ class TestSiteBlocks:
     def test_block_spectrum_is_the_sector_spectrum(self, kind, parity):
         h = build_hamiltonian(build_system(kind))
         kernel = PauliKernel(h.n_sites, h.terms, parity)
-        blocks = SiteBlocks(kernel, h.terms)
+        blocks = SiteBlocks(kernel)
         sector = matrix_of(h)[np.ix_(kernel.index, kernel.index)]
         want = np.linalg.eigvalsh(sector)
         assert np.max(np.abs(np.sort(blocks.energies.ravel()) - want)) < 1e-12
@@ -488,7 +488,7 @@ class TestSiteBlocks:
     def test_one_block_per_orbit_is_diagonalised(self, kind, chi, diagonalised, kept):
         h = build_hamiltonian(build_system(kind, chi=chi))
         kernel = PauliKernel(h.n_sites, h.terms, 0)
-        blocks = SiteBlocks(kernel, h.terms)
+        blocks = SiteBlocks(kernel)
         _assert_eigenpairs(blocks, h.n_sites, h.terms)
         assert (blocks.diagonalised, len(blocks.energies)) == (diagonalised, kept)
 
@@ -511,7 +511,7 @@ class TestSiteBlocks:
         terms = tuple(_string(c, axes) for c, axes in strings)
         n = len(strings[0][1])
         kernel = PauliKernel(n, terms, 0)
-        blocks = SiteBlocks(kernel, terms)
+        blocks = SiteBlocks(kernel)
         _assert_eigenpairs(blocks, n, terms)
         assert blocks.diagonalised == diagonalised
         want = expm(-0.7j * matrix_of(Hamiltonian(n, terms)))[:, 0]
@@ -527,29 +527,29 @@ class TestSiteBlocks:
         terms = tuple(_string(0.05 * (k + 1), "".join(s) + (
             "II" if sum(a in "XY" for a in s) % 2 == 0 else "IX" if k == 69 else "XI"))
             for k, s in enumerate(free))
-        blocks = SiteBlocks(PauliKernel(6, terms, 0), terms)
+        blocks = SiteBlocks(PauliKernel(6, terms, 0))
         _assert_eigenpairs(blocks, 6, terms)
         assert (blocks.diagonalised, len(blocks.energies)) == (2, 2)
 
     def test_negated_block_has_negated_energies(self):
         terms = tuple(_string(c, axes) for c, axes in self.NEGATED)
-        blocks = SiteBlocks(PauliKernel(3, terms, 0), terms)
+        blocks = SiteBlocks(PauliKernel(3, terms, 0))
         assert np.array_equal(blocks.energies[1], -blocks.energies[0])
         assert blocks.energies[1][0] > blocks.energies[1][1]  # descending
 
     def test_refuses_terms_without_a_conserved_site_or_parity(self):
         h = build_hamiltonian(build_system("xxz", n=4))
         with pytest.raises(ValueError, match="no site Pauli"):
-            SiteBlocks(PauliKernel(4, h.terms, 0), h.terms)
+            SiteBlocks(PauliKernel(4, h.terms, 0))
         odd = (_string(1.0, "XX"), _string(0.5, "XI"))
         with pytest.raises(ValueError, match="odd number of sites"):
-            SiteBlocks(PauliKernel(2, odd, 0), odd)
+            SiteBlocks(PauliKernel(2, odd, 0))
 
     def test_refuses_a_full_space_kernel(self):
         # a kernel built without a start stores all 2^n states, not one parity sector
         h = build_hamiltonian(build_system("melon"))
         with pytest.raises(ValueError, match="stores the full space"):
-            SiteBlocks(PauliKernel(h.n_sites, h.terms), h.terms)
+            SiteBlocks(PauliKernel(h.n_sites, h.terms))
 
 
 class TestBlockStep:
@@ -571,7 +571,7 @@ class TestBlockStep:
         start = bits % (1 << n)
         with step_cap(0):
             kernel = PauliKernel(n, terms, start)
-            blocks = SiteBlocks(kernel, terms)
+            blocks = SiteBlocks(kernel)
             psi, want = blocks.initial(), kernel.initial()
             assert np.max(np.abs(blocks.sector(psi) - want)) < 1e-12
             for k in range(50):  # a new phi halfway rebuilds both steps' ops
@@ -583,7 +583,7 @@ class TestBlockStep:
 
     def test_combined_fuses_ten_ops(self):
         kernel = PauliKernel(13, self.COMBINED, label_to_index("0101010110101"))
-        blocks = SiteBlocks(kernel, self.COMBINED)
+        blocks = SiteBlocks(kernel)
         assert (len(self.COMBINED), kernel.ops_per_step, blocks.ops_per_step) == (26, 22, 10)
         psi = blocks.initial()
         blocks.step(psi, 0.2)
@@ -597,7 +597,7 @@ class TestBlockStep:
         rng = np.random.default_rng(41)
         for _ in range(3):
             start = int(rng.integers(1 << n))
-            blocks = SiteBlocks(PauliKernel(n, terms, start), terms)
+            blocks = SiteBlocks(PauliKernel(n, terms, start))
             shape = blocks.initial().shape
             psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             want = butterfly_back_rotation(n, terms, start, psi)

@@ -1,5 +1,6 @@
 """Checks on the repository's tooling that the program's own tests can see."""
 import argparse
+import ast
 import importlib
 import importlib.util
 import re
@@ -12,16 +13,35 @@ SPANS = ROOT / "perfbench" / "spans.py"
 README = (ROOT / "README.md").read_text()
 
 
-def test_every_span_target_resolves():
-    # the traced benchmark run (perfbench/run.py --trace 1) rebinds each
-    # (module, name) pair and fails on the first one that is missing
+def _span_targets() -> tuple:
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    missing = [(m, name) for m, name in spans.TARGETS
+    return spans.TARGETS
+
+
+def test_every_span_target_resolves():
+    # the traced benchmark run (perfbench/run.py --trace 1) rebinds each
+    # (module, name) pair and fails on the first one that is missing
+    targets = _span_targets()
+    missing = [(m, name) for m, name in targets
                if not callable(getattr(importlib.import_module(m), name, None))]
-    assert len(spans.TARGETS) > 0
+    assert len(targets) > 0
     assert missing == []
+
+
+def test_unused_imports_are_span_targets():
+    # a name a module imports and never uses is only a re-export for the spans;
+    # once perfbench/spans.py stops binding it, it must go
+    unused = set()
+    for path in sorted((ROOT / "src" / "vortexprop").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(f"vortexprop.{path.stem}", name) for name in imported - used}
+    assert unused - set(_span_targets()) == set()
 
 
 def test_readme_lists_every_simulate_flag():
