@@ -153,6 +153,7 @@ class RunResult:
     site_labels: tuple[str, ...]
     tracked: tuple[str, ...]
     propagator: dict  # kind, stored states, ops per step, conserved sites
+    health: dict  # the largest |<psi|psi> - 1| and |E - E_0| over the samples
     hamiltonian: Hamiltonian = field(repr=False)
 
 
@@ -212,49 +213,49 @@ def _propagation(config: RunConfig, exact: bool = False) -> tuple[
     }
 
 
-def _run(config: RunConfig, h: Hamiltonian, kernel: PauliKernel, state_at,
-         propagator: dict) -> RunResult:
+def _run(config: RunConfig, h: Hamiltonian, kernel: PauliKernel, prop: PauliKernel | SiteBlocks,
+         state_at, propagator: dict) -> RunResult:
     """Sample every pitch, then estimate the period from the fidelity series.
 
-    `state_at(step)` returns the kernel's sector amplitudes `step` steps of dt
-    in, for steps that never decrease; step 0 is the start basis state
-    itself.  Every sampled state is held until the tracked labels are
-    resolved from the peak amplitude norms.  The final state is the last
-    sample, or `state_at(n_steps)` when the total is not a whole number of
-    pitches.  `propagator` describes what `state_at` runs.
+    `state_at(step)` returns prop's own array `step` steps of dt in, for
+    steps that never decrease; step 0 is `prop.initial()`.  A sample's energy
+    is `prop.expectation` of it; only its z amplitudes (`prop.sector`) are
+    held, until the tracked labels are resolved from the peak norms.  The
+    final state is the last sample's, or `state_at(n_steps)`'s if the total is
+    not a whole number of pitches.  `propagator` describes prop.
     """
     spec = config.system
     n_steps, n = config.n_steps, spec.n_sites
     steps = range(0, n_steps + 1, config.sample_pitch)
-    states = [(0, kernel.basis(kernel.start))] + [(k, state_at(k).copy()) for k in steps[1:]]
-    final = states[-1][1] if steps[-1] == n_steps else state_at(n_steps)
+    states = [(0, prop.expectation(prop.initial()), kernel.basis(kernel.start))] + [
+        (k, prop.expectation(psi := state_at(k)), prop.sector(psi)) for k in steps[1:]]
+    final = states[-1][2] if steps[-1] == n_steps else prop.sector(state_at(n_steps))
     peak = np.zeros(len(kernel.index))
-    for _, st in states:
+    for *_, st in states:
         np.maximum(peak, np.abs(st), out=peak)
     full_peak = np.zeros(1 << n)
     full_peak[kernel.index] = peak
     tracked = _resolve_tracked(config.resolve_initial_label(), full_peak, n)
     positions = {label: kernel.position(label_to_index(label)) for label in tracked}
-    samples = [record_sample(st, kernel, positions, k, config.dt_over_T) for k, st in states]
+    samples = [record_sample(st, kernel, positions, k, config.dt_over_T, energy)
+               for k, energy, st in states]
     period = estimate_period(
         [(s.time_over_T, s.fidelity0) for s in samples], config.threshold, config.total_over_T
     )
+    health = {"max_norm_drift": float(max(abs(np.vdot(st, st).real - 1) for *_, st in states)),
+              "max_energy_drift": max(abs(s.energy - samples[0].energy) for s in samples)}
     return RunResult(config, samples, period, kernel.embed(final), spec.labels, tracked,
-                     propagator, h)
+                     propagator, health, h)
 
 
-def _stepwise(psi: np.ndarray, forward, read=lambda psi: psi):
-    """state_at for a propagator that carries one state on from psi.
-
-    forward(psi, k) is the state k steps later; read(psi) its amplitudes over
-    the kernel's `index`.
-    """
+def _stepwise(psi: np.ndarray, forward):
+    """state_at for a propagator that carries one state on from psi, k steps by forward(psi, k)."""
     last = 0
 
     def state_at(step: int) -> np.ndarray:
         nonlocal psi, last
         psi, last = forward(psi, step - last), step
-        return read(psi)
+        return psi
 
     return state_at
 
@@ -269,7 +270,7 @@ def run_trotter(config: RunConfig) -> RunResult:
             prop.step(psi, phi)
         return psi
 
-    return _run(config, h, kernel, _stepwise(prop.initial(), forward, prop.sector), record)
+    return _run(config, h, kernel, prop, _stepwise(prop.initial(), forward), record)
 
 
 def run_exact(config: RunConfig) -> RunResult:
@@ -286,7 +287,7 @@ def run_exact(config: RunConfig) -> RunResult:
     h, kernel, prop, record = _propagation(config, exact=True)
     dt = config.dt_over_T
     if prop is not kernel:
-        return _run(config, h, kernel, lambda step: prop.state(2.0 * step * dt), record)
+        return _run(config, h, kernel, prop, lambda step: prop.state(2.0 * step * dt), record)
 
     from scipy.sparse.linalg import expm_multiply
 
@@ -295,7 +296,7 @@ def run_exact(config: RunConfig) -> RunResult:
     def forward(psi: np.ndarray, k: int) -> np.ndarray:
         return expm_multiply(-2j * (k * dt) * hs, psi)
 
-    return _run(config, h, kernel, _stepwise(kernel.initial(), forward), record)
+    return _run(config, h, kernel, prop, _stepwise(prop.initial(), forward), record)
 
 
 def fidelity_scan(config: RunConfig, t_max_over_T: float) -> list[tuple[float, float]]:

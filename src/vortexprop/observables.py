@@ -55,16 +55,16 @@ def record_sample(
     positions: Mapping[str, int | None],
     step: int,
     dt_over_T: float,
+    energy: float,
 ) -> SampleRecord:
-    """Measure every tracked quantity on the current state.
+    """Measure every tracked quantity but the energy, which `_run` measures, on the state.
 
     `amps` lie over the basis states of `kernel`, the run's precompiled
-    Hamiltonian, which gives the energy.  `positions` maps each tracked
+    Hamiltonian; `energy` is <psi|H|psi>.  `positions` maps each tracked
     label to where the kernel stores it, None outside the sector, where its
     norm reads 0.  fidelity0 is the weight on the kernel's start state.
     """
     mz = site_moments_z(amps, kernel)
-    energy = kernel.expectation(amps)
     mag = float(mz.sum())
     norms = {lbl: 0.0 if pos is None else float(abs(amps[pos])) for lbl, pos in positions.items()}
     fid0 = float(abs(amps[kernel.position(kernel.start)]) ** 2)

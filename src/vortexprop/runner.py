@@ -105,6 +105,7 @@ def manifest_dict(opts: SimulateOptions, config: RunConfig, result: RunResult) -
         },
         "hamiltonian_hash": hamiltonian_hash(h),
         "propagator": result.propagator,
+        "health": result.health,
         "period_estimate": {
             "period_over_T": result.period.period_over_T,
             "threshold": result.period.threshold,

@@ -8,8 +8,8 @@ Two kernels act on the amplitudes.  The gate kernels replay a compiled
 circuit gate by gate; they are what the dumped circuit is checked with.  The
 Pauli-term kernel encodes each term once as (coeff, x bits, z bits), fuses
 the terms into one precompiled op per bond and stores only the prod-Z
-parity sector of a run's initial basis state; Trotter stepping,
-expectations and the sparse matrix all go through it.  On a sector of at
+parity sector of a run's initial basis state; Trotter stepping, the
+energy and the sparse matrix all go through it.  On a sector of at
 most MAX_DENSE_STEP states (the 8-site systems, XXZ chains up to 9 sites)
 the step is one dense matvec, since there a few numpy calls per op cost more
 than the arithmetic; larger sectors run the ops.
@@ -17,11 +17,12 @@ than the arithmetic; larger sectors run the ops.
 `SiteBlocks` splits the kernel's strings by the site Paulis that commute
 with all of them, rotated to z.  It propagates a Trotter state on the
 blocks with the kernel's step, whose ops there gather whole rows of blocks
-and are fewer (10 against 22 on the 4096 states of the combined system),
-and takes it back to z with one matrix product per free-parity half.  It
-also propagates exactly in the blocks' eigenbases, diagonalising one block
-per orbit of the Pauli strings on the free sites and mapping that block's
-eigenbasis onto the others.  One function (`_string_rows`) builds every
+and are fewer (10 against 22 on the 4096 states of the combined system).
+It also propagates exactly in the blocks' eigenbases, diagonalising one
+block per orbit of the Pauli strings on the free sites and mapping that
+block's eigenbasis onto the others.  Both leave the state on the blocks,
+where the energy is measured; `sector` takes it back to z with one matrix
+product per free-parity half.  One function (`_string_rows`) builds every
 string's gather and phase, for the kernel's rows, the blocks' rows and the
 blocks' matrices; `evolve._propagation` picks the propagator of a run.
 """
@@ -218,10 +219,11 @@ class _FusedSteps:
     A subclass sets `_rows` and `_scratch` (of the stepped array's shape).
     The ops are compiled on the first `step` and again only when phi
     changes; a `dense` propagator then runs them once on the identity and
-    steps by one matvec.  The ops gather along axis 0: the kernel's flat
-    amplitudes, or whole rows of the blocks' array.
+    steps by one matvec.  The ops and the energy gather along axis 0 (rows of
+    the blocks' array); a column stands for `_weight` times its norm and energy.
     """
 
+    _weight = 1.0
     _phi: float | None = None
     _dense: np.ndarray | None = None  # U^T of the step at _phi, if dense
     dense = False
@@ -246,6 +248,27 @@ class _FusedSteps:
             np.matmul(amps, self._dense, out=self._scratch)
             amps[:] = self._scratch
 
+    @cached_property
+    def _bonds(self) -> list:
+        """(gather, w) per distinct flip: (H psi)[j] = sum of w[j] * psi[g[j]], times `_weight`.
+
+        The diagonal strings add up under gather None.  w is real when every
+        string carries an even number of Y factors, as in these Hamiltonians.
+        """
+        weights: dict[int, tuple] = {}
+        for coeff, flip, gather, phase in self._rows:
+            w = weights[flip][1] if flip in weights else 0.0
+            weights[flip] = (gather, w + coeff * phase)
+        return [(gather, w * self._weight) for gather, w in weights.values()]
+
+    def expectation(self, amps: np.ndarray) -> float:
+        """<psi|H|psi> of an array as `step` takes it, real for the Hermitian strings used here."""
+        total = 0.0
+        for gather, w in self._bonds:
+            moved = amps if gather is None else amps.take(gather, 0, self._scratch, "clip")
+            total += np.vdot(amps, np.multiply(moved, w, out=self._scratch)).real
+        return float(total)
+
 
 class PauliKernel(_FusedSteps):
     """Pauli terms precompiled once into one fused op per bond, on one parity sector.
@@ -261,8 +284,8 @@ class PauliKernel(_FusedSteps):
     Each term coeff * P is encoded once as a string (coeff, x bits, z bits),
     x holding the X and Y sites and z the Y and Z sites, and built on first
     use into a row (coeff, flip, gather, phase) by `_string_rows`.  The step,
-    the energy and the sparse matrix all read these rows; a run stepped by
-    `SiteBlocks` builds them only for its samples' energies.
+    the energy and the sparse matrix all read these rows; a run on
+    `SiteBlocks` never builds them.
 
     A Trotter step fuses each maximal run of consecutive terms whose flips
     lie in {0, f} into one op psi <- alpha * psi + beta * psi[g], with the
@@ -329,19 +352,6 @@ class PauliKernel(_FusedSteps):
         """(coeff, flip, gather, phase) per term, in frozen order (`_string_rows`)."""
         return _string_rows(self.strings, self.index, self.shift)
 
-    @cached_property
-    def _bonds(self) -> list:
-        """(gather, w) per distinct flip: (H psi)[j] = sum of w[j] * psi[g[j]].
-
-        The diagonal strings add up under gather None.  w is real when every
-        string carries an even number of Y factors, as in these Hamiltonians.
-        """
-        weights: dict[int, tuple] = {}
-        for coeff, flip, gather, phase in self._rows:
-            w = weights[flip][1] if flip in weights else 0.0
-            weights[flip] = (gather, w + coeff * phase)
-        return list(weights.values())
-
     # -- Trotter propagation ---------------------------------------------------
 
     @property
@@ -358,18 +368,10 @@ class PauliKernel(_FusedSteps):
         return amps[self.start >> self.shift]
 
     def sector(self, amps: np.ndarray) -> np.ndarray:
-        """Amplitudes over `index`: the stepped ones themselves."""
-        return amps
+        """Amplitudes over `index`: a copy of the stepped ones."""
+        return amps.copy()
 
     # -- H itself ----------------------------------------------------------------
-
-    def expectation(self, amps: np.ndarray) -> float:
-        """sum_k coeff_k <psi|P_k|psi>, real for the Hermitian strings used here."""
-        total = 0.0
-        for gather, w in self._bonds:
-            moved = amps if gather is None else amps.take(gather, out=self._scratch, mode="clip")
-            total += np.vdot(amps, np.multiply(moved, w, out=self._scratch)).real
-        return float(total)
 
     def sparse_matrix(self):
         """CSR matrix of sum_k coeff_k P_k over the stored basis states.
@@ -508,6 +510,9 @@ class SiteBlocks(_FusedSteps):
     make 10 ops, against 22 in the z basis.  `overlap` reads <start|psi> off
     row f0 alone; `sector` takes a state back to z with one matrix product
     per free-parity half, then a gather to the amplitudes over `index`.
+    `expectation` measures the array itself, column s weighed by `_weight[s]`
+    = 1 + |high[s] / low[s]|^2: block s^ holds |ratio[s]|^2 times the norm
+    and the energy of block s.
 
     Exact propagation (`state`) diagonalises the blocks on first use.  The
     block s^ shares `energies[s]` and has eigenvectors D `vectors[s]`.
@@ -518,7 +523,8 @@ class SiteBlocks(_FusedSteps):
     diagonalised, in one batched eigh (`diagonalised` counts them: 16 of
     combined's 64, 2 of melon's 8); the others are filled in from it.  A row
     of `energies` is therefore ascending, or descending where eps = -1.
-    `state(t)` takes one phase multiply, one batched matvec and `sector`.
+    `state(t)` gives the (free state, kept block) array: exp(-i t E) once per
+    orbit, gathered and conjugated where eps = -1, then one batched matvec.
     """
 
     def __init__(self, kernel: PauliKernel):
@@ -548,6 +554,7 @@ class SiteBlocks(_FusedSteps):
         self._f0 = _pack(kernel.start, free)
         self._low, high = rot[kept, b], rot[mirror, b]
         ratio = high * parity[self._f0] / self._low  # block s^ over D block s
+        self._weight = 1 + np.abs(ratio) ** 2  # block s and its mirror, per unit of block s
         self._bra = self._low.conj() + np.abs(high) ** 2 / self._low  # <start| on row f0
 
         # back to z: amplitude (f, c) = sum_s (rot[c, s] + parity[f] ratio[s] rot[c, s^])
@@ -598,7 +605,7 @@ class SiteBlocks(_FusedSteps):
 
     @cached_property
     def _spectrum(self) -> tuple:
-        """(energies, vectors, blocks diagonalised, start coefficients); see the class doc."""
+        """(orbit representatives' energies, slot, eps, vectors, start coefficients)."""
         weights: dict[tuple, np.ndarray] = {}  # (x bits, z bits) on the free sites -> weights
         for w, x, z in self._strings:
             weights[x, z] = weights.get((x, z), 0.0) + w
@@ -607,34 +614,35 @@ class SiteBlocks(_FusedSteps):
         blocks = np.zeros((len(reps), len(diag), len(diag)), dtype=np.complex128)
         for w, _, gather, phase in _string_rows([(w, *xz) for xz, w in weights.items()], diag):
             blocks[:, diag, diag if gather is None else gather] += w[reps, None] * phase
-        energies, vectors = np.linalg.eigh(blocks)
+        levels, vectors = np.linalg.eigh(blocks)
         del blocks  # freed before the gather allocates every block's vectors
-        energies = eps[:, None] * energies[slot]
         vectors = vectors[slot[:, None], diag ^ qx[:, None]]  # row j of V_r is row j ^ qx
         vectors *= parity[qz[:, None] & diag][..., None]
         coeffs = self._low[:, None] * vectors[:, self._f0, :].conj()
-        return energies, vectors, len(reps), coeffs
+        return levels, slot, eps, vectors, coeffs
 
     @property
     def energies(self) -> np.ndarray:
         """Eigenvalues of each kept block, one row per block."""
-        return self._spectrum[0]
+        levels, slot, eps = self._spectrum[:3]
+        return eps[:, None] * levels[slot]
 
     @property
     def vectors(self) -> np.ndarray:
         """Eigenvectors of each kept block, in its columns."""
-        return self._spectrum[1]
+        return self._spectrum[3]
 
     @property
     def diagonalised(self) -> int:
         """How many blocks the eigh diagonalised: one per orbit."""
-        return self._spectrum[2]
+        return len(self._spectrum[0])
 
     def state(self, t: float) -> np.ndarray:
-        """exp(-i t H) applied to the start state, over `index`."""
-        energies, vectors, _, coeffs = self._spectrum
-        phased = np.exp(-1j * t * energies) * coeffs
-        return self.sector(np.matmul(vectors, phased[..., None])[..., 0].T)
+        """exp(-i t H) applied to the start state, as a (free state, kept block) array."""
+        levels, slot, eps, vectors, coeffs = self._spectrum
+        phased = np.exp(-1j * t * levels)[slot]  # exp(-i t eps E) is its conjugate where eps = -1
+        np.conjugate(phased, out=phased, where=eps[:, None] < 0)
+        return np.ascontiguousarray(np.matmul(vectors, (phased * coeffs)[..., None])[..., 0].T)
 
 
 def expect_pauli(state: StateVector, term: PauliTerm) -> float:

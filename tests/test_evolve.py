@@ -17,7 +17,14 @@ from vortexprop.evolve import (
     semiclassical_period_scan,
 )
 from vortexprop.circuit import compile_trotter_step
-from vortexprop.hamiltonian import build_hamiltonian, matrix_of, sparse_matrix_of
+from vortexprop.hamiltonian import (
+    Hamiltonian,
+    PauliAxis,
+    PauliTerm,
+    build_hamiltonian,
+    matrix_of,
+    sparse_matrix_of,
+)
 from vortexprop.lattice import build_system, system_from_dict
 from vortexprop.statevector import apply_circuit, conserved_axes, fidelity
 
@@ -246,6 +253,36 @@ class TestRunExact:
         result = run_exact(config)
         e0 = result.samples[0].energy
         assert all(abs(s.energy - e0) < 1e-10 for s in result.samples)
+
+    @pytest.mark.parametrize("propagate, kind", [(run_trotter, "blocks"),
+                                                 (run_exact, "exact blocks")])
+    @pytest.mark.parametrize("zz", [0.0, 0.3], ids=["combined", "combined+ZaZc"])
+    def test_sample_energy_is_the_z_basis_expectation(self, monkeypatch, propagate, kind, zz):
+        # the run measures the energy on the blocks; Z_a Z_c (a and c are free
+        # sites) gives the basis states a nonzero energy, which Trotter steps move
+        from vortexprop import evolve
+        from vortexprop.observables import record_sample
+
+        def with_zz(spec):
+            h = build_hamiltonian(spec)
+            zaz = PauliTerm(zz, ((0, PauliAxis.Z), (2, PauliAxis.Z)))
+            return Hamiltonian(h.n_sites, h.terms + (zaz,)) if zz else h
+
+        errors = []
+
+        def spy(amps, kernel, positions, step, dt_over_T, energy):
+            errors.append(abs(energy - kernel.expectation(amps)))
+            return record_sample(amps, kernel, positions, step, dt_over_T, energy)
+
+        monkeypatch.setattr(evolve, "build_hamiltonian", with_zz)
+        monkeypatch.setattr(evolve, "record_sample", spy)
+        config = RunConfig(system=build_system("combined"), dt_over_T=1 / 10,
+                           total_over_T=3.0, sample_pitch=2)
+        result = propagate(config)
+        assert result.propagator["kind"] == kind
+        assert len(errors) == len(result.samples) == 16
+        assert max(errors) < 1e-12
+        assert result.samples[0].energy == pytest.approx(zz, abs=1e-12)
 
     def test_size_guard(self):
         # a 14-site sector is as large as the full 13-site space; 15 is refused

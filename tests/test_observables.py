@@ -40,19 +40,21 @@ class TestRecordSample:
 
     def test_initial_moments_alternate(self):
         rec = record_sample(self.psi0, self.kernel, {"10101010": self.kernel.position(0b10101010)},
-                            0, 1 / 300)
+                            0, 1 / 300, self.kernel.expectation(self.psi0))
         assert rec.m_z == pytest.approx((1, -1, 1, -1, 1, -1, 1, -1))
         assert rec.magnetization == pytest.approx(0.0)
         assert rec.fidelity0 == 1.0
         assert rec.amp_norms["10101010"] == 1.0
 
     def test_initial_energy_zero(self):
-        rec = record_sample(self.psi0, self.kernel, {}, 0, 1 / 300)
+        rec = record_sample(self.psi0, self.kernel, {}, 0, 1 / 300,
+                            self.kernel.expectation(self.psi0))
         assert abs(rec.energy) < 1e-12
 
     def test_tracked_label_outside_the_sector_reads_zero(self):
         assert self.kernel.position(0b10101011) is None
-        rec = record_sample(self.psi0, self.kernel, {"10101011": None}, 0, 1 / 300)
+        rec = record_sample(self.psi0, self.kernel, {"10101011": None}, 0, 1 / 300,
+                            self.kernel.expectation(self.psi0))
         assert rec.amp_norms["10101011"] == 0.0
 
     def test_svinm_scales_magnetization(self):

@@ -85,6 +85,20 @@ class TestSimulateCommand:
         assert (record["kind"], record["stored_states"], record["ops_per_step"],
                 record["conserved_sites"]) == want
 
+    @pytest.mark.parametrize("flags, norm_bound, energy_bound", [
+        (["--system", "melon", "--exact"], 1e-12, 1e-12),
+        (["--system", "combined", "--exact"], 1e-12, 1e-12),
+        (["--system", "melon"], 1e-12, 0.02),  # criterion 5's Trotter bound, in J
+    ], ids=["melon-exact", "combined-exact", "melon"])
+    def test_manifest_records_run_health(self, tmp_path, flags, norm_bound, energy_bound):
+        out = tmp_path / "h"
+        run_cli(["simulate", *flags, "--dt", "1/10", "--total", "2", "--pitch", "2",
+                 "--out", str(out)])
+        health = json.loads((out / "manifest.json").read_text())["health"]
+        assert sorted(health) == ["max_energy_drift", "max_norm_drift"]
+        assert 0.0 <= health["max_norm_drift"] < norm_bound
+        assert 0.0 <= health["max_energy_drift"] < energy_bound
+
     def test_csv_round_trip_through_cli(self, tmp_path):
         out = tmp_path / "r"
         run_cli(["simulate", "--system", "xxz", "--n", "4", "--delta", "1.0",

@@ -457,7 +457,7 @@ class TestConservedSites:
         kernel = PauliKernel(n, terms, start)
         blocks = SiteBlocks(kernel)
         want = expm(-1j * t * matrix_of(Hamiltonian(n, terms)))[:, start]
-        assert np.max(np.abs(blocks.state(t) - want[kernel.index])) < 1e-12
+        assert np.max(np.abs(blocks.sector(blocks.state(t)) - want[kernel.index])) < 1e-12
         _assert_eigenpairs(blocks, n, terms)
 
 
@@ -515,7 +515,7 @@ class TestSiteBlocks:
         _assert_eigenpairs(blocks, n, terms)
         assert blocks.diagonalised == diagonalised
         want = expm(-0.7j * matrix_of(Hamiltonian(n, terms)))[:, 0]
-        assert np.max(np.abs(blocks.state(0.7) - want[kernel.index])) < 1e-12
+        assert np.max(np.abs(blocks.sector(blocks.state(0.7)) - want[kernel.index])) < 1e-12
 
     def test_strings_beyond_one_word(self):
         # sites 0-3 free, 4 and 5 conserved (X); 70 distinct free strings, each
@@ -602,6 +602,40 @@ class TestBlockStep:
             psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             want = butterfly_back_rotation(n, terms, start, psi)
             assert np.max(np.abs(blocks.sector(psi) - want)) < 1e-12
+
+
+def _check_block_energy(n, terms, start, rng):
+    """SiteBlocks' energy and weighted norm of a random block array equal the z-basis ones."""
+    kernel = PauliKernel(n, terms, start)
+    blocks = SiteBlocks(kernel)
+    shape = blocks.initial().shape
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    psi /= np.linalg.norm(blocks.sector(psi))
+    z = blocks.sector(psi)
+    assert abs(blocks.expectation(psi) - kernel.expectation(z)) < 1e-12
+    norms = np.sum(np.abs(psi) ** 2, axis=0)  # per kept block
+    assert abs(np.sum(blocks._weight * norms) - np.vdot(z, z).real) < 1e-12
+
+
+class TestBlockEnergy:
+    SYSTEMS = {name: build_hamiltonian(build_system(kind, chi=chi)) for name, kind, chi in (
+        ("melon", "melon", 0.0), ("antimelon", "antimelon", 0.0),
+        ("combined", "combined", 0.0), ("melon-chi-pi/4", "melon", math.pi / 4),
+        ("combined-chi-pi/4", "combined", math.pi / 4))}
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_block_energy_equals_the_z_basis_energy(self, name):
+        h = self.SYSTEMS[name]
+        rng = np.random.default_rng(47)
+        for start in rng.integers(1 << h.n_sites, size=3):
+            _check_block_energy(h.n_sites, h.terms, int(start), rng)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=planted_term_lists(), bits=st.integers(0, 63), seed=st.integers(0, 2**32 - 1))
+    def test_planted_block_energy_equals_the_z_basis_energy(self, case, bits, seed):
+        n, terms, _ = case  # Y-conserved sites too, and Z on the free sites
+        if conserved_axes(terms):
+            _check_block_energy(n, terms, bits % (1 << n), np.random.default_rng(seed))
 
 
 class TestExpectation:
