@@ -19,12 +19,13 @@ to round-off.  One rule (`_propagation`) picks where they run:
 The exact path is the validation oracle, picked by the same rule: where
 some site Pauli commutes with every term it propagates the dense eigenbases
 of the blocks that split H (`SiteBlocks`, which diagonalises one block per
-orbit of the free-site Pauli strings and fills in the rest), and elsewhere
-it steps the sparse sector matrix with `expm_multiply`, both to machine
-precision.  Both paths propagate only the prod-Z parity sector of the
-initial basis state (see `PauliKernel`); final states are embedded back into
-the full space.  A run records which propagator it used
-(`RunResult.propagator`, written to the manifest).
+orbit of the free-site Pauli strings, as a real matrix where an antiunitary
+K Q commutes with every block, and rebuilds each sample with one matrix
+product per orbit), and elsewhere it steps the sparse sector matrix with
+`expm_multiply`, both to machine precision.  Both paths propagate only the
+prod-Z parity sector of the initial basis state (see `PauliKernel`); final
+states are embedded back into the full space.  A run records which
+propagator it used (`RunResult.propagator`, written to the manifest).
 """
 from __future__ import annotations
 
@@ -49,14 +50,16 @@ from .statevector import (  # noqa: F401
 )
 
 MAX_STEPS = 10_000_000
-# Largest block run_exact diagonalises.  On 13 sites, 2 cores and one BLAS
-# thread, the batched eigh of 16 blocks of 256 states takes 0.4 s, as long as
-# 30 expm_multiply samples of the sector; 8 blocks of 512 take 1.7 s and 4 of
-# 1024 take 6 s, longer than 240 samples (3 s).  These are the worst case, no
-# two blocks related; SiteBlocks diagonalises one block per orbit, which on
-# the built-in systems is a quarter or half of them.  The same cap bounds the
-# 2^(m-1) rows and columns of the two back-rotation matrices of m conserved
-# sites, on the Trotter and the exact path alike.
+# Largest block run_exact diagonalises.  On 2 cores and one BLAS thread, the
+# batched real eigh (SiteBlocks' form under K Q) of 16 blocks of 256 states
+# takes 0.11 s, as long as 10 expm_multiply samples of a 13-site sector (11 ms
+# per 0.2 T on 4096 states); 8 blocks of 512 take 0.26 s and 4 of 1024 take
+# 1.1 s, 100 samples.  The complex eigh, for blocks no K Q makes real, takes
+# 0.32, 1.3 and 5.5 s.  These are the worst case, no two blocks related;
+# SiteBlocks diagonalises one block per orbit, which on the built-in systems
+# is a quarter or half of them.  The same cap bounds the 2^(m-1) rows and
+# columns of the two back-rotation matrices of m conserved sites, on the
+# Trotter and the exact path alike.
 MAX_BLOCK_DIM = 256
 MAX_HELD_BYTES = 1 << 30  # a run's sampled sector states and kernel working set, at their peak
 TRACK_TOP_K = 8  # labels tracked beyond the four fixed ones, by peak |amplitude|
@@ -152,7 +155,7 @@ class RunResult:
     final_state: StateVector
     site_labels: tuple[str, ...]
     tracked: tuple[str, ...]
-    propagator: dict  # kind, stored states, ops per step, conserved sites
+    propagator: dict  # kind, stored states, ops per step, conserved sites, block eighs
     health: dict  # the largest |<psi|psi> - 1| and |E - E_0| over the samples
     hamiltonian: Hamiltonian = field(repr=False)
 
@@ -192,7 +195,10 @@ def _propagation(config: RunConfig, exact: bool = False) -> tuple[
     runs step a dense kernel by one matvec (`dense`), else the blocks
     (`blocks`), else the kernel's op loop (`ops`).  Exact runs take the
     blocks' eigenbases (`exact blocks`), else `expm_multiply` on the
-    kernel's sparse matrix (`expm`).  The record is deterministic.
+    kernel's sparse matrix (`expm`).  An `exact blocks` record adds the
+    states per block, the blocks diagonalised (one per orbit) and whether
+    their eigh was real, so the blocks are diagonalised here.  The record is
+    deterministic.
     """
     h = build_hamiltonian(config.system)
     kernel = PauliKernel(h.n_sites, h.terms, label_to_index(config.resolve_initial_label()))
@@ -205,12 +211,16 @@ def _propagation(config: RunConfig, exact: bool = False) -> tuple[
         kind = "dense" if kernel.dense else "blocks" if blocks else "ops"
     prop = SiteBlocks(kernel) if kind.endswith("blocks") else kernel
     labels = config.system.labels
-    return h, kernel, prop, {
+    record = {
         "kind": kind,
         "stored_states": len(kernel.index),
         "ops_per_step": None if exact else prop.ops_per_step,
         "conserved_sites": {labels[k]: axis.value for k, axis in kernel.conserved.items()},
     }
+    if kind == "exact blocks":
+        record.update(block_states=1 << (h.n_sites - m), diagonalised=prop.diagonalised,
+                      real_eigh=prop.real_eigh)
+    return h, kernel, prop, record
 
 
 def _run(config: RunConfig, h: Hamiltonian, kernel: PauliKernel, prop: PauliKernel | SiteBlocks,

@@ -19,8 +19,10 @@ with all of them, rotated to z.  It propagates a Trotter state on the
 blocks with the kernel's step, whose ops there gather whole rows of blocks
 and are fewer (10 against 22 on the 4096 states of the combined system).
 It also propagates exactly in the blocks' eigenbases, diagonalising one
-block per orbit of the Pauli strings on the free sites and mapping that
-block's eigenbasis onto the others.  Both leave the state on the blocks,
+block per orbit of the Pauli strings on the free sites, as a real matrix
+where an antiunitary K Q commutes with every block, and rebuilding each
+sample with one matrix product per orbit, whose rows map onto the orbit's
+other blocks by a signed gather.  Both leave the state on the blocks,
 where the energy is measured; `sector` takes it back to z with one matrix
 product per free-parity half.  One function (`_string_rows`) builds every
 string's gather and phase, for the kernel's rows, the blocks' rows and the
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, reduce
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -432,6 +434,13 @@ def _orbits(weights: np.ndarray, strings: Sequence[tuple[int, int]], parity: np.
     representatives (the first block of each orbit) and, per block, the
     position of its representative among them, eps, qx and qz; eps = +1 is
     tried first, and the identity before any other Q.
+
+    From the same candidates it also returns the first (tx, tz), or None, for
+    which T = K Z^tz X^tx (K complex conjugation in the z basis) commutes with
+    every block: T P_k T^-1 = P_k for every string of nonzero weight, which
+    holds when Q anticommutes with P_k exactly where P_k* = -P_k, i.e. where
+    popcount(x_k & z_k) is odd.  Only Q with Q Q* = Q^2 = +1 (popcount(tx &
+    tz) even) count: such a T gives every block a real symmetric form.
     """
     n_strings, n_blocks = weights.shape
     dim = len(parity)
@@ -445,6 +454,12 @@ def _orbits(weights: np.ndarray, strings: Sequence[tuple[int, int]], parity: np.
 
     def pack(bits: np.ndarray) -> np.ndarray:  # the words of a bit per string
         return np.add.reduceat(np.where(bits, one_at, 0), np.arange(0, n_strings, 64))[:, None]
+
+    weighted = pack((weights != 0).any(axis=1))
+    imaginary = pack(np.array([(x & z).bit_count() & 1 for x, z in strings], dtype=bool))
+    even = np.flatnonzero(((anti & weighted) == (imaginary & weighted)).all(axis=0)
+                          & (parity[qx & qz] > 0))
+    antiunitary = (int(qx[even[0]]), int(qz[even[0]])) if len(even) else None
 
     def relation(b: int, r: int, care: np.ndarray):
         flipped = pack(weights[:, b] != weights[:, r])  # 0 == -0, so only where w != 0
@@ -469,13 +484,77 @@ def _orbits(weights: np.ndarray, strings: Sequence[tuple[int, int]], parity: np.
             slot[b] = len(reps)
             reps.append(b)
             members.append((b, pack(weights[:, b] != 0)))
-    return reps, slot, eps, qx[pauli], qz[pauli]
+    return reps, slot, eps, qx[pauli], qz[pauli], antiunitary
 
 
 def _pack(bits, sites: Sequence[int]):
     """The bits at `sites` of an int or integer array, packed in that order from bit 0."""
     # bits & 0 starts the sum, so no sites give a zero of bits' own type
     return sum((((bits >> site) & 1) << j for j, site in enumerate(sites)), bits & 0)
+
+
+def _real_basis(tx: int, tz: int, parity: np.ndarray) -> tuple:
+    """(a, b, r^2) of the unitary W with columns W[:, k] = (a_k e_k + b_k e_{k ^ tx}) / r.
+
+    Q = Z^tz X^tx with Q^2 = +1 acts as (Q v)[k] = sigma_k v[k ^ tx], sigma_k =
+    parity[tz & k].  S = diag(s), s_k = parity[m & k], anticommutes with Q for
+    m the lowest bit of tx; when tx = 0, m = tz and S = Q.  With d_k = 1 where
+    s_k = +1 and i where s_k = -1, W = (S + Q) D / r, r = sqrt2 (2 when tx =
+    0): a = d s and b = d sigma, all of unit modulus.  d_k^2 = s_k gives
+    Q conj(W[:, k]) = W[:, k], so W^dagger H W is real for every H that T = K Q
+    commutes with.  tx = tz = 0 gives W = I.
+    """
+    k = np.arange(len(parity))
+    sigma, s = parity[tz & k], parity[(tx & -tx or tz) & k]
+    d = np.where(s > 0, 1.0, 1j)
+    return d * s, d * sigma, 2.0 if tx else 4.0
+
+
+def _blocks_in(rows: list, a: np.ndarray, b: np.ndarray, norm: float, tx: int,
+               real: bool) -> np.ndarray:
+    """W^dagger H_r W per orbit r, for W[:, k] = (a_k e_k + b_k e_{k ^ tx}) / r (`_real_basis`).
+
+    `rows` are the free strings' (weights per orbit, flip, gather, phase) over
+    the free basis states (`_string_rows`).  As <p|W^dagger P = (conj(a_p)
+    phase[p] <p ^ x| + conj(b_p) phase[p ^ tx] <p ^ x ^ tx|) / r, row p of
+    W^dagger P W has entries in columns p ^ x and p ^ x ^ tx alone: two row
+    gathers per string, then one assignment of their sums per column flip.
+    r^2 times an entry is a sum of products of unit phases, exact, and so is
+    the division by r^2 = 2 or 4.  With `real` (T fixes every string) the
+    imaginary parts are exactly 0 and are dropped.
+    """
+    diag = np.arange(len(a))
+    flips = np.array([x for _, x, *_ in rows])
+    phase = np.empty((len(rows), len(diag)), dtype=np.complex128)
+    for row, (*_, p) in zip(phase, rows):
+        row[:] = p
+    ap, bp = a.conj() * phase, b.conj() * phase[:, diag ^ tx]
+    cols = diag ^ flips[:, None]
+    entries = np.concatenate([ap * a[cols] + bp * b[cols], ap * b[cols ^ tx] + bp * a[cols ^ tx]])
+    if real:
+        entries = entries.real
+    moves, which = np.unique(np.concatenate([flips, flips ^ tx]), return_inverse=True)
+    weight = np.array([w for w, *_ in rows] * 2).T / norm  # (orbit, entry row)
+    blocks = np.zeros((len(weight), len(diag), len(diag)), dtype=entries.dtype)
+    share = (which == np.arange(len(moves))[:, None]) * weight[:, None]  # (orbit, flip, entry row)
+    blocks[:, diag, diag ^ moves[:, None]] = share @ entries
+    return blocks
+
+
+class _Spectrum(NamedTuple):
+    """`SiteBlocks._spectrum`: one eigenbasis per orbit and the layout `state` samples it in."""
+
+    levels: np.ndarray  # (orbit, level): each representative's energies, ascending
+    vectors: np.ndarray  # (orbit, state, level): V_r, in its columns
+    coeffs: np.ndarray  # (orbit, member, level): <V_b|start>, conjugated where eps = -1
+    negated: np.ndarray  # (orbit, member): eps = -1; padding members are False, of coeffs 0
+    take: np.ndarray  # (free state j, kept block b): flat index of row j ^ qx_b of b's column
+    signs: np.ndarray  # (free state j, kept block b): (-1)^popcount(qz_b & j)
+    slot: np.ndarray  # per kept block: its orbit
+    eps: np.ndarray
+    qx: np.ndarray
+    qz: np.ndarray
+    real: bool  # whether the eigh took the blocks' real form
 
 
 class SiteBlocks(_FusedSteps):
@@ -521,10 +600,20 @@ class SiteBlocks(_FusedSteps):
     eigenvectors Q V_r, Q acting as the signed permutation
     (Q v)[j] = (-1)^popcount(qz & j) v[j ^ qx].  Only one block per orbit is
     diagonalised, in one batched eigh (`diagonalised` counts them: 16 of
-    combined's 64, 2 of melon's 8); the others are filled in from it.  A row
-    of `energies` is therefore ascending, or descending where eps = -1.
-    `state(t)` gives the (free state, kept block) array: exp(-i t E) once per
-    orbit, gathered and conjugated where eps = -1, then one batched matvec.
+    combined's 64, 2 of melon's 8).  A row of `energies` is therefore
+    ascending, or descending where eps = -1.
+
+    Where an antiunitary T = K Z^tz X^tx with T^2 = +1 fixes every block
+    (`_orbits`; T = K X_free on the built-in systems, whose terms are XX or
+    YY), the representatives are built as real matrices in a T-invariant
+    basis W (`_blocks_in`), the eigh is real and V_r = W O is folded back
+    once (`real_eigh`); otherwise they stay complex.  Only the
+    representatives' V_r are held; `vectors` builds every block's Q V_r on
+    each call.  `state(t)` takes exp(-i t E) once per orbit, conjugated where
+    eps = -1, multiplies V_r into its members' start coefficients (held
+    padded, (orbit, member, dim)) in one batched GEMM (combined: 16 products
+    of 64 x 64 by 64 x 4, not 64 matvecs), and lays the products out as the
+    (free state, kept block) array with one signed gather.
     """
 
     def __init__(self, kernel: PauliKernel):
@@ -604,45 +693,71 @@ class SiteBlocks(_FusedSteps):
     # -- exact propagation ---------------------------------------------------
 
     @cached_property
-    def _spectrum(self) -> tuple:
-        """(orbit representatives' energies, slot, eps, vectors, start coefficients)."""
+    def _spectrum(self) -> _Spectrum:
+        """One eigenbasis per orbit, and the layout `state` samples it in.
+
+        With no T from `_orbits`, W = I and `_blocks_in` builds complex blocks.
+        """
         weights: dict[tuple, np.ndarray] = {}  # (x bits, z bits) on the free sites -> weights
         for w, x, z in self._strings:
             weights[x, z] = weights.get((x, z), 0.0) + w
         diag, parity = self._free, self._parity
-        reps, slot, eps, qx, qz = _orbits(np.array(list(weights.values())), list(weights), parity)
-        blocks = np.zeros((len(reps), len(diag), len(diag)), dtype=np.complex128)
-        for w, _, gather, phase in _string_rows([(w, *xz) for xz, w in weights.items()], diag):
-            blocks[:, diag, diag if gather is None else gather] += w[reps, None] * phase
-        levels, vectors = np.linalg.eigh(blocks)
-        del blocks  # freed before the gather allocates every block's vectors
-        vectors = vectors[slot[:, None], diag ^ qx[:, None]]  # row j of V_r is row j ^ qx
-        vectors *= parity[qz[:, None] & diag][..., None]
-        coeffs = self._low[:, None] * vectors[:, self._f0, :].conj()
-        return levels, slot, eps, vectors, coeffs
+        reps, slot, eps, qx, qz, antiunitary = _orbits(
+            np.array(list(weights.values())), list(weights), parity)
+        tx, tz = antiunitary or (0, 0)
+        a, b, norm = _real_basis(tx, tz, parity)
+        rows = _string_rows([(w[reps], *xz) for xz, w in weights.items()], diag)
+        levels, rot = np.linalg.eigh(_blocks_in(rows, a, b, norm, tx, antiunitary is not None))
+        r, turn = math.sqrt(norm), diag ^ tx
+        vectors = rot * (a / r)[:, None]  # row j of W O: (a_j O[j] + b_j' O[j']) / r, j' = j ^ tx
+        vectors += rot[:, turn] * (b[turn] / r)[:, None]
+
+        # block b's vectors are V_b = Q_b V_r, (Q_b v)[j] = sign[b, j] v[j ^ qx_b]; its start
+        # coefficients low[b] conj(V_b[f0]) sit at (orbit, place among its members)
+        member = np.tril(slot[:, None] == slot, -1).sum(axis=1)  # earlier blocks of its orbit
+        sign = parity[qz[:, None] & diag]
+        coeffs = np.zeros((len(reps), member.max() + 1, len(diag)), dtype=np.complex128)
+        coeffs[slot, member] = (self._low * sign[:, self._f0])[:, None] * vectors[
+            slot, self._f0 ^ qx].conj()
+        negated = np.zeros(coeffs.shape[:2], dtype=bool)
+        negated[slot, member] = eps < 0
+        np.conjugate(coeffs, out=coeffs, where=negated[..., None])
+        take = (slot * len(diag) + (diag[:, None] ^ qx)) * coeffs.shape[1] + member
+        return _Spectrum(levels, vectors, coeffs, negated, take, sign.T.copy(), slot, eps, qx, qz,
+                         antiunitary is not None)
 
     @property
     def energies(self) -> np.ndarray:
         """Eigenvalues of each kept block, one row per block."""
-        levels, slot, eps = self._spectrum[:3]
-        return eps[:, None] * levels[slot]
+        spectrum = self._spectrum
+        return spectrum.eps[:, None] * spectrum.levels[spectrum.slot]
 
     @property
     def vectors(self) -> np.ndarray:
-        """Eigenvectors of each kept block, in its columns."""
-        return self._spectrum[3]
+        """Eigenvectors of each kept block, in its columns, built on each call."""
+        spectrum = self._spectrum
+        rows = self._free ^ spectrum.qx[:, None]
+        return spectrum.vectors[spectrum.slot[:, None], rows] * spectrum.signs.T[..., None]
 
     @property
     def diagonalised(self) -> int:
         """How many blocks the eigh diagonalised: one per orbit."""
-        return len(self._spectrum[0])
+        return len(self._spectrum.levels)
+
+    @property
+    def real_eigh(self) -> bool:
+        """Whether the eigh took real blocks: some K Q commutes with every block."""
+        return self._spectrum.real
 
     def state(self, t: float) -> np.ndarray:
         """exp(-i t H) applied to the start state, as a (free state, kept block) array."""
-        levels, slot, eps, vectors, coeffs = self._spectrum
-        phased = np.exp(-1j * t * levels)[slot]  # exp(-i t eps E) is its conjugate where eps = -1
-        np.conjugate(phased, out=phased, where=eps[:, None] < 0)
-        return np.ascontiguousarray(np.matmul(vectors, (phased * coeffs)[..., None])[..., 0].T)
+        spectrum = self._spectrum
+        # where eps = -1 coeffs hold conj(c): conj(exp(-i t E) conj(c)) = exp(-i t eps E) c
+        phased = np.exp(-1j * t * spectrum.levels)[:, None, :] * spectrum.coeffs
+        np.conjugate(phased, out=phased, where=spectrum.negated[..., None])
+        psi = np.matmul(spectrum.vectors, phased.transpose(0, 2, 1)).take(spectrum.take)
+        psi *= spectrum.signs
+        return psi
 
 
 def expect_pauli(state: StateVector, term: PauliTerm) -> float:

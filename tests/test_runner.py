@@ -69,21 +69,37 @@ class TestSimulateCommand:
 
     VORTEX_AXES = {"b": "Y", "d": "X", "f": "Y", "h": "X"}
 
-    @pytest.mark.parametrize("flags, want", [
-        (["--system", "melon"], ("dense", 128, 12, VORTEX_AXES)),
-        (["--system", "combined"], ("blocks", 4096, 10, {**VORTEX_AXES, "i": "X", "k": "Y",
-                                                          "m": "X"})),
-        (["--system", "xxz", "--n", "10"], ("ops", 512, 9, {})),
-        (["--system", "melon", "--exact"], ("exact blocks", 128, None, VORTEX_AXES)),
-        (["--system", "xxz", "--exact"], ("expm", 128, None, {})),
-    ], ids=["melon", "combined", "xxz-10", "melon-exact", "xxz-exact"])
-    def test_manifest_records_the_propagator(self, tmp_path, flags, want):
+    COMBINED_AXES = {**VORTEX_AXES, "i": "X", "k": "Y", "m": "X"}
+    BLOCK_KEYS = ("block_states", "diagonalised", "real_eigh")
+
+    @pytest.mark.parametrize("flags, want, blocks", [
+        (["--system", "melon"], ("dense", 128, 12, VORTEX_AXES), {}),
+        (["--system", "combined"], ("blocks", 4096, 10, COMBINED_AXES), {}),
+        (["--system", "xxz", "--n", "10"], ("ops", 512, 9, {}), {}),
+        (["--system", "melon", "--exact"], ("exact blocks", 128, None, VORTEX_AXES),
+         {"block_states": 16, "diagonalised": 2, "real_eigh": True}),
+        (["--system", "combined", "--exact"], ("exact blocks", 4096, None, COMBINED_AXES),
+         {"block_states": 64, "diagonalised": 16, "real_eigh": True}),
+        (["--system", "xxz", "--exact"], ("expm", 128, None, {}), {}),
+    ], ids=["melon", "combined", "xxz-10", "melon-exact", "combined-exact", "xxz-exact"])
+    def test_manifest_records_the_propagator(self, tmp_path, flags, want, blocks):
         out = tmp_path / "p"
         run_cli(["simulate", *flags, "--dt", "1/10", "--total", "0.4", "--pitch", "2",
                  "--out", str(out)])
         record = json.loads((out / "manifest.json").read_text())["propagator"]
         assert (record["kind"], record["stored_states"], record["ops_per_step"],
                 record["conserved_sites"]) == want
+        # exact block runs also record the block size, the eighs (one per orbit) and their type
+        assert {k: record[k] for k in self.BLOCK_KEYS if k in record} == blocks
+
+    @pytest.mark.parametrize("system", ["melon", "combined"])
+    def test_exact_block_reruns_are_byte_identical(self, tmp_path, system):
+        args = ["simulate", "--system", system, "--exact", "--dt", "1/10", "--total", "0.6",
+                "--pitch", "2"]
+        for run in ("x", "y"):
+            run_cli(args + ["--out", str(tmp_path / run)])
+        for name in ("samples.csv", "manifest.json"):
+            assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
 
     @pytest.mark.parametrize("flags, norm_bound, energy_bound", [
         (["--system", "melon", "--exact"], 1e-12, 1e-12),

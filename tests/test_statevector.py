@@ -552,6 +552,81 @@ class TestSiteBlocks:
             SiteBlocks(PauliKernel(h.n_sites, h.terms))
 
 
+def _state_per_block(blocks, t):
+    """exp(-i t H) on the start, block by block from the per-block `vectors` and `energies`."""
+    vectors, energies, psi0 = blocks.vectors, blocks.energies, blocks.initial()
+    psi = np.empty_like(psi0)
+    for b, (v, e) in enumerate(zip(vectors, energies)):
+        psi[:, b] = v @ (np.exp(-1j * t * e) * (v.conj().T @ psi0[:, b]))
+    return psi
+
+
+def _block_case(name):
+    """(n, terms) of a named system or hand-made string list."""
+    if name in TestOrbitSampling.STRINGS:
+        strings = TestOrbitSampling.STRINGS[name]
+        return len(strings[0][1]), tuple(_string(c, axes) for c, axes in strings)
+    kind, _, chi = name.partition("-chi-")
+    h = build_hamiltonian(build_system(kind, chi=math.pi / 4 if chi else 0.0))
+    return h.n_sites, h.terms
+
+
+class TestOrbitSampling:
+    STRINGS = {
+        "negated": TestSiteBlocks.NEGATED,  # eps = -1
+        "cancelling": TestSiteBlocks.CANCELLING,
+        # site 0 free with X, Y and Z: no Q on it anticommutes with Y0 alone,
+        # so no K Q fixes the blocks and their eigh stays complex
+        "no-antiunitary": [(0.7, "XXI"), (0.4, "YXI"), (0.3, "ZII"), (0.5, "IXX")],
+        # Y and Z on free site 0: T = K Z_0, whose invariant basis pairs no states
+        "z-antiunitary": [(0.7, "YXI"), (0.3, "ZII"), (0.5, "IXX")],
+        # X0Y1, Z0Y1, Y0Y1 and X1 on free sites 0 and 1: only Q = Y_0 is odd where
+        # the strings are, and (K Y_0)^2 = -1 allows no real form
+        "kramers": [(0.7, "XYI"), (0.4, "ZYX"), (0.3, "YYI"), (0.5, "IXX")],
+        # every site conserved: blocks of one state each
+        "no-free-site": [(1.0, "XX")],
+    }
+    NAMES = ["melon", "antimelon", "combined", "combined-chi-pi/4", *STRINGS]
+    COMPLEX = {"no-antiunitary", "kramers"}
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_sampling_per_orbit_equals_sampling_per_block(self, name):
+        from scipy.linalg import expm
+
+        n, terms = _block_case(name)
+        rng = np.random.default_rng(53)
+        starts = [0] if name in self.STRINGS else [0, *rng.integers(1 << n, size=2)]
+        for start in starts:
+            kernel = PauliKernel(n, terms, int(start))
+            blocks = SiteBlocks(kernel)
+            for t in rng.uniform(-5.0, 5.0, size=3):
+                psi = blocks.state(t)
+                assert np.max(np.abs(psi - _state_per_block(blocks, t))) < 1e-12
+                if name in self.STRINGS:
+                    want = expm(-1j * t * matrix_of(Hamiltonian(n, terms)))[:, int(start)]
+                    assert np.max(np.abs(blocks.sector(psi) - want[kernel.index])) < 1e-12
+        assert blocks.real_eigh is (name not in self.COMPLEX)
+
+    @pytest.mark.parametrize("name", ["melon", "antimelon", "combined", "no-antiunitary",
+                                      "z-antiunitary", "kramers"])
+    def test_eigh_is_real_where_an_antiunitary_allows_it(self, name, monkeypatch):
+        eigh, seen = np.linalg.eigh, []
+
+        def spy(a, *args, **kwargs):
+            seen.append(a.dtype)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        n, terms = _block_case(name)
+        blocks = SiteBlocks(PauliKernel(n, terms, 0))
+        held = [v for v in blocks._spectrum if isinstance(v, np.ndarray)]
+        assert seen == [np.complex128 if name in self.COMPLEX else np.float64]
+        # eigenvectors are held per orbit only: no per-block copy (combined: 16 x 64 x 64)
+        dim = len(blocks.initial())
+        assert max(v.size for v in held) <= blocks.diagonalised * dim * dim
+        assert blocks._spectrum.vectors.shape == (blocks.diagonalised, dim, dim)
+
+
 class TestBlockStep:
     COMBINED = build_hamiltonian(build_system("combined")).terms
     # sites 1 (Y), 3 and 4 (X) conserved, sites 0 and 2 free; a Y on a free
