@@ -117,14 +117,5 @@ def circuit_to_dict(c: Circuit) -> dict:
     return {"n": c.n_qubits, "gates": gates}
 
 
-def circuit_from_dict(data: dict) -> Circuit:
-    if type(data["n"]) is not int:
-        raise ValueError(f"circuit key 'n' must be an integer, got {data['n']!r}")
-    gates = tuple(
-        Gate(d["g"], tuple(d["q"]), d.get("lambda")) for d in data["gates"]
-    )
-    return Circuit(n_qubits=data["n"], gates=gates)
-
-
 def dump_circuit(c: Circuit) -> str:
     return json.dumps(circuit_to_dict(c), indent=2)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -142,31 +141,6 @@ def hamiltonian_to_list(h: Hamiltonian) -> list[dict]:
         {"coeff": t.coeff, "ops": [[s, ax.value] for s, ax in t.factors]}
         for t in h.terms
     ]
-
-
-def _term_from_entry(d) -> PauliTerm:
-    """One {"coeff": real, "ops": [[site, axis], ...]} entry of the dump."""
-    if not isinstance(d, dict) or not {"coeff", "ops"} <= d.keys():
-        raise ValueError(f"term {d!r} needs a coeff and ops")
-    coeff, ops = d["coeff"], d["ops"]
-    if isinstance(coeff, bool) or not isinstance(coeff, numbers.Real):
-        raise ValueError(f"term {d!r} needs a coeff that is a real number other than a bool")
-    if not isinstance(ops, list) or not all(
-            isinstance(op, list) and len(op) == 2 and type(op[0]) is int
-            and op[1] in ("X", "Y", "Z") for op in ops):
-        raise ValueError(f"term {d!r} needs ops of [integer site, X, Y or Z] pairs")
-    return PauliTerm(float(coeff), tuple((s, PauliAxis(a)) for s, a in ops))
-
-
-def hamiltonian_from_list(data: list[dict], n_sites: int | None = None) -> Hamiltonian:
-    if not isinstance(data, list):
-        raise ValueError(f"a Hamiltonian dump is a list of terms, got {type(data).__name__}")
-    terms = tuple(_term_from_entry(d) for d in data)
-    if n_sites is None:
-        if not terms:
-            raise ValueError("an empty term list needs n_sites")
-        n_sites = 1 + max(s for t in terms for s in t.support)
-    return Hamiltonian(n_sites=n_sites, terms=terms)
 
 
 def dump_hamiltonian(h: Hamiltonian) -> str:

@@ -225,17 +225,6 @@ def build_system(
 # system file format
 # ---------------------------------------------------------------------------
 
-def system_to_dict(spec: SystemSpec) -> dict:
-    return {
-        "kind": spec.kind.value,
-        "sites": [{"label": s.label, "pos": [s.pos[0], s.pos[1]]} for s in spec.sites],
-        "holes": [[h.pos[0], h.pos[1]] for h in spec.holes],
-        "winding": list(spec.winding),
-        "chi": spec.chi,
-        "delta": spec.delta,
-    }
-
-
 def _point(coords, what: str) -> tuple[int, int]:
     if len(coords) != 2 or not all(type(c) is int for c in coords):
         raise ValueError(f"{what} position {coords} must be two integers")
@@ -252,8 +241,8 @@ def _number(data: dict, key: str) -> float:
 def system_from_dict(data: dict) -> SystemSpec:
     """Rebuild a SystemSpec from the JSON system format.
 
-    Bonds and angles are recomputed from the geometry, so a dumped built-in
-    system reloads bit-identically.  Bonds are found at exact integer
+    Bonds and angles are recomputed from the geometry, so a built-in system
+    written in this format reloads bit-identically.  Bonds are found at exact integer
     distances, so every coordinate must be an integer.
     """
     positions = [_point(s["pos"], "site") for s in data["sites"]]
@@ -276,10 +265,6 @@ def system_from_dict(data: dict) -> SystemSpec:
                              f"or -1 (antimeron)")
     return _make_spec(SystemKind(data["kind"]), labels, positions, holes, winding,
                       _number(data, "chi"), _number(data, "delta"))
-
-
-def dump_system(spec: SystemSpec) -> str:
-    return json.dumps(system_to_dict(spec), indent=2, sort_keys=True)
 
 
 def load_system(text: str) -> SystemSpec:

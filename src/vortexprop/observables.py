@@ -133,10 +133,3 @@ def write_samples_csv(
             cells = [str(s.step)] + [f"{v:.17g}" for v in sample_row(s, tracked)[1:]]
             fh.write(",".join(cells) + "\n")
 
-
-def read_samples_csv(path) -> tuple[list[str], np.ndarray]:
-    """Return (header, value matrix); floats round-trip exactly."""
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        rows = [[float(c) for c in line.rstrip("\n").split(",")] for line in fh if line.strip()]
-    return header, np.array(rows)

@@ -20,13 +20,14 @@ blocks with the kernel's step, whose ops there gather whole rows of blocks
 and are fewer (10 against 22 on the 4096 states of the combined system).
 It also propagates exactly in the blocks' eigenbases, diagonalising one
 block per orbit of the Pauli strings on the free sites, as a real matrix
-where an antiunitary K Q commutes with every block, and rebuilding each
-sample with one matrix product per orbit, whose rows map onto the orbit's
-other blocks by a signed gather.  Both leave the state on the blocks,
-where the energy is measured; `sector` takes it back to z with one matrix
-product per free-parity half.  One function (`_string_rows`) builds every
-string's gather and phase, for the kernel's rows, the blocks' rows and the
-blocks' matrices; `evolve._propagation` picks the propagator of a run.
+where the antiunitary K or K X_free commutes with every block, and
+rebuilding each sample with one matrix product per orbit, whose rows map
+onto the orbit's other blocks by a signed gather.  Both leave the state on
+the blocks, where the energy is measured; `sector` takes it back to z with
+one matrix product per free-parity half.  One function (`_string_rows`)
+builds every string's gather and phase, for the kernel's rows, the blocks'
+rows and the blocks' matrices; `evolve._propagation` picks the propagator
+of a run.
 """
 from __future__ import annotations
 
@@ -434,13 +435,6 @@ def _orbits(weights: np.ndarray, strings: Sequence[tuple[int, int]], parity: np.
     representatives (the first block of each orbit) and, per block, the
     position of its representative among them, eps, qx and qz; eps = +1 is
     tried first, and the identity before any other Q.
-
-    From the same candidates it also returns the first (tx, tz), or None, for
-    which T = K Z^tz X^tx (K complex conjugation in the z basis) commutes with
-    every block: T P_k T^-1 = P_k for every string of nonzero weight, which
-    holds when Q anticommutes with P_k exactly where P_k* = -P_k, i.e. where
-    popcount(x_k & z_k) is odd.  Only Q with Q Q* = Q^2 = +1 (popcount(tx &
-    tz) even) count: such a T gives every block a real symmetric form.
     """
     n_strings, n_blocks = weights.shape
     dim = len(parity)
@@ -454,12 +448,6 @@ def _orbits(weights: np.ndarray, strings: Sequence[tuple[int, int]], parity: np.
 
     def pack(bits: np.ndarray) -> np.ndarray:  # the words of a bit per string
         return np.add.reduceat(np.where(bits, one_at, 0), np.arange(0, n_strings, 64))[:, None]
-
-    weighted = pack((weights != 0).any(axis=1))
-    imaginary = pack(np.array([(x & z).bit_count() & 1 for x, z in strings], dtype=bool))
-    even = np.flatnonzero(((anti & weighted) == (imaginary & weighted)).all(axis=0)
-                          & (parity[qx & qz] > 0))
-    antiunitary = (int(qx[even[0]]), int(qz[even[0]])) if len(even) else None
 
     def relation(b: int, r: int, care: np.ndarray):
         flipped = pack(weights[:, b] != weights[:, r])  # 0 == -0, so only where w != 0
@@ -484,7 +472,7 @@ def _orbits(weights: np.ndarray, strings: Sequence[tuple[int, int]], parity: np.
             slot[b] = len(reps)
             reps.append(b)
             members.append((b, pack(weights[:, b] != 0)))
-    return reps, slot, eps, qx[pauli], qz[pauli], antiunitary
+    return reps, slot, eps, qx[pauli], qz[pauli]
 
 
 def _pack(bits, sites: Sequence[int]):
@@ -493,21 +481,19 @@ def _pack(bits, sites: Sequence[int]):
     return sum((((bits >> site) & 1) << j for j, site in enumerate(sites)), bits & 0)
 
 
-def _real_basis(tx: int, tz: int, parity: np.ndarray) -> tuple:
+def _real_basis(tx: int, parity: np.ndarray) -> tuple:
     """(a, b, r^2) of the unitary W with columns W[:, k] = (a_k e_k + b_k e_{k ^ tx}) / r.
 
-    Q = Z^tz X^tx with Q^2 = +1 acts as (Q v)[k] = sigma_k v[k ^ tx], sigma_k =
-    parity[tz & k].  S = diag(s), s_k = parity[m & k], anticommutes with Q for
-    m the lowest bit of tx; when tx = 0, m = tz and S = Q.  With d_k = 1 where
-    s_k = +1 and i where s_k = -1, W = (S + Q) D / r, r = sqrt2 (2 when tx =
-    0): a = d s and b = d sigma, all of unit modulus.  d_k^2 = s_k gives
-    Q conj(W[:, k]) = W[:, k], so W^dagger H W is real for every H that T = K Q
-    commutes with.  tx = tz = 0 gives W = I.
+    X^tx acts as (X^tx v)[k] = v[k ^ tx].  S = diag(s), s_k = parity[m & k],
+    anticommutes with it for m the lowest bit of tx.  With d_k = 1 where s_k =
+    +1 and i where s_k = -1, W = (S + X^tx) D / sqrt2: a = d s and b = d, all
+    of unit modulus.  d_k^2 = s_k gives X^tx conj(W[:, k]) = W[:, k], so
+    W^dagger H W is real for every H that T = K X^tx commutes with.  tx = 0
+    gives a = b = 1 and r^2 = 4, so W = I, the basis T = K leaves real.
     """
-    k = np.arange(len(parity))
-    sigma, s = parity[tz & k], parity[(tx & -tx or tz) & k]
+    s = parity[(tx & -tx) & np.arange(len(parity))]
     d = np.where(s > 0, 1.0, 1j)
-    return d * s, d * sigma, 2.0 if tx else 4.0
+    return d * s, d, 2.0 if tx else 4.0
 
 
 def _blocks_in(rows: list, a: np.ndarray, b: np.ndarray, norm: float, tx: int,
@@ -603,11 +589,12 @@ class SiteBlocks(_FusedSteps):
     combined's 64, 2 of melon's 8).  A row of `energies` is therefore
     ascending, or descending where eps = -1.
 
-    Where an antiunitary T = K Z^tz X^tx with T^2 = +1 fixes every block
-    (`_orbits`; T = K X_free on the built-in systems, whose terms are XX or
-    YY), the representatives are built as real matrices in a T-invariant
-    basis W (`_blocks_in`), the eigh is real and V_r = W O is folded back
-    once (`real_eigh`); otherwise they stay complex.  Only the
+    Where the antiunitary T = K (strings of an even number of Y factors) or
+    T = K X_free (of an even number of Z factors) fixes every block, the
+    representatives are built as real matrices in a T-invariant basis W
+    (`_real_basis`, `_blocks_in`), the eigh is real and V_r = W O is folded
+    back once (`real_eigh`); otherwise they stay complex.  Every vortex
+    system, whose terms are XX or YY, takes one of the two.  Only the
     representatives' V_r are held; `vectors` builds every block's Q V_r on
     each call.  `state(t)` takes exp(-i t E) once per orbit, conjugated where
     eps = -1, multiplies V_r into its members' start coefficients (held
@@ -696,18 +683,22 @@ class SiteBlocks(_FusedSteps):
     def _spectrum(self) -> _Spectrum:
         """One eigenbasis per orbit, and the layout `state` samples it in.
 
-        With no T from `_orbits`, W = I and `_blocks_in` builds complex blocks.
+        T = K X^tx fixes a string X^x Z^z when popcount(z & (x ^ tx)) is even:
+        K negates each Y, X^tx each Y or Z at tx.  T = K (tx = 0), then T = K
+        X_free, is tried on the strings of nonzero weight; with neither, W = I
+        and `_blocks_in` builds complex blocks.
         """
         weights: dict[tuple, np.ndarray] = {}  # (x bits, z bits) on the free sites -> weights
         for w, x, z in self._strings:
             weights[x, z] = weights.get((x, z), 0.0) + w
         diag, parity = self._free, self._parity
-        reps, slot, eps, qx, qz, antiunitary = _orbits(
-            np.array(list(weights.values())), list(weights), parity)
-        tx, tz = antiunitary or (0, 0)
-        a, b, norm = _real_basis(tx, tz, parity)
+        reps, slot, eps, qx, qz = _orbits(np.array(list(weights.values())), list(weights), parity)
+        fixing = [tx for tx in (0, len(diag) - 1) if all(
+            (z & (x ^ tx)).bit_count() % 2 == 0 for (x, z), w in weights.items() if w.any())]
+        real, tx = bool(fixing), fixing[0] if fixing else 0
+        a, b, norm = _real_basis(tx, parity)
         rows = _string_rows([(w[reps], *xz) for xz, w in weights.items()], diag)
-        levels, rot = np.linalg.eigh(_blocks_in(rows, a, b, norm, tx, antiunitary is not None))
+        levels, rot = np.linalg.eigh(_blocks_in(rows, a, b, norm, tx, real))
         r, turn = math.sqrt(norm), diag ^ tx
         vectors = rot * (a / r)[:, None]  # row j of W O: (a_j O[j] + b_j' O[j']) / r, j' = j ^ tx
         vectors += rot[:, turn] * (b[turn] / r)[:, None]
@@ -724,7 +715,7 @@ class SiteBlocks(_FusedSteps):
         np.conjugate(coeffs, out=coeffs, where=negated[..., None])
         take = (slot * len(diag) + (diag[:, None] ^ qx)) * coeffs.shape[1] + member
         return _Spectrum(levels, vectors, coeffs, negated, take, sign.T.copy(), slot, eps, qx, qz,
-                         antiunitary is not None)
+                         real)
 
     @property
     def energies(self) -> np.ndarray:
@@ -746,7 +737,7 @@ class SiteBlocks(_FusedSteps):
 
     @property
     def real_eigh(self) -> bool:
-        """Whether the eigh took real blocks: some K Q commutes with every block."""
+        """Whether the eigh took real blocks: K or K X_free commutes with every block."""
         return self._spectrum.real
 
     def state(self, t: float) -> np.ndarray:

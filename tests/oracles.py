@@ -1,18 +1,23 @@
-"""Reference code that the tests compare the program against, and the random
-Pauli terms they feed both; the program does not import it.
+"""Reference code that the tests compare the program against, the random
+Pauli terms they feed both, and the readers of the program's dumps; the
+program does not import it.
 
 `SpectralReference` and `reference_trotter_scan` are built from the README's
 model rules alone, sharing no code with the program's lattice, Hamiltonian,
-circuit or statevector paths.
+circuit or statevector paths.  The dumps (Hamiltonian list, circuit, samples
+CSV, system file) are the program's interface; only the round-trip tests read
+them back.
 """
 from __future__ import annotations
 
+import json
 import math
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
+from vortexprop.circuit import Circuit, Gate
 from vortexprop.hamiltonian import Hamiltonian, PauliAxis, PauliTerm, matrix_of
 from vortexprop.lattice import SystemKind, SystemSpec, bond_couplings
 from vortexprop.statevector import StateVector, conserved_axes, label_to_index
@@ -330,3 +335,57 @@ def reference_trotter_scan(kind: str, label: str, dt_over_T: float,
             psi = cos_a * psi + minus_i_sin_sign * psi[flipped]
         series.append((step * dt_over_T, float(abs(psi[start]) ** 2)))
     return series
+
+
+# ---------------------------------------------------------------------------
+# readers of the dumps, and the system file writer
+# ---------------------------------------------------------------------------
+
+def _term_from_entry(d) -> PauliTerm:
+    """One {"coeff": real, "ops": [[site, axis], ...]} entry of a Hamiltonian dump."""
+    if not isinstance(d, dict) or not {"coeff", "ops"} <= d.keys():
+        raise ValueError(f"term {d!r} needs a coeff and ops")
+    ops = d["ops"]
+    if not isinstance(ops, list) or not all(
+            isinstance(op, list) and len(op) == 2 and type(op[0]) is int
+            and op[1] in ("X", "Y", "Z") for op in ops):
+        raise ValueError(f"term {d!r} needs ops of [integer site, X, Y or Z] pairs")
+    return PauliTerm(float(d["coeff"]), tuple((s, PauliAxis(a)) for s, a in ops))
+
+
+def hamiltonian_from_list(data: list[dict], n_sites: int | None = None) -> Hamiltonian:
+    """The Hamiltonian of a `hamiltonian_to_list` dump; n_sites defaults to one past its top site."""
+    terms = tuple(_term_from_entry(d) for d in data)
+    if n_sites is None:
+        n_sites = 1 + max(s for t in terms for s in t.support)
+    return Hamiltonian(n_sites=n_sites, terms=terms)
+
+
+def circuit_from_dict(data: dict) -> Circuit:
+    """The circuit of a `circuit_to_dict` dump."""
+    gates = tuple(Gate(d["g"], tuple(d["q"]), d.get("lambda")) for d in data["gates"])
+    return Circuit(n_qubits=data["n"], gates=gates)
+
+
+def read_samples_csv(path) -> tuple[list[str], np.ndarray]:
+    """(header, value matrix) of a samples CSV; its 17-digit floats read back exactly."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        rows = [[float(c) for c in line.rstrip("\n").split(",")] for line in fh if line.strip()]
+    return header, np.array(rows)
+
+
+def system_to_dict(spec: SystemSpec) -> dict:
+    """`spec` in the JSON system format that `lattice.system_from_dict` reads."""
+    return {
+        "kind": spec.kind.value,
+        "sites": [{"label": s.label, "pos": [s.pos[0], s.pos[1]]} for s in spec.sites],
+        "holes": [[h.pos[0], h.pos[1]] for h in spec.holes],
+        "winding": list(spec.winding),
+        "chi": spec.chi,
+        "delta": spec.delta,
+    }
+
+
+def dump_system(spec: SystemSpec) -> str:
+    return json.dumps(system_to_dict(spec), indent=2, sort_keys=True)

@@ -34,7 +34,7 @@ from vortexprop.evolve import (
 )
 from vortexprop.hamiltonian import period_from_constants
 from vortexprop.lattice import build_system
-from vortexprop.observables import estimate_period, read_samples_csv
+from vortexprop.observables import estimate_period
 from vortexprop.runner import cli_main
 from vortexprop.statevector import StateVector, apply_circuit, max_amplitude_diff
 
@@ -45,6 +45,7 @@ from oracles import (
     dense_exponential,
     local_maxima,
     random_term,
+    read_samples_csv,
     reference_trotter_scan,
     site_equivalence_classes,
 )

@@ -28,7 +28,12 @@ from vortexprop.hamiltonian import (
 from vortexprop.lattice import build_system, system_from_dict
 from vortexprop.statevector import apply_circuit, conserved_axes, fidelity
 
-from oracles import check_class_degeneracy, init_basis_state, site_equivalence_classes
+from oracles import (
+    check_class_degeneracy,
+    init_basis_state,
+    site_equivalence_classes,
+    system_to_dict,
+)
 
 
 class TestRunConfig:
@@ -553,8 +558,6 @@ def test_chi_bounds_the_exact_fidelity_at_4T():
 def test_rotated_geometry_is_a_relabeling(tmp_path):
     # loading a quarter-turn of the built-in layout through the system file
     # format permutes the sites but leaves the dynamics identical
-    from vortexprop.lattice import system_from_dict, system_to_dict
-
     base = build_system("melon")
     d = system_to_dict(base)
     for s in d["sites"]:

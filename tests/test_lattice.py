@@ -4,16 +4,9 @@ import re
 
 import pytest
 
-from vortexprop.lattice import (
-    BondKind,
-    build_system,
-    dump_system,
-    load_system,
-    system_from_dict,
-    system_to_dict,
-)
+from vortexprop.lattice import BondKind, build_system, load_system, system_from_dict
 
-from oracles import point_symmetries, site_equivalence_classes
+from oracles import dump_system, point_symmetries, site_equivalence_classes, system_to_dict
 
 TWO_PI = 2 * math.pi
 

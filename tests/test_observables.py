@@ -10,7 +10,6 @@ from vortexprop.observables import (
     SampleRecord,
     csv_header,
     estimate_period,
-    read_samples_csv,
     record_sample,
     write_samples_csv,
 )
@@ -20,6 +19,7 @@ from oracles import (
     check_amplitude_symmetry,
     check_class_degeneracy,
     local_maxima,
+    read_samples_csv,
     site_equivalence_classes,
 )
 

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from vortexprop.observables import read_samples_csv
 from vortexprop.runner import (
     SimulateOptions,
     cli_main,
@@ -10,6 +9,8 @@ from vortexprop.runner import (
     parse_dt,
     suite_convergence,
 )
+
+from oracles import read_samples_csv
 
 
 def run_cli(argv):
@@ -154,12 +155,12 @@ class TestSimulateCommand:
         # the dump must be the compiled step bit for bit; that the run equals
         # this circuit to 1e-12 is test_evolve's test_kernel_step_equals_circuit_replay
         import numpy as np
-        from vortexprop.circuit import circuit_from_dict, compile_trotter_step
+        from vortexprop.circuit import compile_trotter_step
         from vortexprop.hamiltonian import build_hamiltonian
         from vortexprop.lattice import build_system
         from vortexprop.statevector import apply_circuit
 
-        from oracles import init_basis_state
+        from oracles import circuit_from_dict, init_basis_state
 
         out = tmp_path / "d"
         run_cli(["simulate", "--system", "melon", "--dt", "1/10", "--total", "0.1",

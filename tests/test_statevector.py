@@ -4,12 +4,18 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vortexprop import statevector
 from vortexprop.circuit import Gate, compile_pauli_exponential, compile_trotter_step
-from vortexprop.evolve import RunConfig, fidelity_scan, run_trotter
+from vortexprop.evolve import (
+    RunConfig,
+    default_initial_label,
+    fidelity_scan,
+    run_exact,
+    run_trotter,
+)
 from vortexprop.hamiltonian import (
     Hamiltonian,
     PauliAxis,
@@ -18,7 +24,7 @@ from vortexprop.hamiltonian import (
     matrix_of,
     sparse_matrix_of,
 )
-from vortexprop.lattice import build_system
+from vortexprop.lattice import build_system, system_from_dict
 from vortexprop.statevector import (
     PauliKernel,
     SiteBlocks,
@@ -578,7 +584,8 @@ class TestOrbitSampling:
         # site 0 free with X, Y and Z: no Q on it anticommutes with Y0 alone,
         # so no K Q fixes the blocks and their eigh stays complex
         "no-antiunitary": [(0.7, "XXI"), (0.4, "YXI"), (0.3, "ZII"), (0.5, "IXX")],
-        # Y and Z on free site 0: T = K Z_0, whose invariant basis pairs no states
+        # Y and Z on free site 0: K Z_0 fixes the strings, but neither K (one Y)
+        # nor K X_free (one Z) does, so the eigh stays complex
         "z-antiunitary": [(0.7, "YXI"), (0.3, "ZII"), (0.5, "IXX")],
         # X0Y1, Z0Y1, Y0Y1 and X1 on free sites 0 and 1: only Q = Y_0 is odd where
         # the strings are, and (K Y_0)^2 = -1 allows no real form
@@ -587,7 +594,7 @@ class TestOrbitSampling:
         "no-free-site": [(1.0, "XX")],
     }
     NAMES = ["melon", "antimelon", "combined", "combined-chi-pi/4", *STRINGS]
-    COMPLEX = {"no-antiunitary", "kramers"}
+    COMPLEX = {"no-antiunitary", "z-antiunitary", "kramers"}
 
     @pytest.mark.parametrize("name", NAMES)
     def test_sampling_per_orbit_equals_sampling_per_block(self, name):
@@ -610,6 +617,10 @@ class TestOrbitSampling:
     @pytest.mark.parametrize("name", ["melon", "antimelon", "combined", "no-antiunitary",
                                       "z-antiunitary", "kramers"])
     def test_eigh_is_real_where_an_antiunitary_allows_it(self, name, monkeypatch):
+        # real where T = K (an even number of Y per string) or T = K X_free (an
+        # even number of Z) fixes every string: melon, antimelon and combined,
+        # whose terms are XX or YY; complex otherwise, also where only another
+        # K Q, such as z-antiunitary's K Z_0, would
         eigh, seen = np.linalg.eigh, []
 
         def spy(a, *args, **kwargs):
@@ -625,6 +636,72 @@ class TestOrbitSampling:
         dim = len(blocks.initial())
         assert max(v.size for v in held) <= blocks.diagonalised * dim * dim
         assert blocks._spectrum.vectors.shape == (blocks.diagonalised, dim, dim)
+
+
+@st.composite
+def custom_geometries(draw):
+    """A vortex-kind system from `system_from_dict`: random sites and 1 or 2 holes on a grid
+    of up to 4 x 4, windings +-1, chi in {0, pi/4, pi/2}; at most 14 sites, as `run_exact`."""
+    width, height = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    cells = draw(st.permutations([[x, y] for x in range(width) for y in range(height)]))
+    n_holes = draw(st.integers(1, 2))
+    n_sites = draw(st.integers(2, min(14, len(cells) - n_holes)))
+    return system_from_dict({
+        "kind": "melon",
+        "holes": cells[:n_holes],
+        "winding": draw(st.lists(st.sampled_from([1, -1]), min_size=n_holes, max_size=n_holes)),
+        "sites": [{"label": f"s{k}", "pos": pos}
+                  for k, pos in enumerate(cells[n_holes:n_holes + n_sites])],
+        "chi": draw(st.sampled_from([0.0, math.pi / 4, math.pi / 2])),
+    })
+
+
+def _exact_run(spec, start: int, dt: float):
+    """One `run_exact` step of dt from basis state `start`: (propagator record, check).
+
+    check() compares the final state, up to 10 sites, with expm of the dense
+    matrix on the start's parity sector, to 1e-12.
+    """
+    from scipy.linalg import expm
+
+    n = spec.n_sites
+    config = RunConfig(system=spec, dt_over_T=dt, total_over_T=dt,
+                       initial_label=index_to_label(start, n))
+    result = run_exact(config)
+
+    def check():
+        if n <= 10:
+            sector = [i for i in range(1 << n) if (i ^ start).bit_count() % 2 == 0]
+            h = matrix_of(build_hamiltonian(spec))[np.ix_(sector, sector)]
+            want = expm(-2j * dt * h)[:, sector.index(start)]
+            assert np.max(np.abs(result.final_state.amps[sector] - want)) < 1e-12
+
+    return result.propagator, check
+
+
+class TestRealBlocks:
+    """Every system the program builds whose exact runs take the blocks gets a real eigh.
+
+    Its terms are XX or YY, so T = K X_free fixes every free-site string
+    (T = K also does where no string keeps a Y).
+    """
+
+    @pytest.mark.parametrize("k", range(8))
+    @pytest.mark.parametrize("kind", ["melon", "antimelon", "combined"])
+    def test_built_in_systems(self, kind, k):
+        spec = build_system(kind, chi=k * math.pi / 4)
+        record, check = _exact_run(spec, label_to_index(default_initial_label(spec)), 0.37)
+        assert (record["kind"], record["real_eigh"]) == ("exact blocks", True)
+        check()
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=custom_geometries(), bits=st.integers(0, 2**14 - 1),
+           dt=st.floats(min_value=0.01, max_value=2.5))
+    def test_custom_geometries(self, spec, bits, dt):
+        record, check = _exact_run(spec, bits % (1 << spec.n_sites), dt)
+        assume(record["kind"] == "exact blocks")
+        assert record["real_eigh"]
+        check()
 
 
 class TestBlockStep:

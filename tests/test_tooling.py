@@ -44,6 +44,26 @@ def test_unused_imports_are_span_targets():
     assert unused - set(_span_targets()) == set()
 
 
+def test_every_public_name_has_a_caller_beyond_the_tests():
+    # a public function or class of the package must be referenced by name
+    # in src/ outside its own definition, in perfbench/, or in backticks in
+    # README.md: a name that only tests call belongs in tests/
+    sources = {p: p.read_text() for p in sorted((ROOT / "src" / "vortexprop").glob("*.py"))}
+    bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    documented = {w for span in re.findall(r"`([^`]+)`", README) for w in re.findall(r"\w+", span)}
+    unreferenced = []
+    for path, text in sources.items():
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:]
+                             + [t for p, t in sources.items() if p != path] + [bench])
+            if node.name not in documented and not re.search(rf"\b{node.name}\b", rest):
+                unreferenced.append(f"vortexprop.{path.stem}.{node.name}")
+    assert unreferenced == []
+
+
 def test_readme_lists_every_simulate_flag():
     # the README's "Flags:" paragraph names every `simulate` option and no other
     paragraph = README[README.index("Flags:"):].split("\n\n")[0]
