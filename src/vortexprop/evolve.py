@@ -16,6 +16,9 @@ to round-off.  One rule (`_propagation`) picks where they run:
 - elsewhere (XXZ chains of 10 or more sites, a generic chi) the kernel's op
   loop in the z basis.
 
+A run takes the steps between two samples in one `advance` call, and a
+scan reads <start|psi> after every step inside the stepping loop (`scan`).
+
 The exact path is the validation oracle, picked by the same rule: where
 some site Pauli commutes with every term it propagates the dense eigenbases
 of the blocks that split H (`SiteBlocks`, which diagonalises one block per
@@ -277,8 +280,7 @@ def run_trotter(config: RunConfig) -> RunResult:
     phi = 2.0 * config.dt_over_T
 
     def forward(psi: np.ndarray, k: int) -> np.ndarray:
-        for _ in range(k):
-            prop.step(psi, phi)
+        prop.advance(psi, phi, k)
         return psi
 
     return _run(config, h, kernel, prop, _stepwise(prop.initial(), forward), record)
@@ -315,17 +317,15 @@ def fidelity_scan(config: RunConfig, t_max_over_T: float) -> list[tuple[float, f
 
     This is the semiclassical scheme: each output statevector feeds back as
     the next input, so the propagator is built once and applied repeatedly.
-    The initial state is a basis state, so the fidelity is |<start|psi>|^2.
+    The initial state is a basis state, so the fidelity is |<start|psi>|^2,
+    read inside the propagator's stepping loop (`scan`).
     """
     n_steps = _whole_steps(t_max_over_T, config.dt_over_T, "t_max_over_T")
     prop = _propagation(config)[2]
-    psi = prop.initial()
-    phi = 2.0 * config.dt_over_T
-    series = [(0.0, 1.0)]
-    for step in range(1, n_steps + 1):
-        prop.step(psi, phi)
-        series.append((step * config.dt_over_T, float(abs(prop.overlap(psi)) ** 2)))
-    return series
+    overlaps = prop.scan(prop.initial(), 2.0 * config.dt_over_T, n_steps)[1:]
+    # |<start|psi>| ** 2 as a Python float: np.hypot rounds as abs(complex) does
+    return [(0.0, 1.0)] + [(step * config.dt_over_T, f ** 2) for step, f in enumerate(
+        np.hypot(overlaps.real, overlaps.imag).tolist(), 1)]
 
 
 def semiclassical_period_scan(config: RunConfig, t_max_over_T: float) -> PeriodEstimate:

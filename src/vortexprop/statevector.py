@@ -12,12 +12,14 @@ parity sector of a run's initial basis state; Trotter stepping, the
 energy and the sparse matrix all go through it.  On a sector of at
 most MAX_DENSE_STEP states (the 8-site systems, XXZ chains up to 9 sites)
 the step is one dense matvec, since there a few numpy calls per op cost more
-than the arithmetic; larger sectors run the ops.
+than the arithmetic; larger sectors run the ops.  A run or a scan takes all
+its steps between two samples in one loop.
 
 `SiteBlocks` splits the kernel's strings by the site Paulis that commute
 with all of them, rotated to z.  It propagates a Trotter state on the
-blocks with the kernel's step, whose ops there gather whole rows of blocks
-and are fewer (10 against 22 on the 4096 states of the combined system).
+blocks with the kernel's stepping loop, whose ops there gather whole rows
+of blocks and are fewer (10 against 22 on the 4096 states of the combined
+system).
 It also propagates exactly in the blocks' eigenbases, diagonalising one
 block per orbit of the Pauli strings on the free sites, as a real matrix
 where the antiunitary K or K X_free commutes with every block, and
@@ -122,11 +124,11 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 
 # Largest stored set whose Trotter step is applied as one dense matrix.  On
 # 2 cores and one BLAS thread, from the Neel state of XXZ chains at delta 0
-# and 2, the matvec takes 7-10 us at 128 states (op loop 16-29 us; 58 us on
-# melon) and 21-29 us at 256 (op loop 23-38 us), but 190 us at 512 (op loop
-# 55 us) and 800 us at 1024 (op loop 85 us): its dim^2 work outgrows the op
-# loop's few passes over dim per op.  Building the matrix costs 1.3 ms at
-# 128 states and 5 ms at 256.
+# and 2, a step inside `advance` takes 8 us at 128 states (op loop 29-30 us;
+# 8 against 61 us on melon) and 24-27 us at 256 (op loop 37 us), but
+# 180-185 us at 512 (op loop 55-58 us) and 750-790 us at 1024 (op loop
+# 85-87 us): its dim^2 work outgrows the op loop's few passes over dim per
+# op.  Building the matrix costs 1.3-1.5 ms at 128 states and 5 ms at 256.
 MAX_DENSE_STEP = 256
 
 
@@ -219,11 +221,15 @@ def _fuse(rows, phi: float) -> list:
 class _FusedSteps:
     """Trotter stepping through the fused ops of `_rows`, shared by both propagators.
 
-    A subclass sets `_rows` and `_scratch` (of the stepped array's shape).
-    The ops are compiled on the first `step` and again only when phi
-    changes; a `dense` propagator then runs them once on the identity and
-    steps by one matvec.  The ops and the energy gather along axis 0 (rows of
-    the blocks' array); a column stands for `_weight` times its norm and energy.
+    A subclass sets `_rows`, `_scratch` (of the stepped array's shape) and
+    `overlap`.  Every entry runs k steps through `_walk`, the one loop: the
+    ops are compiled on its first call and again only when phi changes, and
+    a `dense` propagator then runs them once on the identity and steps by
+    one matvec, alternating between the caller's array and `_scratch`, so
+    the state is copied back at most once per call.  `advance` steps in
+    place, `step` is one `advance`, and `scan` reads <start|psi> after each
+    step.  The ops and the energy gather along axis 0 (rows of the blocks'
+    array); a column stands for `_weight` times its norm and energy.
     """
 
     _weight = 1.0
@@ -236,8 +242,13 @@ class _FusedSteps:
         """How many fused ops a step runs (or, when dense, multiplies into its matrix)."""
         return sum(1 for _ in _runs(self._rows))
 
-    def step(self, amps: np.ndarray, phi: float) -> None:
-        """Apply exp(-i phi coeff P) for every term in frozen order, in place."""
+    def _walk(self, amps: np.ndarray, phi: float, k: int):
+        """Yield the array that holds each of k steps from amps; amps holds the last at the end.
+
+        A step applies exp(-i phi coeff P) for every term in frozen order.  A
+        dense step yields `_scratch` on every other step, so each array is
+        read before the next step, and the generator must run to its end.
+        """
         if phi != self._phi:
             self._ops, self._phi = _fuse(self._rows, phi), phi
             self._dense = None
@@ -246,10 +257,32 @@ class _FusedSteps:
                 _apply_ops(self._ops, eye, np.empty_like(eye))
                 self._dense = eye  # row r is the step applied to basis state r: U^T
         if self._dense is None:
-            _apply_ops(self._ops, amps, self._scratch, axis=0)
-        else:
-            np.matmul(amps, self._dense, out=self._scratch)
-            amps[:] = self._scratch
+            ops, moved = self._ops, self._scratch
+            for _ in range(k):
+                _apply_ops(ops, amps, moved, axis=0)
+                yield amps
+            return
+        now, then, u = amps, self._scratch, self._dense
+        for _ in range(k):
+            np.dot(now, u, out=then)  # as np.matmul, with less overhead per call
+            now, then = then, now
+            yield now
+        if now is not amps:
+            amps[:] = now
+
+    def advance(self, amps: np.ndarray, phi: float, k: int) -> None:
+        """Apply k Trotter steps of phi to amps, in place."""
+        for _ in self._walk(amps, phi, k):
+            pass
+
+    def step(self, amps: np.ndarray, phi: float) -> None:
+        """Apply exp(-i phi coeff P) for every term in frozen order, in place."""
+        self.advance(amps, phi, 1)
+
+    def scan(self, amps: np.ndarray, phi: float, n: int) -> np.ndarray:
+        """<start|psi_k> for k = 0, ..., n, stepping amps in place to psi_n."""
+        overlap = self.overlap
+        return np.array([overlap(amps)] + [overlap(now) for now in self._walk(amps, phi, n)])
 
     @cached_property
     def _bonds(self) -> list:
@@ -300,8 +333,9 @@ class PauliKernel(_FusedSteps):
     The energy takes one gather per distinct flip.  One scratch buffer
     serves every call, so a kernel belongs to one run at a time.
 
-    `initial`, `step`, `overlap` and `sector` make the kernel a Trotter
-    propagator of its start state, as `SiteBlocks` is on the rotated blocks.
+    `initial`, `advance`, `scan`, `overlap` and `sector` make the kernel a
+    Trotter propagator of its start state, as `SiteBlocks` is on the rotated
+    blocks.
     """
 
     def __init__(self, n_qubits: int, terms: Sequence[PauliTerm], start: int | None = None):
@@ -310,7 +344,7 @@ class PauliKernel(_FusedSteps):
                 raise IndexError(f"term {term} outside {n_qubits} qubits")
         self.n_qubits = n_qubits
         self.start = start
-        self.conserved = conserved_axes(terms)  # the site Paulis every term commutes with
+        self.conserved = conserved_axes(terms, n_qubits)  # site Paulis every term commutes with
         self.strings = [(t.coeff, sum(1 << k for k, a in t.factors if a is not PauliAxis.Z),
                          sum(1 << k for k, a in t.factors if a is not PauliAxis.X)) for t in terms]
         itype = np.int32 if n_qubits < 32 else np.int64
@@ -407,18 +441,19 @@ _TO_Z = {
 }
 
 
-def conserved_axes(terms: Sequence[PauliTerm]) -> dict[int, PauliAxis]:
-    """Sites whose every factor has one axis, X or Y, mapped to that axis.
+def conserved_axes(terms: Sequence[PauliTerm], n_qubits: int) -> dict[int, PauliAxis]:
+    """Sites of n_qubits whose every factor has one axis, X or Y, mapped to that axis.
 
     That Pauli commutes with every term, so with H and with each term's
-    exponential.  Sites no term acts on are left out.
+    exponential.  A site no term acts on maps to X; without terms there is
+    nothing to split, and no site is returned.
     """
-    seen: dict[int, set[PauliAxis]] = {}
+    seen: list[set[PauliAxis]] = [set() for _ in range(n_qubits)]
     for term in terms:
         for site, axis in term.factors:
-            seen.setdefault(site, set()).add(axis)
-    return {site: axis for site, (axis, *rest) in sorted(seen.items())
-            if not rest and axis is not PauliAxis.Z}
+            seen[site].add(axis)
+    return {site: next(iter(axes), PauliAxis.X) for site, axes in enumerate(seen)
+            if terms and len(axes) < 2 and PauliAxis.Z not in axes}
 
 
 def _orbits(weights: np.ndarray, strings: Sequence[tuple[int, int]], parity: np.ndarray):
@@ -566,15 +601,19 @@ class SiteBlocks(_FusedSteps):
     high[s] parity[f0] / low[s] of D times block s.  Such a state is held as a
     (free state f, kept block s) array, which holds the whole sector.
 
-    Trotter steps (`initial`, `step`, `overlap`, `sector`, as on the kernel):
-    each term is a row of the kernel's kind on that array, its phase the one
-    above and its coefficient the term's weight per block s, and the rows go
-    through the kernel's `step`, whose ops gather whole rows of blocks.
-    A term on conserved sites only is diagonal and joins the run around it,
-    and terms flipping the same free sites share an op: combined's 26 terms
-    make 10 ops, against 22 in the z basis.  `overlap` reads <start|psi> off
-    row f0 alone; `sector` takes a state back to z with one matrix product
-    per free-parity half, then a gather to the amplitudes over `index`.
+    Trotter steps (`initial`, `advance`, `scan`, `overlap`, `sector`, as on
+    the kernel): each term is a row of the kernel's kind on that array, its
+    phase the one above and its coefficient the term's weight per block s,
+    and the rows go through the kernel's stepping loop, whose ops gather
+    whole rows of blocks.  A term on conserved sites only is diagonal and
+    joins the run around it, and terms flipping the same free sites share
+    an op: combined's 26 terms make 10 ops, against 22 in the z basis.  The
+    start's amplitudes low and high come from its column of the rotation.
+    `overlap` reads <start|psi> off row f0 alone; `sector` takes a state
+    back to z with one matrix product per free-parity half, then a gather to
+    the amplitudes over `index`.  Their matrices and the gather (`_back`,
+    from the full rotation) are built on the first sample, so a scan never
+    builds them.
     `expectation` measures the array itself, column s weighed by `_weight[s]`
     = 1 + |high[s] / low[s]|^2: block s^ holds |ratio[s]|^2 times the norm
     and the energy of block s.
@@ -612,6 +651,7 @@ class SiteBlocks(_FusedSteps):
                              "flips an odd number of sites, so prod Z is not conserved")
         sites = list(axes)
         free = [k for k in range(kernel.n_qubits) if k not in axes]
+        self._kernel, self._sites, self._free_sites = kernel, sites, free
         kept = np.arange(1 << (len(sites) - 1))  # block s; its complement is 2^m - 1 - s
         mirror = 2 * len(kept) - 1 - kept
         # (weight per kept block, x bits, z bits on the free sites): a conserved
@@ -623,29 +663,16 @@ class SiteBlocks(_FusedSteps):
         self._free = np.arange(1 << len(free))
         self._parity = parity = _signs(len(free))  # (-1)^popcount(f): D's diagonal
 
-        # rot[c, s] = prod_j R_j[c_j, s_j], the rotation of the conserved sites;
-        # each R_j is its own inverse, so the start's conserved bits b give column b
-        rot = reduce(np.kron, [_TO_Z[axis] for axis in reversed(axes.values())])
-        b = _pack(kernel.start, sites)
+        # column b of rot[c, s] = prod_j R_j[c_j, s_j], the rotation of the conserved
+        # sites (`_back`): each R_j is its own inverse, so the start's conserved bits b
+        # give the start's amplitude in every block
+        column = reduce(np.kron, [_TO_Z[axes[site]][:, (kernel.start >> site) & 1]
+                                  for site in reversed(sites)])
         self._f0 = _pack(kernel.start, free)
-        self._low, high = rot[kept, b], rot[mirror, b]
-        ratio = high * parity[self._f0] / self._low  # block s^ over D block s
+        self._low, high = column[kept], column[mirror]
+        self._ratio = ratio = high * parity[self._f0] / self._low  # block s^ over D block s
         self._weight = 1 + np.abs(ratio) ** 2  # block s and its mirror, per unit of block s
         self._bra = self._low.conj() + np.abs(high) ** 2 / self._low  # <start| on row f0
-
-        # back to z: amplitude (f, c) = sum_s (rot[c, s] + parity[f] ratio[s] rot[c, s^])
-        # psi[f, s], nonzero only where c completes the sector's parity: one half
-        # of the c per sign of parity[f]
-        c_odd = _signs(len(sites)) < 0
-        odd_start = kernel.start.bit_count() & 1
-        rank = np.zeros(len(rot), dtype=np.intp)  # c's place among the c of its parity
-        self._halves = []  # (free states of one parity, matrix (s, place of c))
-        for sign, f_half in ((1.0, parity > 0), (-1.0, parity < 0)):
-            c = np.flatnonzero(c_odd == odd_start ^ (sign < 0))
-            rank[c] = np.arange(len(c))
-            back = rot[c[:, None], kept] + sign * ratio * rot[c[:, None], mirror]
-            self._halves.append((np.flatnonzero(f_half), back.T))
-        self._where = _pack(kernel.index, free) * len(kept) + rank[_pack(kernel.index, sites)]
         self._scratch = np.empty((len(self._free), len(kept)), dtype=np.complex128)
 
     # -- Trotter propagation -------------------------------------------------
@@ -672,10 +699,37 @@ class SiteBlocks(_FusedSteps):
 
     def sector(self, psi: np.ndarray) -> np.ndarray:
         """Amplitudes over the kernel's `index` of a (free state, kept block) array."""
+        halves, where = self._back
         out = np.empty(psi.shape, dtype=np.complex128)
-        for f, back in self._halves:
+        for f, back in halves:
             out[f] = psi[f] @ back
-        return out.reshape(-1)[self._where]
+        return out.reshape(-1)[where]
+
+    @cached_property
+    def _back(self) -> tuple:
+        """(halves, where) of `sector`, built on its first call: a scan never samples.
+
+        Amplitude (f, c) in z is sum_s (rot[c, s] + parity[f] ratio[s] rot[c, s^])
+        psi[f, s], nonzero only where c completes the sector's parity: one half of
+        the c per sign of parity[f].  halves holds (free states of that half, matrix
+        (s, place of c)) per half; where gathers the result into `index` order.
+        """
+        kernel, sites = self._kernel, self._sites
+        rot = reduce(np.kron, [_TO_Z[kernel.conserved[site]] for site in reversed(sites)])
+        kept = np.arange(len(self._low))
+        mirror = 2 * len(kept) - 1 - kept
+        c_odd = _signs(len(sites)) < 0
+        odd_start = kernel.start.bit_count() & 1
+        rank = np.zeros(len(rot), dtype=np.intp)  # c's place among the c of its parity
+        halves = []
+        for sign, f_half in ((1.0, self._parity > 0), (-1.0, self._parity < 0)):
+            c = np.flatnonzero(c_odd == odd_start ^ (sign < 0))
+            rank[c] = np.arange(len(c))
+            back = rot[c[:, None], kept] + sign * self._ratio * rot[c[:, None], mirror]
+            halves.append((np.flatnonzero(f_half), back.T))
+        where = _pack(kernel.index, self._free_sites) * len(kept) + rank[
+            _pack(kernel.index, sites)]
+        return halves, where
 
     # -- exact propagation ---------------------------------------------------
 

@@ -52,7 +52,7 @@ def all_site_blocks(n: int, terms: Sequence[PauliTerm]) -> np.ndarray:
     its conserved sites in s: bit j of s for the j-th lowest conserved site,
     top bit 0.
     """
-    axes = conserved_axes(terms)
+    axes = conserved_axes(terms, n)
     sites = list(axes)
     free = [k for k in range(n) if k not in axes]
     dim = 1 << len(free)
@@ -85,7 +85,7 @@ def butterfly_back_rotation(n: int, terms: Sequence[PauliTerm], start: int,
     bits low and the conserved bits high, and each conserved site is
     rotated back to z in turn.
     """
-    axes = conserved_axes(terms)
+    axes = conserved_axes(terms, n)
     sites = list(axes)
     free = [k for k in range(n) if k not in axes]
     n_free, n_kept = psi.shape

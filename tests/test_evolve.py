@@ -401,7 +401,7 @@ class TestBlockPropagation:
         # Trotter steps exact
         spec = system_from_dict({"kind": "melon", "holes": [[0, 0]], "winding": [1], "sites": [
             {"label": chr(ord("a") + k), "pos": [k + 1, 0]} for k in range(11)]})
-        assert len(conserved_axes(build_hamiltonian(spec).terms)) == 11
+        assert len(conserved_axes(build_hamiltonian(spec).terms, spec.n_sites)) == 11
         config = RunConfig(system=spec, dt_over_T=1 / 10, total_over_T=0.4, sample_pitch=2,
                            initial_label="10110100101")
         exact, trotter = run_exact(config), run_trotter(config)

@@ -315,7 +315,7 @@ class TestDenseStep:
         start = label_to_index("0101010110101")
         kernel = PauliKernel(h.n_sites, h.terms, start)
         assert len(kernel.index) == 4096 > statevector.MAX_DENSE_STEP
-        assert conserved_axes(h.terms) == {}
+        assert conserved_axes(h.terms, h.n_sites) == {}
         psi = kernel.basis(start)
         want, moved = psi.copy(), np.empty_like(psi)
         ops = statevector._fuse(kernel._rows, 0.2)
@@ -336,7 +336,7 @@ class TestDenseStep:
         def refuse(*args):
             raise AssertionError("z-basis step on combined")
 
-        monkeypatch.setattr(PauliKernel, "step", refuse)
+        monkeypatch.setattr(PauliKernel, "_walk", refuse)  # every entry steps through _walk
         config = RunConfig(system=build_system("combined"), dt_over_T=1 / 10, total_over_T=0.4)
         assert run_trotter(config).propagator["kind"] == "blocks"
         assert len(fidelity_scan(config, 0.4)) == 5
@@ -431,7 +431,7 @@ class TestConservedSites:
     def test_axis_sites_and_their_paulis(self, name):
         spec, want = self.SYSTEMS[name]
         terms = build_hamiltonian(spec).terms
-        axes = conserved_axes(terms)
+        axes = conserved_axes(terms, spec.n_sites)
         assert " ".join(spec.labels[k] + a.value for k, a in axes.items()) == want
         for site, axis in axes.items():
             assert max(_commutator_norm(t, site, axis) for t in terms) == 0.0
@@ -442,7 +442,8 @@ class TestConservedSites:
                lambda c: abs(c / (math.pi / 4) - round(c / (math.pi / 4))) > 1e-6))
     def test_generic_chi_conserves_no_site(self, kind, chi):
         # every xi is a multiple of pi/4 plus chi, so no spin lies on an axis
-        assert conserved_axes(build_hamiltonian(build_system(kind, chi=chi)).terms) == {}
+        h = build_hamiltonian(build_system(kind, chi=chi))
+        assert conserved_axes(h.terms, h.n_sites) == {}
 
     @settings(max_examples=100, deadline=None)
     @given(case=planted_term_lists(), bits=st.integers(0, 63),
@@ -451,10 +452,12 @@ class TestConservedSites:
         from scipy.linalg import expm
 
         n, terms, planted = case
-        axes = conserved_axes(terms)
+        axes = conserved_axes(terms, n)
         acted = {k for term in terms for k in term.support}
-        assert {k: a for k, a in axes.items() if k in planted} == {
-            k: PauliAxis(a) for k, a in planted.items() if k in acted}
+        # a site no term acts on is conserved as X, unless there is no term at all
+        assert {k: a for k, a in axes.items() if k in planted or k not in acted} == {
+            k: PauliAxis(planted.get(k, "X")) if k in acted else PauliAxis.X
+            for k in range(n) if terms and (k in planted or k not in acted)}
         for site, axis in axes.items():
             assert max(_commutator_norm(term, site, axis) for term in terms) < 1e-12
         if not axes:
@@ -704,6 +707,21 @@ class TestRealBlocks:
         check()
 
 
+    def test_an_idle_site_is_conserved(self):
+        # melon plus a site that no bond reaches: X there commutes with every term,
+        # so the blocks keep melon's 16 states instead of doubling
+        melon = build_system("melon")
+        spec = system_from_dict({
+            "kind": "melon", "holes": [list(h.pos) for h in melon.holes],
+            "winding": list(melon.winding),
+            "sites": [{"label": s.label, "pos": list(s.pos)} for s in melon.sites]
+            + [{"label": "z", "pos": [5, 5]}]})
+        record, check = _exact_run(spec, label_to_index("0" + default_initial_label(melon)), 0.37)
+        assert (record["kind"], record["block_states"]) == ("exact blocks", 16)
+        assert record["conserved_sites"]["z"] == "X"
+        check()
+
+
 class TestBlockStep:
     COMBINED = build_hamiltonian(build_system("combined")).terms
     # sites 1 (Y), 3 and 4 (X) conserved, sites 0 and 2 free; a Y on a free
@@ -718,7 +736,7 @@ class TestBlockStep:
            bits=st.integers(0, 2**13 - 1), dt=st.floats(min_value=0.01, max_value=1.0))
     def test_block_step_equals_the_op_loop(self, case, bits, dt):
         n, terms = case
-        if not conserved_axes(terms):
+        if not conserved_axes(terms, n):
             return
         start = bits % (1 << n)
         with step_cap(0):
@@ -756,6 +774,74 @@ class TestBlockStep:
             assert np.max(np.abs(blocks.sector(psi) - want)) < 1e-12
 
 
+class TestMultiStep:
+    """`advance` and `scan` against single steps, on each propagator kind."""
+
+    # kind -> (system, its build_system options, the step cap under which runs take that kind)
+    KINDS = {"dense": ("melon", {}, statevector.MAX_DENSE_STEP),
+             "ops": ("melon", {"chi": 0.3}, 0),
+             "blocks": ("combined", {}, statevector.MAX_DENSE_STEP)}
+
+    def _propagator(self, kind):
+        name, options, _ = self.KINDS[kind]
+        spec = build_system(name, **options)
+        h = build_hamiltonian(spec)
+        kernel = PauliKernel(h.n_sites, h.terms, label_to_index(default_initial_label(spec)))
+        return SiteBlocks(kernel) if kind == "blocks" else kernel
+
+    def _random_state(self, prop, seed):
+        shape = prop.initial().shape
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 20])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_advance_equals_single_steps(self, kind, k):
+        with step_cap(self.KINDS[kind][2]):
+            prop = self._propagator(kind)
+            psi = self._random_state(prop, k)
+            want = psi.copy()
+            for _ in range(k):
+                prop.step(want, 0.3)
+            scratch = prop._scratch
+            prop.advance(psi, 0.3, k)
+        assert (prop._dense is not None) is (kind == "dense")
+        assert np.max(np.abs(psi - want)) <= 1e-14
+        # the result sits in the caller's array, for odd and even k, and not in the scratch
+        assert prop._scratch is scratch and not np.shares_memory(psi, scratch)
+        scratch[...] = np.nan
+        assert np.max(np.abs(psi - want)) <= 1e-14
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_scan_reads_the_overlap_after_each_step(self, kind):
+        with step_cap(self.KINDS[kind][2]):
+            prop = self._propagator(kind)
+            psi = self._random_state(prop, 7)
+            want, overlaps = psi.copy(), [prop.overlap(psi)]
+            for _ in range(21):
+                prop.step(want, 0.3)
+                overlaps.append(prop.overlap(want))
+            got = prop.scan(psi, 0.3, 21)
+        assert np.max(np.abs(got - overlaps)) <= 1e-14
+        assert np.max(np.abs(psi - want)) <= 1e-14  # the last step lands in the caller's array
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 151])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_fidelity_scan_equals_the_sampled_run(self, kind, steps):
+        name, options, cap = self.KINDS[kind]
+        config = RunConfig(system=build_system(name, **options), dt_over_T=1 / 10,
+                           total_over_T=max(steps, 1) / 10)
+        with step_cap(cap):
+            series = fidelity_scan(config, steps / 10)
+            result = run_trotter(config)
+        assert result.propagator["kind"] == kind
+        if steps == 0:
+            assert series == [(0.0, 1.0)]
+            return
+        assert [t for t, _ in series] == [s.time_over_T for s in result.samples]
+        assert max(abs(f - s.fidelity0) for (_, f), s in zip(series, result.samples)) <= 1e-14
+
+
 def _check_block_energy(n, terms, start, rng):
     """SiteBlocks' energy and weighted norm of a random block array equal the z-basis ones."""
     kernel = PauliKernel(n, terms, start)
@@ -786,7 +872,7 @@ class TestBlockEnergy:
     @given(case=planted_term_lists(), bits=st.integers(0, 63), seed=st.integers(0, 2**32 - 1))
     def test_planted_block_energy_equals_the_z_basis_energy(self, case, bits, seed):
         n, terms, _ = case  # Y-conserved sites too, and Z on the free sites
-        if conserved_axes(terms):
+        if conserved_axes(terms, n):
             _check_block_energy(n, terms, bits % (1 << n), np.random.default_rng(seed))
 
 
