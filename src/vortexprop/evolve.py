@@ -7,14 +7,14 @@ ops, in the frozen term order of the compiled step circuit, which it equals
 to round-off.  One rule (`_propagation`) picks where they run:
 
 - on a sector of at most `MAX_DENSE_STEP` = 256 states (the 8-site systems,
-  XXZ chains up to 9 sites) the kernel multiplies the step out into one
-  dense matrix once per run and each step is one matvec, since its per-op
-  numpy calls cost more than the arithmetic there;
+  half-filled XXZ chains up to 10 sites) the kernel multiplies the step out
+  into one dense matrix once per run and each step is one matvec, since its
+  per-op numpy calls cost more than the arithmetic there;
 - on larger sectors where some site Pauli commutes with every term (the
   combined system's 4096 states), on the blocks of `SiteBlocks`, rotated back
   to z only for a sample; a scan reads the fidelity off the blocks;
-- elsewhere (XXZ chains of 10 or more sites, a generic chi) the kernel's op
-  loop in the z basis.
+- elsewhere (half-filled XXZ chains of 11 or more sites, a generic chi) the
+  kernel's op loop in the z basis.
 
 A run takes the steps between two samples in one `advance` call, and a
 scan reads <start|psi> after every step inside the stepping loop (`scan`).
@@ -26,7 +26,8 @@ orbit of the free-site Pauli strings, as a real matrix where the antiunitary
 K or K X_free commutes with every block, and rebuilds each sample with one
 matrix product per orbit), and elsewhere it steps the sparse sector matrix
 with `expm_multiply`, both to machine precision.  Both paths propagate only the
-prod-Z parity sector of the initial basis state (see `PauliKernel`); final
+sector of the initial basis state that `PauliKernel` stores: its
+magnetization sector on the XXZ chain, else its prod-Z parity sector; final
 states are embedded back into the full space.  A run records which
 propagator it used (`RunResult.propagator`, written to the manifest).
 """
@@ -123,10 +124,12 @@ class RunConfig:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         samples = _whole_steps(self.total_over_T, self.dt_over_T) // self.sample_pitch + 1
         n = self.system.n_sites
-        # bytes per state of the 2^(n-1) sector: 16 per sample (complex128); the
-        # kernel's z-signs (8 per site); per bond a gather (4), a YY phase (8)
-        # and a fused op's alpha and beta (32); and ten states of scratch,
-        # start, full-space embed and peak search (160).  On XXZ chains of 14
+        # bytes per state of the 2^(n-1) parity sector, an upper bound where the
+        # kernel keeps the smaller magnetization sector (the XXZ chain): 16 per
+        # sample (complex128); the kernel's z-signs (8 per site); per bond a
+        # gather (4), a YY phase (8) and a fused op's alpha and beta (32); and
+        # ten states of scratch, start, full-space embed, position lookup and
+        # peak search (160).  On XXZ chains of 14
         # to 18 sites this is 0.7 to 1.9 times the peak RSS growth of a run.
         # The block step (SiteBlocks) holds its alpha and beta in place of the
         # kernel's, within the same 32 per bond, since a bond's terms flip the
@@ -176,7 +179,12 @@ def _resolve_tracked(initial: str, peak_norm: np.ndarray, n: int) -> tuple[str, 
 
     fixed = [initial, _flip_label(initial), "0" * n, "1" * n]
     seen = set(fixed)
-    order = np.argsort(-np.round(peak_norm, 9), kind="stable")
+    # the first len(fixed) + TRACK_TOP_K of the stable order hold every label
+    # picked: select them, with every tie of the last, before sorting
+    keys = -np.round(peak_norm, 9)
+    top = min(len(keys), len(fixed) + TRACK_TOP_K)
+    picked = np.flatnonzero(keys <= np.partition(keys, top - 1)[top - 1])
+    order = picked[np.argsort(keys[picked], kind="stable")]
     extra: list[str] = []
     for idx in order:
         lbl = index_to_label(int(idx), n)
@@ -192,7 +200,7 @@ def _propagation(config: RunConfig, exact: bool = False) -> tuple[
         Hamiltonian, PauliKernel, PauliKernel | SiteBlocks, dict]:
     """(Hamiltonian, kernel, propagator, manifest record) of a run, by one rule.
 
-    The kernel holds the initial state's parity sector.  `SiteBlocks` needs a
+    The kernel holds the initial state's sector.  `SiteBlocks` needs a
     conserved site Pauli, one parity sector and, for m conserved sites,
     back-rotation matrices of 2^(m-1) <= MAX_BLOCK_DIM rows; exact runs also
     diagonalise its blocks of 2^(n-m) states, under the same cap.  Trotter
@@ -207,7 +215,7 @@ def _propagation(config: RunConfig, exact: bool = False) -> tuple[
     h = build_hamiltonian(config.system)
     kernel = PauliKernel(h.n_sites, h.terms, label_to_index(config.resolve_initial_label()))
     m = len(kernel.conserved)
-    blocks = m and kernel.shift and max(
+    blocks = m and kernel.selection == "parity" and max(
         1 << (m - 1), 1 << (h.n_sites - m) if exact else 0) <= MAX_BLOCK_DIM
     if exact:
         kind = "exact blocks" if blocks else "expm"

@@ -7,12 +7,13 @@ site a.  Bit value 0 is an up spin, 1 a down spin.
 Two kernels act on the amplitudes.  The gate kernels replay a compiled
 circuit gate by gate; they are what the dumped circuit is checked with.  The
 Pauli-term kernel encodes each term once as (coeff, x bits, z bits), fuses
-the terms into one precompiled op per bond and stores only the prod-Z
-parity sector of a run's initial basis state; Trotter stepping, the
-energy and the sparse matrix all go through it.  On a sector of at
-most MAX_DENSE_STEP states (the 8-site systems, XXZ chains up to 9 sites)
-the step is one dense matvec, since there a few numpy calls per op cost more
-than the arithmetic; larger sectors run the ops.  A run or a scan takes all
+the terms into one precompiled op per bond and stores only the sector of a
+run's initial basis state that the step conserves: its magnetization sector
+on the XXZ chain, else its prod-Z parity sector.  Trotter stepping, the
+energy and the sparse matrix all go through it.  On a sector of at most
+MAX_DENSE_STEP states (the 8-site systems, half-filled XXZ chains up to 10
+sites) the step is one dense matvec, since there a few numpy calls per op
+cost more than the arithmetic; larger sectors run the ops.  A run or a scan takes all
 its steps between two samples in one loop.
 
 `SiteBlocks` splits the kernel's strings by the site Paulis that commute
@@ -124,11 +125,12 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 
 # Largest stored set whose Trotter step is applied as one dense matrix.  On
 # 2 cores and one BLAS thread, from the Neel state of XXZ chains at delta 0
-# and 2, a step inside `advance` takes 8 us at 128 states (op loop 29-30 us;
-# 8 against 61 us on melon) and 24-27 us at 256 (op loop 37 us), but
-# 180-185 us at 512 (op loop 55-58 us) and 750-790 us at 1024 (op loop
-# 85-87 us): its dim^2 work outgrows the op loop's few passes over dim per
-# op.  Building the matrix costs 1.3-1.5 ms at 128 states and 5 ms at 256.
+# and 2, a step inside `advance` takes 5-9 us at 126 states (op loop 18-34
+# us; 8 against 61 us on melon's 128) and 21-29 us at 252 (op loop 25-44
+# us), but 157-168 us at 462 (op loop 48-58 us) and 640-690 us at 924 (op
+# loop 54-67 us): its dim^2 work outgrows the op loop's few passes over dim
+# per op.  The matrix costs 0.9-1.7 ms to build at 126 states and 4.2-6 ms
+# at 252 (op loop 0.4-1.2 ms), paid back there after 200-400 steps.
 MAX_DENSE_STEP = 256
 
 
@@ -149,47 +151,70 @@ def _apply_ops(ops: list, amps: np.ndarray, moved: np.ndarray, axis: int = -1) -
         amps += moved
 
 
+def _popcounts(n_bits: int) -> np.ndarray:
+    """popcount(b) for b = 0, 1, ..., 2^n_bits - 1."""
+    counts = np.zeros(1, dtype=np.uint8)
+    for _ in range(n_bits):  # setting the next bit up adds one
+        counts = np.concatenate([counts, counts + 1])
+    return counts
+
+
 def _signs(n_bits: int) -> np.ndarray:
     """(-1)^popcount(b) for b = 0, 1, ..., 2^n_bits - 1, as floats."""
-    signs = np.ones(1)
-    for _ in range(n_bits):  # setting the next bit up flips the sign
-        signs = np.concatenate([signs, -signs])
-    return signs
+    return 1.0 - 2.0 * (_popcounts(n_bits) & 1)
 
 
-def _string_rows(strings, states: np.ndarray, shift: int = 0) -> list:
+def _string_rows(strings, states: np.ndarray, at: np.ndarray) -> list:
     """(coeff, flip, gather, phase) per string (coeff, x bits, z bits), in order.
 
     P|j ^ x> = phase[j] |j> over the basis states j in `states` (their bits, j
-    stored at position j >> shift): flip is x, gather the flat positions of
-    j ^ x (one array per distinct flip, None for a diagonal string), and
-    phase = (-i)^popcount(x & z) (-1)^popcount(j & z), shaped like `states`,
-    or the scalar 1.0 when z = 0.  The kernel's rows and the blocks' rows and
-    matrices all come from here.
+    stored at position at[j]): flip is x, gather the flat positions at[j ^ x]
+    (one array per distinct flip, None for a diagonal string), and phase =
+    (-i)^popcount(x & z) (-1)^popcount(j & z), shaped like `states`, or the
+    scalar 1.0 when z = 0.  A j ^ x outside the stored set must have a valid
+    position in `at`.  The kernel's rows and the blocks' rows and matrices
+    all come from here.
     """
-    gathers = {x: ((states ^ x) >> shift).ravel() for _, x, _ in strings if x}
+    gathers = {x: at[states ^ x].ravel() for _, x, _ in strings if x}
     signs = _signs(max((z.bit_length() for _, _, z in strings), default=0))
     return [(coeff, x, gathers.get(x),
              (1, -1j, -1, 1j)[(x & z).bit_count() % 4] * signs[states & z] if z else 1.0)
             for coeff, x, z in strings]
 
 
-def _runs(rows):
-    """Yield (gather of f, rows) per maximal run of consecutive rows whose flips lie in {0, f}.
+def _runs(items):
+    """Yield each maximal run of consecutive items whose flips (item[1]) lie in {0, f}.
 
-    A row is (coeff, flip, gather, phase) (see `_string_rows`), with one
-    gather array per distinct flip, so equal flips share it; a run's gather
-    stays None while every row is diagonal.
+    An item is a row (coeff, flip, gather, phase) (see `_string_rows`) or a
+    string (coeff, x bits, z bits); a diagonal one joins the run around it.
     """
-    gather, run = None, []
-    for row in rows:
-        if run and not (row[2] is None or gather is None or row[2] is gather):
-            yield gather, run
-            gather, run = None, []
-        gather = row[2] if gather is None else gather
-        run.append(row)
+    flip, run = 0, []
+    for item in items:
+        if item[1] and flip and item[1] != flip:
+            yield run
+            flip, run = 0, []
+        flip = flip or item[1]
+        run.append(item)
     if run:
-        yield gather, run
+        yield run
+
+
+def _conserves_z(strings) -> bool:
+    """Whether each run's (`_runs`) flipping strings are c XX, then c YY on the same sites.
+
+    Each run is then exp(-i phi c (XX + YY)) times diagonal exponentials, all
+    conserving sum_k Z_k.  On two equal spins XX and YY act as 1 and -1, so
+    the fused beta and the bond weight there are c - c = 0.
+    """
+    for run in _runs(strings):
+        flips = [k for k, (_, x, _) in enumerate(run) if x]
+        if not flips:
+            continue
+        c, x, z = run[flips[0]]
+        if (flips != [flips[0], flips[0] + 1] or x.bit_count() != 2 or z
+                or run[flips[1]] != (c, x, x)):
+            return False
+    return True
 
 
 def _fuse(rows, phi: float) -> list:
@@ -204,8 +229,8 @@ def _fuse(rows, phi: float) -> list:
     psi'[j] = alpha[j] psi[j] + beta[j] psi[j ^ f].
     """
     ops = []
-    for gather, run in _runs(rows):
-        m = None
+    for run in _runs(rows):
+        gather, m = next((g for _, x, g, _ in run if x), None), None
         for coeff, flip, _, p in run:
             c, s = np.cos(phi * coeff), -1j * np.sin(phi * coeff)
             q = p if gather is None or np.ndim(p) == 0 else p[gather]
@@ -286,35 +311,42 @@ class _FusedSteps:
 
     @cached_property
     def _bonds(self) -> list:
-        """(gather, w) per distinct flip: (H psi)[j] = sum of w[j] * psi[g[j]], times `_weight`.
+        """(f, g, w) per distinct flip f: (H psi)[j] = sum of w[j] * psi[g[j]], times `_weight`.
 
-        The diagonal strings add up under gather None.  w is real when every
-        string carries an even number of Y factors, as in these Hamiltonians.
+        The diagonal strings add up under f = 0 and gather None.  w is real
+        when every string carries an even number of Y factors, as in these
+        Hamiltonians.
         """
         weights: dict[int, tuple] = {}
         for coeff, flip, gather, phase in self._rows:
             w = weights[flip][1] if flip in weights else 0.0
             weights[flip] = (gather, w + coeff * phase)
-        return [(gather, w * self._weight) for gather, w in weights.values()]
+        return [(flip, gather, w * self._weight) for flip, (gather, w) in weights.items()]
 
     def expectation(self, amps: np.ndarray) -> float:
         """<psi|H|psi> of an array as `step` takes it, real for the Hermitian strings used here."""
         total = 0.0
-        for gather, w in self._bonds:
+        for _, gather, w in self._bonds:
             moved = amps if gather is None else amps.take(gather, 0, self._scratch, "clip")
             total += np.vdot(amps, np.multiply(moved, w, out=self._scratch)).real
         return float(total)
 
 
 class PauliKernel(_FusedSteps):
-    """Pauli terms precompiled once into one fused op per bond, on one parity sector.
+    """Pauli terms precompiled once into one fused op per bond, on one sector.
 
     Built with the basis index `start` of a run's initial state, the kernel
-    stores only the 2^(n-1) basis states of start's prod-Z parity: every term
-    flips an even number of sites, so the other half stays exactly zero.  If
-    some term flips an odd number of sites, or no start is given, it stores
-    the full space.  `index` lists the stored basis states in ascending order;
-    basis state i sits at position i >> shift.  Every method takes and returns
+    stores only start's sector (`selection`).  Where every term flips an
+    even number of sites, that is start's prod-Z parity, 2^(n-1) states
+    (`parity`).  Where no site Pauli is conserved (`SiteBlocks` needs the
+    parity sector) and every fused run conserves sum_k Z_k (`_conserves_z`:
+    the XXZ chain), it is the C(n, k) states of start's popcount k
+    (`magnetization`).  If some term flips an odd number of sites, or no
+    start is given, it is the full space.  `index` lists the stored basis
+    states in ascending order, and one lookup over all 2^n gives their
+    positions.  A gather to a state outside the sector points at position
+    0, where the fused beta and the bond weight are exactly 0.0, and
+    `sparse_matrix` leaves it out.  Every method takes and returns
     amplitudes over `index`; `embed` gives the full 2^n state.
 
     Each term coeff * P is encoded once as a string (coeff, x bits, z bits),
@@ -347,21 +379,25 @@ class PauliKernel(_FusedSteps):
         self.conserved = conserved_axes(terms, n_qubits)  # site Paulis every term commutes with
         self.strings = [(t.coeff, sum(1 << k for k, a in t.factors if a is not PauliAxis.Z),
                          sum(1 << k for k, a in t.factors if a is not PauliAxis.X)) for t in terms]
-        itype = np.int32 if n_qubits < 32 else np.int64
+        every = np.arange(1 << n_qubits, dtype=np.int32 if n_qubits < 32 else np.int64)
+        counts = _popcounts(n_qubits)
         if start is None or any(x.bit_count() & 1 for _, x, _ in self.strings):
-            self.index, self.shift = np.arange(1 << n_qubits, dtype=itype), 0
+            self.selection, self.index = "full space", every
+        elif not self.conserved and _conserves_z(self.strings):
+            self.selection, self.index = "magnetization", every[counts == counts[start]]
         else:
-            # bit 0 completes the parity of the upper bits, so i >> 1 is i's position
-            half = np.arange(1 << (n_qubits - 1), dtype=itype)
-            low = (_signs(n_qubits - 1) < 0).astype(itype) ^ (start.bit_count() & 1)
-            self.index, self.shift = half << 1 | low, 1
+            self.selection, self.index = "parity", every[(counts ^ counts[start]) & 1 == 0]
+        # position of each basis state; one outside the stored set points at position 0
+        self._at = np.zeros_like(every)
+        self._at[self.index] = np.arange(len(self.index))
         self._scratch = np.empty(len(self.index), dtype=np.complex128)
+        self._start_at = None if start is None else self._at[start]
 
     # -- basis states ------------------------------------------------------
 
     def position(self, i: int) -> int | None:
-        """Where basis state i is stored, or None when it lies outside the sector."""
-        pos = i >> self.shift
+        """Where basis state i is stored, or None when it lies outside the stored set."""
+        pos = self._at[i]
         return pos if self.index[pos] == i else None
 
     def basis(self, i: int) -> np.ndarray:
@@ -387,7 +423,7 @@ class PauliKernel(_FusedSteps):
     @cached_property
     def _rows(self) -> list:
         """(coeff, flip, gather, phase) per term, in frozen order (`_string_rows`)."""
-        return _string_rows(self.strings, self.index, self.shift)
+        return _string_rows(self.strings, self.index, self._at)
 
     # -- Trotter propagation ---------------------------------------------------
 
@@ -402,7 +438,7 @@ class PauliKernel(_FusedSteps):
 
     def overlap(self, amps: np.ndarray) -> complex:
         """<start|psi>; the start always lies in the stored set."""
-        return amps[self.start >> self.shift]
+        return amps[self._start_at]
 
     def sector(self, amps: np.ndarray) -> np.ndarray:
         """Amplitudes over `index`: a copy of the stepped ones."""
@@ -413,19 +449,24 @@ class PauliKernel(_FusedSteps):
     def sparse_matrix(self):
         """CSR matrix of sum_k coeff_k P_k over the stored basis states.
 
-        One entry per stored basis state and distinct flip; real whenever
-        every string carries an even number of Y factors.
+        One entry per stored basis state and distinct flip whose partner is
+        stored too; real whenever every string carries an even number of Y
+        factors.
         """
         from scipy.sparse import coo_matrix, csr_matrix
 
         dim = len(self.index)
         if not self._bonds:
             return csr_matrix((dim, dim))
-        rows = np.arange(dim)
-        cols = [rows if g is None else g for g, _ in self._bonds]
-        data = [np.broadcast_to(w, (dim,)) for _, w in self._bonds]
+        every, rows, cols, data = np.arange(dim), [], [], []
+        for f, g, w in self._bonds:
+            g = every if g is None else g
+            keep = np.flatnonzero(self.index[g] == self.index ^ f)  # its partner is stored
+            rows.append(keep)
+            cols.append(g[keep])
+            data.append(np.broadcast_to(w, (dim,))[keep])
         return coo_matrix(
-            (np.concatenate(data), (np.tile(rows, len(cols)), np.concatenate(cols))),
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
             shape=(dim, dim),
         ).tocsr()
 
@@ -646,7 +687,7 @@ class SiteBlocks(_FusedSteps):
         axes = kernel.conserved
         if not axes:
             raise ValueError("no site Pauli commutes with every term")
-        if not kernel.shift:
+        if kernel.selection != "parity":
             raise ValueError("the kernel stores the full space: it has no start, or a term "
                              "flips an odd number of sites, so prod Z is not conserved")
         sites = list(axes)
@@ -685,7 +726,7 @@ class SiteBlocks(_FusedSteps):
         column over the free states, the scalar 1.0 for a string with no Y or
         Z on the free sites; gather is a row gather, one per distinct flip.
         """
-        return _string_rows(self._strings, self._free[:, None])
+        return _string_rows(self._strings, self._free[:, None], self._free)
 
     def initial(self) -> np.ndarray:
         """The rotated start state: low[s] at free state f0 of every kept block s."""
@@ -751,7 +792,7 @@ class SiteBlocks(_FusedSteps):
             (z & (x ^ tx)).bit_count() % 2 == 0 for (x, z), w in weights.items() if w.any())]
         real, tx = bool(fixing), fixing[0] if fixing else 0
         a, b, norm = _real_basis(tx, parity)
-        rows = _string_rows([(w[reps], *xz) for xz, w in weights.items()], diag)
+        rows = _string_rows([(w[reps], *xz) for xz, w in weights.items()], diag, diag)
         levels, rot = np.linalg.eigh(_blocks_in(rows, a, b, norm, tx, real))
         r, turn = math.sqrt(norm), diag ^ tx
         vectors = rot * (a / r)[:, None]  # row j of W O: (a_j O[j] + b_j' O[j']) / r, j' = j ^ tx

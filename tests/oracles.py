@@ -256,8 +256,16 @@ _REF_GEOMETRY = {  # positions, holes, winding per hole
 }
 
 
-def reference_terms(kind: str) -> tuple[int, list[tuple[float, int, int, str]]]:
-    """Site count and frozen-order (coeff, p, q, axis) bond terms of `kind`."""
+def reference_terms(kind: str, n: int = 8,
+                    delta: float = 0.0) -> tuple[int, list[tuple[float, int, int, str]]]:
+    """Site count and frozen-order (coeff, p, q, axis) bond terms of `kind`.
+
+    The XXZ chain of n sites has the bonds (k, k + 1), each with X_p X_q +
+    Y_p Y_q + delta Z_p Z_q (no ZZ term at delta 0).
+    """
+    if kind == "xxz":
+        return n, [(c, k, k + 1, axis) for k in range(n - 1)
+                   for c, axis in ((1.0, "X"), (1.0, "Y"), (delta, "Z")) if c]
     pos, holes, winding = _REF_GEOMETRY[kind]
     n = len(pos)
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
@@ -282,24 +290,30 @@ def reference_terms(kind: str) -> tuple[int, list[tuple[float, int, int, str]]]:
 
 
 def _bond_string(n: int, p: int, q: int, axis: str) -> tuple[np.ndarray, np.ndarray]:
-    """(flipped index, sign) with X_pX_q or Y_pY_q |i> = sign[i] |flipped[i]>.
+    """(flipped index, sign) with X_pX_q, Y_pY_q or Z_pZ_q |i> = sign[i] |flipped[i]>.
 
     Y|b> = i(-1)^b |1-b>, so Y_pY_q gives -1 on equal bits and +1 otherwise.
     Flipping both bits keeps their equality, so sign[i] = sign[flipped[i]].
+    Z_pZ_q flips nothing and gives +1 on equal bits, -1 otherwise.
     """
     idx = np.arange(1 << n)
     flipped = idx ^ ((1 << p) | (1 << q))
     if axis == "X":
         return flipped, np.ones(1 << n)
     equal = ((idx >> p) & 1) == ((idx >> q) & 1)
+    if axis == "Z":
+        return idx, np.where(equal, 1.0, -1.0)
     return flipped, np.where(equal, -1.0, 1.0)
 
 
 class SpectralReference:
-    """Exact evolution exp(-2i t H) of a basis state from a dense eigh of H."""
+    """Exact evolution exp(-2i t H) of a basis state from a dense eigh of H.
 
-    def __init__(self, kind: str, label: str):
-        n, terms = reference_terms(kind)
+    `chain` takes the XXZ chain's n and delta (see `reference_terms`).
+    """
+
+    def __init__(self, kind: str, label: str, **chain):
+        n, terms = reference_terms(kind, **chain)
         h = np.zeros((1 << n, 1 << n))
         for coeff, p, q, axis in terms:
             flipped, sign = _bond_string(n, p, q, axis)
@@ -315,26 +329,36 @@ class SpectralReference:
         phases = np.exp(-2j * self.energies * t_over_T)
         return float(abs(self.vectors[int(label, 2)] @ (self.weights * phases)))
 
+    def state(self, t_over_T: float) -> np.ndarray:
+        """All 2^n amplitudes at t."""
+        return self.vectors @ (self.weights * np.exp(-2j * self.energies * t_over_T))
 
-def reference_trotter_scan(kind: str, label: str, dt_over_T: float,
-                           t_max_over_T: float) -> list[tuple[float, float]]:
-    """Fidelity after every product-formula step, one exact exponential per
-    term in frozen order: exp(-i a P) = cos(a) I - i sin(a) P, a = 2 dt c."""
-    n, terms = reference_terms(kind)
+
+def reference_trotter_states(kind: str, label: str, dt_over_T: float, n_steps: int, **chain):
+    """Yield the full state after each of n_steps product-formula steps, one exact
+    exponential per term in frozen order: exp(-i a P) = cos(a) I - i sin(a) P,
+    a = 2 dt c.  `chain` takes the XXZ chain's n and delta."""
+    n, terms = reference_terms(kind, **chain)
     factors = []
     for coeff, p, q, axis in terms:
         flipped, sign = _bond_string(n, p, q, axis)
         a = 2.0 * dt_over_T * coeff
         factors.append((math.cos(a), -1j * math.sin(a) * sign, flipped))
-    start = int(label, 2)
     psi = np.zeros(1 << n, dtype=complex)
-    psi[start] = 1.0
-    series = [(0.0, 1.0)]
-    for step in range(1, round(t_max_over_T / dt_over_T) + 1):
+    psi[int(label, 2)] = 1.0
+    for _ in range(n_steps):
         for cos_a, minus_i_sin_sign, flipped in factors:
             psi = cos_a * psi + minus_i_sin_sign * psi[flipped]
-        series.append((step * dt_over_T, float(abs(psi[start]) ** 2)))
-    return series
+        yield psi
+
+
+def reference_trotter_scan(kind: str, label: str, dt_over_T: float,
+                           t_max_over_T: float) -> list[tuple[float, float]]:
+    """Fidelity after every step of `reference_trotter_states`."""
+    start = int(label, 2)
+    states = reference_trotter_states(kind, label, dt_over_T, round(t_max_over_T / dt_over_T))
+    return [(0.0, 1.0)] + [(step * dt_over_T, float(abs(psi[start]) ** 2))
+                           for step, psi in enumerate(states, 1)]
 
 
 # ---------------------------------------------------------------------------

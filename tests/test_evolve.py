@@ -10,6 +10,7 @@ from vortexprop.evolve import (
     MAX_HELD_BYTES,
     TRACK_TOP_K,
     RunConfig,
+    _resolve_tracked,
     default_initial_label,
     fidelity_scan,
     run_exact,
@@ -154,6 +155,20 @@ class TestRunTrotter:
         assert len(result.tracked) == 4 + TRACK_TOP_K == 12
         assert len(set(result.tracked)) == 12
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 8), data=st.data())
+    def test_tracked_labels_follow_the_stable_order_of_all_rounded_peaks(self, n, data):
+        # peaks equal to 9 digits tie and go in basis order, as in a stable sort of all 2^n
+        values = [0.0, 0.25, 0.5, 0.5 + 1e-12, 0.7, 1.0]
+        peaks = np.array(data.draw(st.lists(st.sampled_from(values), min_size=1 << n,
+                                            max_size=1 << n)))
+        initial = data.draw(st.text("01", min_size=n, max_size=n))
+        fixed = (initial, initial.translate(str.maketrans("01", "10")), "0" * n, "1" * n)
+        rounded = np.round(peaks, 9)
+        labels = [format(i, f"0{n}b") for i in sorted(range(1 << n), key=lambda i: -rounded[i])]
+        extra = [label for label in labels if label not in fixed][:TRACK_TOP_K]
+        assert _resolve_tracked(initial, peaks, n) == tuple(dict.fromkeys(fixed)) + tuple(extra)
+
     def test_deterministic(self):
         spec = build_system("melon")
         config = RunConfig(system=spec, dt_over_T=1 / 30, total_over_T=1.0, sample_pitch=6)
@@ -290,12 +305,14 @@ class TestRunExact:
         assert result.samples[0].energy == pytest.approx(zz, abs=1e-12)
 
     def test_size_guard(self):
-        # a 14-site sector is as large as the full 13-site space; 15 is refused
+        # a 14-site parity sector is as large as the full 13-site space; 15 is
+        # refused.  The half-filled chain keeps its C(14, 7) = 3432 states.
         with pytest.raises(ValueError, match="capped at 14 sites"):
             run_exact(RunConfig(system=build_system("xxz", n=15), dt_over_T=0.5,
                                 total_over_T=0.5))
         result = run_exact(RunConfig(system=build_system("xxz", n=14), dt_over_T=0.5,
                                      total_over_T=0.5))
+        assert result.propagator["stored_states"] == 3432
         assert len(result.samples) == 2
         assert np.linalg.norm(result.final_state.amps) == pytest.approx(1.0, abs=1e-12)
 

@@ -76,13 +76,15 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("flags, want, blocks", [
         (["--system", "melon"], ("dense", 128, 12, VORTEX_AXES), {}),
         (["--system", "combined"], ("blocks", 4096, 10, COMBINED_AXES), {}),
-        (["--system", "xxz", "--n", "10"], ("ops", 512, 9, {}), {}),
+        (["--system", "xxz", "--n", "10"], ("dense", 252, 9, {}), {}),
+        (["--system", "xxz", "--n", "12"], ("ops", 924, 11, {}), {}),
         (["--system", "melon", "--exact"], ("exact blocks", 128, None, VORTEX_AXES),
          {"block_states": 16, "diagonalised": 2, "real_eigh": True}),
         (["--system", "combined", "--exact"], ("exact blocks", 4096, None, COMBINED_AXES),
          {"block_states": 64, "diagonalised": 16, "real_eigh": True}),
-        (["--system", "xxz", "--exact"], ("expm", 128, None, {}), {}),
-    ], ids=["melon", "combined", "xxz-10", "melon-exact", "combined-exact", "xxz-exact"])
+        (["--system", "xxz", "--exact"], ("expm", 70, None, {}), {}),
+    ], ids=["melon", "combined", "xxz-10", "xxz-12", "melon-exact", "combined-exact",
+            "xxz-exact"])
     def test_manifest_records_the_propagator(self, tmp_path, flags, want, blocks):
         out = tmp_path / "p"
         run_cli(["simulate", *flags, "--dt", "1/10", "--total", "0.4", "--pitch", "2",

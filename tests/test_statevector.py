@@ -4,7 +4,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vortexprop import statevector
@@ -40,11 +40,13 @@ from vortexprop.statevector import (
 )
 
 from oracles import (
+    SpectralReference,
     all_site_blocks,
     butterfly_back_rotation,
     dense_exponential,
     init_basis_state,
     random_term,
+    reference_trotter_states,
 )
 
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -58,6 +60,13 @@ def step_cap(cap):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(statevector, "MAX_DENSE_STEP", cap)
         yield
+
+
+def _sector(selection, n, start):
+    """The basis states a kernel of that selection keeps from start, in ascending order."""
+    key = {"magnetization": int.bit_count, "parity": lambda i: i.bit_count() % 2,
+           "full space": lambda i: 0}[selection]
+    return [i for i in range(1 << n) if key(i) == key(start)]
 
 
 class TestBasisLabels:
@@ -274,7 +283,8 @@ class TestFusedStep:
                 for _ in range(3):
                     kernel.step(psi, 2.0 * dt)
                     full.step(rand, 2.0 * dt)
-            assert len(kernel.index) == 1 << (n - (not odd))
+            assert (kernel.selection == "full space") == odd
+            assert kernel.index.tolist() == _sector(kernel.selection, n, start)
             assert (kernel._dense is None) == (full._dense is None) == (cap == 0)
             assert np.max(np.abs(kernel.embed(psi).amps - replay.amps)) < 1e-12
             assert np.max(np.abs(rand - amps_replay.amps)) < 1e-12
@@ -350,12 +360,14 @@ class TestParitySector:
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     @pytest.mark.parametrize("parity", [0, 1])
     def test_sector_matrix_is_real_and_restricts_the_full_one(self, name, parity):
-        h = self.SYSTEMS[name]
-        kernel = PauliKernel(h.n_sites, h.terms, start=parity)
+        # the XXZ chain keeps the start's magnetization sector: 28 or 56 states
+        h, start = self.SYSTEMS[name], 0b1010 | parity
+        kernel = PauliKernel(h.n_sites, h.terms, start)
         m = kernel.sparse_matrix()
         assert m.dtype == np.float64
-        assert m.shape == (1 << (h.n_sites - 1),) * 2
-        assert all(bin(i).count("1") % 2 == parity for i in kernel.index)
+        assert kernel.selection == ("magnetization" if name.startswith("xxz") else "parity")
+        assert kernel.index.tolist() == _sector(kernel.selection, h.n_sites, start)
+        assert m.shape == (len(kernel.index),) * 2
         full = sparse_matrix_of(h)[kernel.index][:, kernel.index]
         assert abs(m - full).max() == 0.0
 
@@ -380,7 +392,8 @@ class TestParitySector:
         n, terms = case
         h = Hamiltonian(n, terms)
         kernel = PauliKernel(n, terms, bits % (1 << n))
-        assert len(kernel.index) == 1 << (n - 1)
+        assert kernel.selection != "full space"
+        assert kernel.index.tolist() == _sector(kernel.selection, n, bits % (1 << n))
         m = kernel.sparse_matrix()
         assert abs(m - sparse_matrix_of(h)[kernel.index][:, kernel.index]).max() == 0.0
         dense = matrix_of(h)
@@ -390,6 +403,106 @@ class TestParitySector:
         amps /= np.linalg.norm(amps)
         psi = kernel.embed(amps).amps
         assert abs(kernel.expectation(amps) - np.vdot(psi, dense @ psi).real) < 1e-12
+
+
+class TestMagnetizationSector:
+    """Where no site Pauli is conserved and each fused run flips by c XX directly
+    followed by c YY on the same two sites, the kernel keeps start's popcount."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 10), delta=st.sampled_from([0.0, 1.0, 2.0]),
+           bits=st.integers(0, 2**10 - 1), dt=st.floats(min_value=0.01, max_value=0.5))
+    @example(n=10, delta=2.0, bits=0, dt=0.1)  # all up: one stored state
+    @example(n=9, delta=1.0, bits=1 << 4, dt=0.1)  # one spin down
+    def test_xxz_propagators_equal_the_full_space_references(self, n, delta, bits, dt):
+        label = index_to_label(bits % (1 << n), n)
+        start, chain = label_to_index(label), {"n": n, "delta": delta}
+        spec = build_system("xxz", **chain)
+        terms = build_hamiltonian(spec).terms
+        want = list(reference_trotter_states("xxz", label, dt, 12, **chain))
+        for cap in STEP_CAPS:
+            with step_cap(cap):
+                kernel = PauliKernel(n, terms, start)
+                overlaps = kernel.scan(kernel.initial(), 2.0 * dt, 12)
+                psi = kernel.initial()
+                kernel.advance(psi, 2.0 * dt, 5)
+                early = kernel.embed(psi).amps
+                kernel.advance(psi, 2.0 * dt, 7)
+            assert kernel.selection == "magnetization"
+            assert len(kernel.index) == math.comb(n, label.count("1"))
+            assert np.max(np.abs(overlaps[1:] - [w[start] for w in want])) < 1e-12
+            assert np.max(np.abs(early - want[4])) < 1e-12
+            assert np.max(np.abs(kernel.embed(psi).amps - want[11])) < 1e-12
+        config = RunConfig(system=spec, dt_over_T=dt, total_over_T=4 * dt, sample_pitch=2,
+                           initial_label=label)
+        result, reference = run_exact(config), SpectralReference("xxz", label, **chain)
+        assert result.propagator["kind"] == "expm"
+        assert np.max(np.abs(result.final_state.amps - reference.state(4 * dt))) < 1e-12
+        assert max(abs(s.fidelity0 - reference.fidelity(s.time_over_T))
+                   for s in result.samples) < 1e-12
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_pairs_that_leave_the_sector_weigh_exactly_zero(self, n, delta):
+        spec = build_system("xxz", n=n, delta=delta)
+        h = build_hamiltonian(spec)
+        kernel = PauliKernel(n, h.terms, label_to_index(default_initial_label(spec)))
+        down = kernel.start.bit_count()
+
+        def leaving(flip):
+            return np.array([(int(i) ^ flip).bit_count() != down for i in kernel.index])
+
+        for flip, gather, w in kernel._bonds:
+            if flip:  # a valid position, and w = c - c on equal spins
+                assert 0 <= gather.min() and gather.max() < len(kernel.index)
+                assert leaving(flip).any() and np.all(w[leaving(flip)] == 0.0)
+        flips = [next(x for _, x, *_ in run if x) for run in statevector._runs(kernel._rows)]
+        for phi in (0.2, -0.7, 1.9):
+            ops = statevector._fuse(kernel._rows, phi)
+            assert len(ops) == len(flips) == n - 1
+            for flip, (_, _, beta) in zip(flips, ops):
+                assert np.all(beta[leaving(flip)] == 0.0)
+        # the sparse matrix holds no entry for a pair that leaves the sector
+        m, full = kernel.sparse_matrix(), sparse_matrix_of(h)[kernel.index][:, kernel.index]
+        assert m.nnz == full.nnz and abs(m - full).max() == 0.0
+
+    @staticmethod
+    def _cases():
+        """(n, terms) by name: the XXZ chain of 6 sites and cases that keep the parity sector."""
+        xxz = list(build_hamiltonian(build_system("xxz", n=6, delta=1.0)).terms)
+        between, unequal = xxz.copy(), xxz.copy()
+        between[1], between[2] = between[2], between[1]  # XX, ZZ, YY on the first bond
+        unequal[4] = PauliTerm(np.nextafter(1.0, 2.0), unequal[4].factors)  # YY one ulp up
+        vortex = {"melon": ("melon", 0.0), "antimelon": ("antimelon", 0.0),
+                  "combined": ("combined", 0.0), "combined-chi-0.3": ("combined", 0.3)}
+        cases = {name: build_hamiltonian(build_system(kind, chi=chi))
+                 for name, (kind, chi) in vortex.items()}
+        return {**{name: (h.n_sites, h.terms) for name, h in cases.items()},
+                "xxz": (6, xxz), "diagonal-between": (6, between), "unequal": (6, unequal),
+                "idle-site": (7, xxz)}  # site 6 is conserved as X
+
+    @pytest.mark.parametrize("name", ["xxz", "melon", "antimelon", "combined",
+                                      "combined-chi-0.3", "diagonal-between", "unequal",
+                                      "idle-site"])
+    def test_only_the_xxz_chain_drops_to_its_magnetization_sector(self, name):
+        n, terms = self._cases()[name]
+        start = label_to_index("0101010110101"[-n:])
+        kernel = PauliKernel(n, terms, start)
+        assert kernel.selection == ("magnetization" if name == "xxz" else "parity")
+        assert kernel.index.tolist() == _sector(kernel.selection, n, start)
+
+    @pytest.mark.parametrize("n, exact", [(3, False), (8, True), (9, False), (11, True)])
+    def test_manifest_records_the_sector_size(self, tmp_path, n, exact):
+        import json
+
+        from vortexprop.runner import SimulateOptions, execute_run
+
+        result = execute_run(SimulateOptions(system="xxz", n=n, delta=1.0, dt=0.1, total=0.2,
+                                             pitch=1, exact=exact, out=str(tmp_path)))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        down = manifest["config"]["initial_label"].count("1")
+        assert manifest["propagator"]["stored_states"] == math.comb(n, down)
+        assert result.final_state.amps.shape == (1 << n,)
 
 
 def _commutator_norm(term, site, axis):
