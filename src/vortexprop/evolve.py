@@ -90,18 +90,17 @@ def _whole_steps(total_over_T: float, dt_over_T: float, what: str = "total_over_
 
 
 def default_initial_label(spec: SystemSpec) -> str:
-    """Initial basis label per system kind (labels read most-significant first).
+    """The Neel state of the system's lattice, as a basis label (most-significant site first).
 
-    Every default is the Neel state of its lattice.  For the combined system
-    this is the sublattice-parity pattern; it realizes the reported symmetry
-    classes exactly (sites a, c, j, l start and stay degenerate).
+    Bit k is (x_k + y_k) mod 2 of site k's position, for every kind and size:
+    melon `10101010`, combined `1010110101010`, the XXZ chain `...1010`.  The
+    antimelon kind takes the complement (`01010101`), the globally flipped
+    start whose series equals melon's.  On combined the pattern realizes the
+    reported symmetry classes exactly (sites a, c, j, l start and stay
+    degenerate).
     """
-    if spec.kind is SystemKind.MELON:
-        return "10101010"
-    if spec.kind is SystemKind.ANTIMELON:
-        return "01010101"
-    bits = [(s.pos[0] + s.pos[1]) % 2 for s in spec.sites]
-    return "".join(str(b) for b in reversed(bits))
+    label = "".join(str((s.pos[0] + s.pos[1]) % 2) for s in reversed(spec.sites))
+    return _flip_label(label) if spec.kind is SystemKind.ANTIMELON else label
 
 
 def _flip_label(label: str) -> str:
@@ -208,9 +207,8 @@ def _propagation(config: RunConfig, exact: bool = False) -> tuple[
     (`blocks`), else the kernel's op loop (`ops`).  Exact runs take the
     blocks' eigenbases (`exact blocks`), else `expm_multiply` on the
     kernel's sparse matrix (`expm`).  An `exact blocks` record adds the
-    states per block, the blocks diagonalised (one per orbit) and whether
-    their eigh was real, so the blocks are diagonalised here.  The record is
-    deterministic.
+    states per block and the blocks diagonalised (one per orbit), so the
+    blocks are diagonalised here.  The record is deterministic.
     """
     h = build_hamiltonian(config.system)
     kernel = PauliKernel(h.n_sites, h.terms, label_to_index(config.resolve_initial_label()))
@@ -230,8 +228,7 @@ def _propagation(config: RunConfig, exact: bool = False) -> tuple[
         "conserved_sites": {labels[k]: axis.value for k, axis in kernel.conserved.items()},
     }
     if kind == "exact blocks":
-        record.update(block_states=1 << (h.n_sites - m), diagonalised=prop.diagonalised,
-                      real_eigh=prop.real_eigh)
+        record.update(block_states=1 << (h.n_sites - m), diagonalised=prop.diagonalised)
     return h, kernel, prop, record
 
 

@@ -252,9 +252,9 @@ class _FusedSteps:
     a `dense` propagator then runs them once on the identity and steps by
     one matvec, alternating between the caller's array and `_scratch`, so
     the state is copied back at most once per call.  `advance` steps in
-    place, `step` is one `advance`, and `scan` reads <start|psi> after each
-    step.  The ops and the energy gather along axis 0 (rows of the blocks'
-    array); a column stands for `_weight` times its norm and energy.
+    place, and `scan` reads <start|psi> after each step.  The ops and the
+    energy gather along axis 0 (rows of the blocks' array); a column stands
+    for `_weight` times its norm and energy.
     """
 
     _weight = 1.0
@@ -300,10 +300,6 @@ class _FusedSteps:
         for _ in self._walk(amps, phi, k):
             pass
 
-    def step(self, amps: np.ndarray, phi: float) -> None:
-        """Apply exp(-i phi coeff P) for every term in frozen order, in place."""
-        self.advance(amps, phi, 1)
-
     def scan(self, amps: np.ndarray, phi: float, n: int) -> np.ndarray:
         """<start|psi_k> for k = 0, ..., n, stepping amps in place to psi_n."""
         overlap = self.overlap
@@ -324,7 +320,7 @@ class _FusedSteps:
         return [(flip, gather, w * self._weight) for flip, (gather, w) in weights.items()]
 
     def expectation(self, amps: np.ndarray) -> float:
-        """<psi|H|psi> of an array as `step` takes it, real for the Hermitian strings used here."""
+        """<psi|H|psi> of an array as `advance` takes it, real for the Hermitian strings here."""
         total = 0.0
         for _, gather, w in self._bonds:
             moved = amps if gather is None else amps.take(gather, 0, self._scratch, "clip")
@@ -429,11 +425,11 @@ class PauliKernel(_FusedSteps):
 
     @property
     def dense(self) -> bool:
-        """Whether `step` is one dense matvec: at most MAX_DENSE_STEP stored states."""
+        """Whether a step is one dense matvec: at most MAX_DENSE_STEP stored states."""
         return len(self.index) <= MAX_DENSE_STEP
 
     def initial(self) -> np.ndarray:
-        """The start basis state, as `step` takes it."""
+        """The start basis state, as `advance` takes it."""
         return self.basis(self.start)
 
     def overlap(self, amps: np.ndarray) -> complex:
@@ -616,7 +612,6 @@ class _Spectrum(NamedTuple):
     eps: np.ndarray
     qx: np.ndarray
     qz: np.ndarray
-    real: bool  # whether the eigh took the blocks' real form
 
 
 class SiteBlocks(_FusedSteps):
@@ -673,14 +668,14 @@ class SiteBlocks(_FusedSteps):
     T = K X_free (of an even number of Z factors) fixes every block, the
     representatives are built as real matrices in a T-invariant basis W
     (`_real_basis`, `_blocks_in`), the eigh is real and V_r = W O is folded
-    back once (`real_eigh`); otherwise they stay complex.  Every vortex
-    system, whose terms are XX or YY, takes one of the two.  Only the
-    representatives' V_r are held; `vectors` builds every block's Q V_r on
-    each call.  `state(t)` takes exp(-i t E) once per orbit, conjugated where
-    eps = -1, multiplies V_r into its members' start coefficients (held
-    padded, (orbit, member, dim)) in one batched GEMM (combined: 16 products
-    of 64 x 64 by 64 x 4, not 64 matvecs), and lays the products out as the
-    (free state, kept block) array with one signed gather.
+    back once; otherwise they stay complex.  Every vortex system, whose terms
+    are XX or YY, takes one of the two.  Only the representatives' V_r are
+    held; `vectors` builds every block's Q V_r on each call.  `state(t)` takes
+    exp(-i t E) once per orbit, conjugated where eps = -1, multiplies V_r into
+    its members' start coefficients (held padded, (orbit, member, dim)) in one
+    batched GEMM (combined: 16 products of 64 x 64 by 64 x 4, not 64 matvecs),
+    and lays the products out as the (free state, kept block) array with one
+    signed gather.
     """
 
     def __init__(self, kernel: PauliKernel):
@@ -809,8 +804,7 @@ class SiteBlocks(_FusedSteps):
         negated[slot, member] = eps < 0
         np.conjugate(coeffs, out=coeffs, where=negated[..., None])
         take = (slot * len(diag) + (diag[:, None] ^ qx)) * coeffs.shape[1] + member
-        return _Spectrum(levels, vectors, coeffs, negated, take, sign.T.copy(), slot, eps, qx, qz,
-                         real)
+        return _Spectrum(levels, vectors, coeffs, negated, take, sign.T.copy(), slot, eps, qx, qz)
 
     @property
     def energies(self) -> np.ndarray:
@@ -829,11 +823,6 @@ class SiteBlocks(_FusedSteps):
     def diagonalised(self) -> int:
         """How many blocks the eigh diagonalised: one per orbit."""
         return len(self._spectrum.levels)
-
-    @property
-    def real_eigh(self) -> bool:
-        """Whether the eigh took real blocks: K or K X_free commutes with every block."""
-        return self._spectrum.real
 
     def state(self, t: float) -> np.ndarray:
         """exp(-i t H) applied to the start state, as a (free state, kept block) array."""

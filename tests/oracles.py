@@ -1,6 +1,6 @@
 """Reference code that the tests compare the program against, the random
-Pauli terms they feed both, and the readers of the program's dumps; the
-program does not import it.
+Pauli terms and geometries they feed both, and the readers of the program's
+dumps; the program does not import it.
 
 `SpectralReference` and `reference_trotter_scan` are built from the README's
 model rules alone, sharing no code with the program's lattice, Hamiltonian,
@@ -15,11 +15,12 @@ import math
 from typing import Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from vortexprop.circuit import Circuit, Gate
 from vortexprop.hamiltonian import Hamiltonian, PauliAxis, PauliTerm, matrix_of
-from vortexprop.lattice import SystemKind, SystemSpec, bond_couplings
+from vortexprop.lattice import SystemKind, SystemSpec, bond_couplings, system_from_dict
 from vortexprop.statevector import StateVector, conserved_axes, label_to_index
 
 
@@ -42,6 +43,24 @@ def random_term(n: int, rng: np.random.Generator) -> PauliTerm:
     sites = sorted(rng.choice(n, size=k, replace=False).tolist())
     return PauliTerm(float(rng.uniform(-2, 2)),
                      tuple((s, tuple(PauliAxis)[rng.integers(3)]) for s in sites))
+
+
+@st.composite
+def custom_geometries(draw, kind: str = "melon"):
+    """A `kind` system from `system_from_dict`: random sites and 1 or 2 holes on a grid of
+    up to 4 x 4, windings +-1, chi in {0, pi/4, pi/2}; at most 14 sites, as `run_exact`."""
+    width, height = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    cells = draw(st.permutations([[x, y] for x in range(width) for y in range(height)]))
+    n_holes = draw(st.integers(1, 2))
+    n_sites = draw(st.integers(2, min(14, len(cells) - n_holes)))
+    return system_from_dict({
+        "kind": kind,
+        "holes": cells[:n_holes],
+        "winding": draw(st.lists(st.sampled_from([1, -1]), min_size=n_holes, max_size=n_holes)),
+        "sites": [{"label": f"s{k}", "pos": pos}
+                  for k, pos in enumerate(cells[n_holes:n_holes + n_sites])],
+        "chi": draw(st.sampled_from([0.0, math.pi / 4, math.pi / 2])),
+    })
 
 
 def all_site_blocks(n: int, terms: Sequence[PauliTerm]) -> np.ndarray:
@@ -367,14 +386,7 @@ def reference_trotter_scan(kind: str, label: str, dt_over_T: float,
 
 def _term_from_entry(d) -> PauliTerm:
     """One {"coeff": real, "ops": [[site, axis], ...]} entry of a Hamiltonian dump."""
-    if not isinstance(d, dict) or not {"coeff", "ops"} <= d.keys():
-        raise ValueError(f"term {d!r} needs a coeff and ops")
-    ops = d["ops"]
-    if not isinstance(ops, list) or not all(
-            isinstance(op, list) and len(op) == 2 and type(op[0]) is int
-            and op[1] in ("X", "Y", "Z") for op in ops):
-        raise ValueError(f"term {d!r} needs ops of [integer site, X, Y or Z] pairs")
-    return PauliTerm(float(d["coeff"]), tuple((s, PauliAxis(a)) for s, a in ops))
+    return PauliTerm(float(d["coeff"]), tuple((s, PauliAxis(a)) for s, a in d["ops"]))
 
 
 def hamiltonian_from_list(data: list[dict], n_sites: int | None = None) -> Hamiltonian:

@@ -31,6 +31,7 @@ from vortexprop.statevector import apply_circuit, conserved_axes, fidelity
 
 from oracles import (
     check_class_degeneracy,
+    custom_geometries,
     init_basis_state,
     site_equivalence_classes,
     system_to_dict,
@@ -112,6 +113,22 @@ class TestDefaultInitialLabels:
 
     def test_xxz_neel(self):
         assert default_initial_label(build_system("xxz", n=6)) == "101010"
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["melon", "antimelon", "combined"]),
+           dt=st.floats(min_value=0.01, max_value=0.5))
+    def test_custom_geometries_start_from_their_neel_state(self, data, kind, dt):
+        # any kind and size of lattice: one bit per site, (x + y) mod 2, the
+        # complement on antimelon; a run needs no initial_label
+        spec = data.draw(custom_geometries(kind))
+        label = default_initial_label(spec)
+        assert len(label) == spec.n_sites
+        flip = int(kind == "antimelon")
+        assert [int(c) for c in reversed(label)] == [
+            (s.pos[0] + s.pos[1] + flip) % 2 for s in spec.sites]
+        result = run_trotter(RunConfig(spec, dt, dt))
+        assert result.config.resolve_initial_label() == label
+        assert [s.step for s in result.samples] == [0, 1]
 
 
 class TestRunTrotter:

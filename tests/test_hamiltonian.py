@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -256,19 +255,6 @@ class TestDumpFormat:
         # it would build a 0-site Hamiltonian that no kernel can act on
         with pytest.raises(ValueError, match="negative site"):
             PauliTerm(1.0, ((-1, PauliAxis.X),))
-
-    @pytest.mark.parametrize("data, message", [
-        ([{"coeff": 1.0, "ops": [[2.7, "X"], [3, "X"]]}], "integer site"),
-        ([{"coeff": 1.0, "ops": [["1", "X"], [3, "X"]]}], "integer site"),
-        ([{"coeff": 1.0, "ops": [[True, "X"], [3, "X"]]}], "integer site"),
-        ([{"coeff": 1.0, "ops": [[0, "Q"]]}], "X, Y or Z"),
-        ([{"coeff": 1.0, "ops": [0, "X"]}], "X, Y or Z"),
-        ([{"coeff": 1.0}], "needs a coeff and ops"),
-        ([["X", 0]], "needs a coeff and ops"),
-    ])
-    def test_from_list_refuses_malformed_terms(self, data, message):
-        with pytest.raises(ValueError, match=f"term {re.escape(repr(data[0]))} .*{message}"):
-            hamiltonian_from_list(data)
 
     def test_hash_stable(self):
         h = build_hamiltonian(build_system("melon"))

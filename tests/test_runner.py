@@ -71,7 +71,7 @@ class TestSimulateCommand:
     VORTEX_AXES = {"b": "Y", "d": "X", "f": "Y", "h": "X"}
 
     COMBINED_AXES = {**VORTEX_AXES, "i": "X", "k": "Y", "m": "X"}
-    BLOCK_KEYS = ("block_states", "diagonalised", "real_eigh")
+    BLOCK_KEYS = ("block_states", "diagonalised")
 
     @pytest.mark.parametrize("flags, want, blocks", [
         (["--system", "melon"], ("dense", 128, 12, VORTEX_AXES), {}),
@@ -79,9 +79,9 @@ class TestSimulateCommand:
         (["--system", "xxz", "--n", "10"], ("dense", 252, 9, {}), {}),
         (["--system", "xxz", "--n", "12"], ("ops", 924, 11, {}), {}),
         (["--system", "melon", "--exact"], ("exact blocks", 128, None, VORTEX_AXES),
-         {"block_states": 16, "diagonalised": 2, "real_eigh": True}),
+         {"block_states": 16, "diagonalised": 2}),
         (["--system", "combined", "--exact"], ("exact blocks", 4096, None, COMBINED_AXES),
-         {"block_states": 64, "diagonalised": 16, "real_eigh": True}),
+         {"block_states": 64, "diagonalised": 16}),
         (["--system", "xxz", "--exact"], ("expm", 70, None, {}), {}),
     ], ids=["melon", "combined", "xxz-10", "xxz-12", "melon-exact", "combined-exact",
             "xxz-exact"])
@@ -92,7 +92,7 @@ class TestSimulateCommand:
         record = json.loads((out / "manifest.json").read_text())["propagator"]
         assert (record["kind"], record["stored_states"], record["ops_per_step"],
                 record["conserved_sites"]) == want
-        # exact block runs also record the block size, the eighs (one per orbit) and their type
+        # exact block runs also record the block size and the eighs (one per orbit)
         assert {k: record[k] for k in self.BLOCK_KEYS if k in record} == blocks
 
     @pytest.mark.parametrize("system", ["melon", "combined"])

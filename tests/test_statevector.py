@@ -43,6 +43,7 @@ from oracles import (
     SpectralReference,
     all_site_blocks,
     butterfly_back_rotation,
+    custom_geometries,
     dense_exponential,
     init_basis_state,
     random_term,
@@ -50,7 +51,7 @@ from oracles import (
 )
 
 INV_SQRT2 = 1 / math.sqrt(2)
-# PauliKernel.step takes the dense path on stored sets up to the cap; cap 0
+# PauliKernel.advance takes the dense path on stored sets up to the cap; cap 0
 # sends every set through the op loop
 STEP_CAPS = (statevector.MAX_DENSE_STEP, 0)
 
@@ -60,6 +61,20 @@ def step_cap(cap):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(statevector, "MAX_DENSE_STEP", cap)
         yield
+
+
+@contextmanager
+def eigh_dtypes():
+    """The dtype of each matrix passed to np.linalg.eigh inside the `with` block, in order."""
+    eigh, seen = np.linalg.eigh, []
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return eigh(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", spy)
+        yield seen
 
 
 def _sector(selection, n, start):
@@ -154,14 +169,14 @@ class TestDirectExponential:
     def test_xx_on_00(self):
         term = PauliTerm(1.0, ((0, PauliAxis.X), (1, PauliAxis.X)))
         state = init_basis_state("00")
-        PauliKernel(2, (term,)).step(state.amps, 0.4)
+        PauliKernel(2, (term,)).advance(state.amps, 0.4, 1)
         assert state.amps[0b00] == pytest.approx(math.cos(0.4))
         assert state.amps[0b11] == pytest.approx(-1j * math.sin(0.4))
 
     def test_z_on_one(self):
         term = PauliTerm(1.0, ((0, PauliAxis.Z),))
         state = init_basis_state("1")
-        PauliKernel(1, (term,)).step(state.amps, 0.8)
+        PauliKernel(1, (term,)).advance(state.amps, 0.8, 1)
         assert state.amps[1] == pytest.approx(np.exp(1j * 0.8))
 
     def test_matches_compiled_circuit(self):
@@ -193,7 +208,7 @@ class TestKernelInvariants:
                 kernel = PauliKernel(h.n_sites, h.terms)
                 state = init_basis_state(label)
                 for _ in range(5):
-                    kernel.step(state.amps, phi)
+                    kernel.advance(state.amps, phi, 1)
             assert (kernel._dense is None) == (cap == 0)
             assert abs(np.vdot(state.amps, state.amps).real - 1.0) < 1e-12
             # every term commutes with prod Z: the other sector keeps exact zeros
@@ -281,8 +296,8 @@ class TestFusedStep:
                 full = PauliKernel(n, terms)
                 psi, rand = kernel.basis(start), amps.copy()
                 for _ in range(3):
-                    kernel.step(psi, 2.0 * dt)
-                    full.step(rand, 2.0 * dt)
+                    kernel.advance(psi, 2.0 * dt, 1)
+                    full.advance(rand, 2.0 * dt, 1)
             assert (kernel.selection == "full space") == odd
             assert kernel.index.tolist() == _sector(kernel.selection, n, start)
             assert (kernel._dense is None) == (full._dense is None) == (cap == 0)
@@ -312,7 +327,7 @@ class TestDenseStep:
             with step_cap(cap):
                 kernel, psi = PauliKernel(n, terms, start), amps.copy()
                 for k in range(50):  # a new phi halfway rebuilds the step
-                    kernel.step(psi, 2.0 * dt if k < 25 else dt)
+                    kernel.advance(psi, 2.0 * dt if k < 25 else dt, 1)
             kernels.append(kernel)
             states.append(psi)
         assert kernels[0]._dense is not None and kernels[1]._dense is None
@@ -330,7 +345,7 @@ class TestDenseStep:
         want, moved = psi.copy(), np.empty_like(psi)
         ops = statevector._fuse(kernel._rows, 0.2)
         for _ in range(20):
-            kernel.step(psi, 0.2)
+            kernel.advance(psi, 0.2, 1)
             for gather, alpha, beta in ops:  # the op loop, spelled out
                 if gather is None:
                     want *= alpha
@@ -728,48 +743,24 @@ class TestOrbitSampling:
                 if name in self.STRINGS:
                     want = expm(-1j * t * matrix_of(Hamiltonian(n, terms)))[:, int(start)]
                     assert np.max(np.abs(blocks.sector(psi) - want[kernel.index])) < 1e-12
-        assert blocks.real_eigh is (name not in self.COMPLEX)
 
-    @pytest.mark.parametrize("name", ["melon", "antimelon", "combined", "no-antiunitary",
-                                      "z-antiunitary", "kramers"])
-    def test_eigh_is_real_where_an_antiunitary_allows_it(self, name, monkeypatch):
+    @pytest.mark.parametrize("name", NAMES)
+    def test_eigh_is_real_where_an_antiunitary_allows_it(self, name):
         # real where T = K (an even number of Y per string) or T = K X_free (an
-        # even number of Z) fixes every string: melon, antimelon and combined,
-        # whose terms are XX or YY; complex otherwise, also where only another
-        # K Q, such as z-antiunitary's K Z_0, would
-        eigh, seen = np.linalg.eigh, []
-
-        def spy(a, *args, **kwargs):
-            seen.append(a.dtype)
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", spy)
+        # even number of Z) fixes every string: the vortex systems, whose terms
+        # are XX or YY, and the hand-made negated, cancelling and no-free-site
+        # strings; complex otherwise, also where only another K Q, such as
+        # z-antiunitary's K Z_0, would
         n, terms = _block_case(name)
-        blocks = SiteBlocks(PauliKernel(n, terms, 0))
-        held = [v for v in blocks._spectrum if isinstance(v, np.ndarray)]
+        with eigh_dtypes() as seen:
+            blocks = SiteBlocks(PauliKernel(n, terms, 0))
+            held = [v for v in blocks._spectrum if isinstance(v, np.ndarray)]
         assert seen == [np.complex128 if name in self.COMPLEX else np.float64]
-        # eigenvectors are held per orbit only: no per-block copy (combined: 16 x 64 x 64)
-        dim = len(blocks.initial())
-        assert max(v.size for v in held) <= blocks.diagonalised * dim * dim
+        # eigenvectors are held per orbit only: no per-block copy (combined: 16 x 64 x 64);
+        # the (free state, kept block) layout outgrows them only on one-state blocks
+        dim, kept = blocks.initial().shape
+        assert max(v.size for v in held) <= max(blocks.diagonalised * dim, kept) * dim
         assert blocks._spectrum.vectors.shape == (blocks.diagonalised, dim, dim)
-
-
-@st.composite
-def custom_geometries(draw):
-    """A vortex-kind system from `system_from_dict`: random sites and 1 or 2 holes on a grid
-    of up to 4 x 4, windings +-1, chi in {0, pi/4, pi/2}; at most 14 sites, as `run_exact`."""
-    width, height = draw(st.integers(2, 4)), draw(st.integers(2, 4))
-    cells = draw(st.permutations([[x, y] for x in range(width) for y in range(height)]))
-    n_holes = draw(st.integers(1, 2))
-    n_sites = draw(st.integers(2, min(14, len(cells) - n_holes)))
-    return system_from_dict({
-        "kind": "melon",
-        "holes": cells[:n_holes],
-        "winding": draw(st.lists(st.sampled_from([1, -1]), min_size=n_holes, max_size=n_holes)),
-        "sites": [{"label": f"s{k}", "pos": pos}
-                  for k, pos in enumerate(cells[n_holes:n_holes + n_sites])],
-        "chi": draw(st.sampled_from([0.0, math.pi / 4, math.pi / 2])),
-    })
 
 
 def _exact_run(spec, start: int, dt: float):
@@ -806,19 +797,20 @@ class TestRealBlocks:
     @pytest.mark.parametrize("kind", ["melon", "antimelon", "combined"])
     def test_built_in_systems(self, kind, k):
         spec = build_system(kind, chi=k * math.pi / 4)
-        record, check = _exact_run(spec, label_to_index(default_initial_label(spec)), 0.37)
-        assert (record["kind"], record["real_eigh"]) == ("exact blocks", True)
+        with eigh_dtypes() as seen:
+            record, check = _exact_run(spec, label_to_index(default_initial_label(spec)), 0.37)
+        assert (record["kind"], seen) == ("exact blocks", [np.float64])
         check()
 
     @settings(max_examples=60, deadline=None)
     @given(spec=custom_geometries(), bits=st.integers(0, 2**14 - 1),
            dt=st.floats(min_value=0.01, max_value=2.5))
     def test_custom_geometries(self, spec, bits, dt):
-        record, check = _exact_run(spec, bits % (1 << spec.n_sites), dt)
+        with eigh_dtypes() as seen:
+            record, check = _exact_run(spec, bits % (1 << spec.n_sites), dt)
         assume(record["kind"] == "exact blocks")
-        assert record["real_eigh"]
+        assert seen == [np.float64]
         check()
-
 
     def test_an_idle_site_is_conserved(self):
         # melon plus a site that no bond reaches: X there commutes with every term,
@@ -858,8 +850,8 @@ class TestBlockStep:
             psi, want = blocks.initial(), kernel.initial()
             assert np.max(np.abs(blocks.sector(psi) - want)) < 1e-12
             for k in range(50):  # a new phi halfway rebuilds both steps' ops
-                blocks.step(psi, 2.0 * dt if k < 25 else dt)
-                kernel.step(want, 2.0 * dt if k < 25 else dt)
+                blocks.advance(psi, 2.0 * dt if k < 25 else dt, 1)
+                kernel.advance(want, 2.0 * dt if k < 25 else dt, 1)
         assert kernel._dense is None
         assert np.max(np.abs(blocks.sector(psi) - want)) < 1e-12
         assert abs(blocks.overlap(psi) - kernel.overlap(want)) < 1e-12
@@ -869,7 +861,7 @@ class TestBlockStep:
         blocks = SiteBlocks(kernel)
         assert (len(self.COMBINED), kernel.ops_per_step, blocks.ops_per_step) == (26, 22, 10)
         psi = blocks.initial()
-        blocks.step(psi, 0.2)
+        blocks.advance(psi, 0.2, 1)
         assert len(blocks._ops) == 10
         assert "_spectrum" not in vars(blocks)  # Trotter steps never diagonalise
 
@@ -915,7 +907,7 @@ class TestMultiStep:
             psi = self._random_state(prop, k)
             want = psi.copy()
             for _ in range(k):
-                prop.step(want, 0.3)
+                prop.advance(want, 0.3, 1)
             scratch = prop._scratch
             prop.advance(psi, 0.3, k)
         assert (prop._dense is not None) is (kind == "dense")
@@ -932,7 +924,7 @@ class TestMultiStep:
             psi = self._random_state(prop, 7)
             want, overlaps = psi.copy(), [prop.overlap(psi)]
             for _ in range(21):
-                prop.step(want, 0.3)
+                prop.advance(want, 0.3, 1)
                 overlaps.append(prop.overlap(want))
             got = prop.scan(psi, 0.3, 21)
         assert np.max(np.abs(got - overlaps)) <= 1e-14

@@ -6,6 +6,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+from vortexprop.evolve import RunConfig, _propagation
+from vortexprop.lattice import build_system
 from vortexprop.runner import _CONFIG_KEYS, SUITE_NAMES, build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,6 +74,19 @@ def test_readme_lists_every_simulate_flag():
     options = {opt for action in sub.choices["simulate"]._actions
                for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
     assert documented == options
+
+
+def test_readme_manifest_bullet_names_every_propagator_key():
+    # the `manifest.json` bullet names, in backticks, every key of the propagator
+    # record, for each kind of Trotter and exact run
+    bullet = README[README.index("* `manifest.json`"):].split("\n* ")[0]
+    documented = set(re.findall(r"`(\w+)`", bullet))
+    systems = [build_system("melon"), build_system("combined"),
+               build_system("combined", chi=0.3), build_system("xxz", n=8)]
+    records = [_propagation(RunConfig(spec, 0.1, 0.1), exact)[3]
+               for spec in systems for exact in (False, True)]
+    assert {r["kind"] for r in records} == {"dense", "blocks", "ops", "exact blocks", "expm"}
+    assert set().union(*records) - documented == set()
 
 
 def test_every_config_key_has_a_flag():
