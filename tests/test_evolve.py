@@ -114,10 +114,10 @@ class TestDefaultInitialLabels:
     def test_xxz_neel(self):
         assert default_initial_label(build_system("xxz", n=6)) == "101010"
 
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), kind=st.sampled_from(["melon", "antimelon", "combined"]),
-           dt=st.floats(min_value=0.01, max_value=0.5))
-    def test_custom_geometries_start_from_their_neel_state(self, data, kind, dt):
+    @pytest.mark.parametrize("kind", ["melon", "antimelon", "combined"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), dt=st.floats(min_value=0.01, max_value=0.5))
+    def test_custom_geometries_start_from_their_neel_state(self, kind, data, dt):
         # any kind and size of lattice: one bit per site, (x + y) mod 2, the
         # complement on antimelon; a run needs no initial_label
         spec = data.draw(custom_geometries(kind))
@@ -129,6 +129,21 @@ class TestDefaultInitialLabels:
         result = run_trotter(RunConfig(spec, dt, dt))
         assert result.config.resolve_initial_label() == label
         assert [s.step for s in result.samples] == [0, 1]
+
+    @pytest.mark.parametrize("kind, want", [("melon", "101010"), ("antimelon", "010101")])
+    def test_six_site_ring_runs_without_a_label(self, kind, want):
+        # a 6-site ring round one hole: both propagators start from its Neel state
+        # (an 8-character per-kind default would not fit)
+        ring = [[0, 0], [1, 0], [2, 0], [2, 1], [2, 2], [1, 2]]
+        spec = system_from_dict({"kind": kind, "holes": [[1, 1]], "winding": [1],
+                                 "sites": [{"label": f"s{k}", "pos": pos}
+                                           for k, pos in enumerate(ring)]})
+        assert default_initial_label(spec) == want
+        for run in (run_trotter, run_exact):
+            result = run(RunConfig(spec, 0.1, 0.5))
+            assert result.config.resolve_initial_label() == want
+            assert result.samples[0].fidelity0 == pytest.approx(1.0)
+            assert len(result.samples) == 6
 
 
 class TestRunTrotter:
