@@ -22,9 +22,9 @@ scan reads <start|psi> after every step inside the stepping loop (`scan`).
 The exact path is the validation oracle, picked by the same rule: where
 some site Pauli commutes with every term it propagates the dense eigenbases
 of the blocks that split H (`SiteBlocks`, which diagonalises one block per
-orbit of the free-site Pauli strings, as a real matrix where the antiunitary
-K or K X_free commutes with every block, and rebuilds each sample with one
-matrix product per orbit), and elsewhere it steps the sparse sector matrix
+orbit of the free-site Pauli strings, as a real matrix since the antiunitary
+K X_free commutes with every block, and rebuilds each sample with one matrix
+product per orbit), and elsewhere it steps the sparse sector matrix
 with `expm_multiply`, both to machine precision.  Both paths propagate only the
 sector of the initial basis state that `PauliKernel` stores: its
 magnetization sector on the XXZ chain, else its prod-Z parity sector; final
@@ -50,21 +50,20 @@ from .statevector import (  # noqa: F401
     StateVector,
     apply_circuit,
     fidelity,
+    index_to_label,
     label_to_index,
 )
 
 MAX_STEPS = 10_000_000
 # Largest block run_exact diagonalises.  On 2 cores and one BLAS thread, the
-# batched real eigh (SiteBlocks' form under K or K X_free) of 16 blocks of
-# 256 states takes 0.11 s, as long as 10 expm_multiply samples of a 13-site
+# batched real eigh (SiteBlocks' form under K X_free) of 16 blocks of 256
+# states takes 0.11 s, as long as 10 expm_multiply samples of a 13-site
 # sector (11 ms per 0.2 T on 4096 states); 8 blocks of 512 take 0.26 s and 4
-# of 1024 take 1.1 s, 100 samples.  The complex eigh, for blocks that neither
-# makes real (no system the program builds), takes 0.32, 1.3 and 5.5 s.
-# These are the worst case, no two blocks related; SiteBlocks diagonalises
-# one block per orbit, which on the built-in systems is a quarter or half of
-# them.  The same cap bounds the 2^(m-1) rows and columns of the two
-# back-rotation matrices of m conserved sites, on the Trotter and the exact
-# path alike.
+# of 1024 take 1.1 s, 100 samples.  These are the worst case, no two blocks
+# related; SiteBlocks diagonalises one block per orbit, which on the built-in
+# systems is a quarter or half of them.  The same cap bounds the 2^(m-1) rows
+# and columns of the two back-rotation matrices of m conserved sites, on the
+# Trotter and the exact path alike.
 MAX_BLOCK_DIM = 256
 MAX_HELD_BYTES = 1 << 30  # a run's sampled sector states and kernel working set, at their peak
 TRACK_TOP_K = 8  # labels tracked beyond the four fixed ones, by peak |amplitude|
@@ -174,8 +173,6 @@ def _resolve_tracked(initial: str, peak_norm: np.ndarray, n: int) -> tuple[str, 
     partners that differ only at round-off are picked the same way by every
     propagator.
     """
-    from .statevector import index_to_label
-
     fixed = [initial, _flip_label(initial), "0" * n, "1" * n]
     seen = set(fixed)
     # the first len(fixed) + TRACK_TOP_K of the stable order hold every label

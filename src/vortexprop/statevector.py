@@ -23,9 +23,9 @@ of blocks and are fewer (10 against 22 on the 4096 states of the combined
 system).
 It also propagates exactly in the blocks' eigenbases, diagonalising one
 block per orbit of the Pauli strings on the free sites, as a real matrix
-where the antiunitary K or K X_free commutes with every block, and
-rebuilding each sample with one matrix product per orbit, whose rows map
-onto the orbit's other blocks by a signed gather.  Both leave the state on
+since the antiunitary K X_free commutes with every block, and rebuilding
+each sample with one matrix product per orbit, whose rows map onto the
+orbit's other blocks by a signed gather.  Both leave the state on
 the blocks, where the energy is measured; `sector` takes it back to z with
 one matrix product per free-parity half.  One function (`_string_rows`)
 builds every string's gather and phase, for the kernel's rows, the blocks'
@@ -553,47 +553,45 @@ def _pack(bits, sites: Sequence[int]):
     return sum((((bits >> site) & 1) << j for j, site in enumerate(sites)), bits & 0)
 
 
-def _real_basis(tx: int, parity: np.ndarray) -> tuple:
+def _real_basis(parity: np.ndarray) -> tuple:
     """(a, b, r^2) of the unitary W with columns W[:, k] = (a_k e_k + b_k e_{k ^ tx}) / r.
 
-    X^tx acts as (X^tx v)[k] = v[k ^ tx].  S = diag(s), s_k = parity[m & k],
-    anticommutes with it for m the lowest bit of tx.  With d_k = 1 where s_k =
-    +1 and i where s_k = -1, W = (S + X^tx) D / sqrt2: a = d s and b = d, all
-    of unit modulus.  d_k^2 = s_k gives X^tx conj(W[:, k]) = W[:, k], so
-    W^dagger H W is real for every H that T = K X^tx commutes with.  tx = 0
-    gives a = b = 1 and r^2 = 4, so W = I, the basis T = K leaves real.
+    tx holds every free bit, so X^tx is X_free: (X^tx v)[k] = v[k ^ tx].  S =
+    diag(s), s_k = parity[k & 1], anticommutes with it.  With d_k = 1 where
+    s_k = +1 and i where s_k = -1, W = (S + X^tx) D / sqrt2: a = d s and b =
+    d, all of unit modulus.  d_k^2 = s_k gives X^tx conj(W[:, k]) = W[:, k],
+    so W^dagger H W is real for every H that T = K X_free commutes with.
+    Without a free site tx = 0, a = b = 1 and r^2 = 4, so W = I.
     """
-    s = parity[(tx & -tx) & np.arange(len(parity))]
+    s = parity[np.arange(len(parity)) & 1]
     d = np.where(s > 0, 1.0, 1j)
-    return d * s, d, 2.0 if tx else 4.0
+    return d * s, d, 2.0 if len(parity) > 1 else 4.0
 
 
-def _blocks_in(rows: list, a: np.ndarray, b: np.ndarray, norm: float, tx: int,
-               real: bool) -> np.ndarray:
-    """W^dagger H_r W per orbit r, for W[:, k] = (a_k e_k + b_k e_{k ^ tx}) / r (`_real_basis`).
+def _blocks_in(rows: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """W^dagger H_r W per orbit r, real, for the W of `_real_basis`.
 
     `rows` are the free strings' (weights per orbit, flip, gather, phase) over
-    the free basis states (`_string_rows`).  As <p|W^dagger P = (conj(a_p)
-    phase[p] <p ^ x| + conj(b_p) phase[p ^ tx] <p ^ x ^ tx|) / r, row p of
-    W^dagger P W has entries in columns p ^ x and p ^ x ^ tx alone: two row
-    gathers per string, then one assignment of their sums per column flip.
-    r^2 times an entry is a sum of products of unit phases, exact, and so is
-    the division by r^2 = 2 or 4.  With `real` (T fixes every string) the
-    imaginary parts are exactly 0 and are dropped.
+    the free basis states (`_string_rows`), each fixed by T = K X_free.  As
+    <p|W^dagger P = (conj(a_p) phase[p] <p ^ x| + conj(b_p) phase[p ^ tx]
+    <p ^ x ^ tx|) / r, row p of W^dagger P W has entries in columns p ^ x and
+    p ^ x ^ tx alone: two row gathers per string, then one assignment of
+    their sums per column flip.  r^2 times an entry is a sum of products of
+    unit phases, exact, and so is the division by r^2 = 2, or 4 without a
+    free site; the imaginary parts are exactly 0 and are dropped.
     """
-    diag = np.arange(len(a))
+    diag, tx = np.arange(len(a)), len(a) - 1
     flips = np.array([x for _, x, *_ in rows])
     phase = np.empty((len(rows), len(diag)), dtype=np.complex128)
     for row, (*_, p) in zip(phase, rows):
         row[:] = p
     ap, bp = a.conj() * phase, b.conj() * phase[:, diag ^ tx]
     cols = diag ^ flips[:, None]
-    entries = np.concatenate([ap * a[cols] + bp * b[cols], ap * b[cols ^ tx] + bp * a[cols ^ tx]])
-    if real:
-        entries = entries.real
+    entries = np.concatenate([ap * a[cols] + bp * b[cols],
+                              ap * b[cols ^ tx] + bp * a[cols ^ tx]]).real
     moves, which = np.unique(np.concatenate([flips, flips ^ tx]), return_inverse=True)
-    weight = np.array([w for w, *_ in rows] * 2).T / norm  # (orbit, entry row)
-    blocks = np.zeros((len(weight), len(diag), len(diag)), dtype=entries.dtype)
+    weight = np.array([w for w, *_ in rows] * 2).T / (2.0 if tx else 4.0)  # (orbit, entry row)
+    blocks = np.zeros((len(weight), len(diag), len(diag)))
     share = (which == np.arange(len(moves))[:, None]) * weight[:, None]  # (orbit, flip, entry row)
     blocks[:, diag, diag ^ moves[:, None]] = share @ entries
     return blocks
@@ -611,7 +609,6 @@ class _Spectrum(NamedTuple):
     slot: np.ndarray  # per kept block: its orbit
     eps: np.ndarray
     qx: np.ndarray
-    qz: np.ndarray
 
 
 class SiteBlocks(_FusedSteps):
@@ -664,18 +661,17 @@ class SiteBlocks(_FusedSteps):
     combined's 64, 2 of melon's 8).  A row of `energies` is therefore
     ascending, or descending where eps = -1.
 
-    Where the antiunitary T = K (strings of an even number of Y factors) or
-    T = K X_free (of an even number of Z factors) fixes every block, the
-    representatives are built as real matrices in a T-invariant basis W
-    (`_real_basis`, `_blocks_in`), the eigh is real and V_r = W O is folded
-    back once; otherwise they stay complex.  Every vortex system, whose terms
-    are XX or YY, takes one of the two.  Only the representatives' V_r are
-    held; `vectors` builds every block's Q V_r on each call.  `state(t)` takes
-    exp(-i t E) once per orbit, conjugated where eps = -1, multiplies V_r into
-    its members' start coefficients (held padded, (orbit, member, dim)) in one
-    batched GEMM (combined: 16 products of 64 x 64 by 64 x 4, not 64 matvecs),
-    and lays the products out as the (free state, kept block) array with one
-    signed gather.
+    The antiunitary T = K X_free fixes every free string with an even number
+    of Z factors, as every XX, YY or ZZ bond leaves, so the representatives
+    are built as real matrices in a T-invariant basis W (`_real_basis`,
+    `_blocks_in`), the eigh is real and V_r = W O is folded back once; an
+    odd number of Z factors is refused here, not on the Trotter steps.  Only
+    the representatives' V_r are held; `vectors` builds every block's Q V_r
+    on each call.  `state(t)` takes exp(-i t E) once per orbit, conjugated
+    where eps = -1, multiplies V_r into its members' start coefficients (held
+    padded, (orbit, member, dim)) in one batched GEMM (combined: 16 products
+    of 64 x 64 by 64 x 4, not 64 matvecs), and lays the products out as the
+    (free state, kept block) array with one signed gather.
     """
 
     def __init__(self, kernel: PauliKernel):
@@ -773,24 +769,24 @@ class SiteBlocks(_FusedSteps):
     def _spectrum(self) -> _Spectrum:
         """One eigenbasis per orbit, and the layout `state` samples it in.
 
-        T = K X^tx fixes a string X^x Z^z when popcount(z & (x ^ tx)) is even:
-        K negates each Y, X^tx each Y or Z at tx.  T = K (tx = 0), then T = K
-        X_free, is tried on the strings of nonzero weight; with neither, W = I
-        and `_blocks_in` builds complex blocks.
+        T = K X_free fixes a string X^x Z^z when popcount(z & ~x), its number
+        of Z factors, is even: K negates each Y, X_free each Y or Z.  A free
+        string of nonzero weight with an odd number is refused.
         """
         weights: dict[tuple, np.ndarray] = {}  # (x bits, z bits) on the free sites -> weights
         for w, x, z in self._strings:
             weights[x, z] = weights.get((x, z), 0.0) + w
+        odd = [(x, z) for (x, z), w in weights.items() if w.any() and (z & ~x).bit_count() & 1]
+        if odd:
+            raise ValueError(f"{len(odd)} free-site strings have an odd number of Z factors, "
+                             "so T = K X_free does not make the blocks real")
         diag, parity = self._free, self._parity
         reps, slot, eps, qx, qz = _orbits(np.array(list(weights.values())), list(weights), parity)
-        fixing = [tx for tx in (0, len(diag) - 1) if all(
-            (z & (x ^ tx)).bit_count() % 2 == 0 for (x, z), w in weights.items() if w.any())]
-        real, tx = bool(fixing), fixing[0] if fixing else 0
-        a, b, norm = _real_basis(tx, parity)
+        a, b, norm = _real_basis(parity)
         rows = _string_rows([(w[reps], *xz) for xz, w in weights.items()], diag, diag)
-        levels, rot = np.linalg.eigh(_blocks_in(rows, a, b, norm, tx, real))
-        r, turn = math.sqrt(norm), diag ^ tx
-        vectors = rot * (a / r)[:, None]  # row j of W O: (a_j O[j] + b_j' O[j']) / r, j' = j ^ tx
+        levels, rot = np.linalg.eigh(_blocks_in(rows, a, b))
+        r, turn = math.sqrt(norm), diag[::-1]  # j' = j ^ tx
+        vectors = rot * (a / r)[:, None]  # row j of W O: (a_j O[j] + b_j' O[j']) / r
         vectors += rot[:, turn] * (b[turn] / r)[:, None]
 
         # block b's vectors are V_b = Q_b V_r, (Q_b v)[j] = sign[b, j] v[j ^ qx_b]; its start
@@ -804,7 +800,7 @@ class SiteBlocks(_FusedSteps):
         negated[slot, member] = eps < 0
         np.conjugate(coeffs, out=coeffs, where=negated[..., None])
         take = (slot * len(diag) + (diag[:, None] ^ qx)) * coeffs.shape[1] + member
-        return _Spectrum(levels, vectors, coeffs, negated, take, sign.T.copy(), slot, eps, qx, qz)
+        return _Spectrum(levels, vectors, coeffs, negated, take, sign.T.copy(), slot, eps, qx)
 
     @property
     def energies(self) -> np.ndarray:

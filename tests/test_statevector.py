@@ -251,10 +251,12 @@ def term_lists(draw, even=None):
 
 
 @st.composite
-def planted_term_lists(draw):
+def planted_term_lists(draw, even_z: bool = True):
     """(n, terms, planted) with planted sites that carry one axis, X or Y, in every term.
 
     Other sites take any factor; every flip touches an even number of sites.
+    With `even_z` every term has an even number of Z factors, so T = K X_free
+    fixes its free-site string and the exact blocks take it.
     """
     n = draw(st.integers(2, 6))
     planted = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from("XY"), min_size=1))
@@ -265,6 +267,9 @@ def planted_term_lists(draw):
         flipped = [k for k, a in enumerate(axes) if a in "XY"]
         if len(flipped) % 2:
             axes[flipped[0]] = "I" if flipped[0] in planted else "Z"
+        zs = [k for k, a in enumerate(axes) if a == "Z"]
+        if even_z and len(zs) % 2:
+            axes[zs[0]] = "I"
         if set(axes) != {"I"}:
             terms.append(_string(draw(coeffs), axes))
     return n, tuple(terms), planted
@@ -631,14 +636,24 @@ class TestSiteBlocks:
 
     # sites 0 and 1 free, 2, 3 and 4 conserved (X); the kept blocks are
     # (s2, s3) = ++, -+, +-, -- with s4 = +.  X0 weighs 0.5 (s2 + s3), zero
-    # in blocks 1 and 2, which only Q = Y0 relates (Z0 weighs 0.6 s2): Y0
-    # anticommutes with X0, so counting its zero weight would split them.
-    # Block 3 is Y0 block 0 Y0.
+    # in blocks 1 and 2, which only Q = Y0 or Z0X1 relates (Z0Z1 weighs
+    # 0.2 s2 + 0.6 s3): both anticommute with X0, so counting its zero weight
+    # would split them.  Block 3 is Y0 block 0 Y0.
     CANCELLING = [(0.5, "XIXII"), (0.5, "XIIXI"), (0.4, "YYIII"), (0.3, "IXIIX"),
-                  (0.2, "IZXXI"), (0.6, "ZIXIX"), (0.7, "IIXXI")]
-    # site 0 free, 1 and 2 conserved (X): block 1 = -Z0 block 0 Z0, and the
+                  (0.2, "ZZXIX"), (0.6, "ZZIXX"), (0.7, "IIXXI")]
+    # site 0 free, 1 and 2 conserved (X): block 1 = -Y0 block 0 Y0, and the
     # conserved-only string X1X2 forbids eps = +1
-    NEGATED = [(1.0, "IXX"), (0.5, "ZXX"), (0.3, "XIX")]
+    NEGATED = [(1.0, "IXX"), (0.5, "YXI"), (0.3, "XIX")]
+    # a free-site string with one Z factor, which T = K X_free does not fix
+    ODD_Z = {
+        # site 0 free with X, Y and Z: no K Q fixes the blocks
+        "no-antiunitary": [(0.7, "XXI"), (0.4, "YXI"), (0.3, "ZII"), (0.5, "IXX")],
+        # Y and Z on free site 0: only K Z_0 fixes the strings
+        "z-antiunitary": [(0.7, "YXI"), (0.3, "ZII"), (0.5, "IXX")],
+        # X0Y1, Z0Y1, Y0Y1 and X1 on free sites 0 and 1: only Q = Y_0 is odd where
+        # the strings are, and (K Y_0)^2 = -1 allows no real form
+        "kramers": [(0.7, "XYI"), (0.4, "ZYX"), (0.3, "YYI"), (0.5, "IXX")],
+    }
 
     @pytest.mark.parametrize("strings, diagonalised", [(CANCELLING, 2), (NEGATED, 1)],
                              ids=["cancelling", "negated"])
@@ -655,11 +670,13 @@ class TestSiteBlocks:
         assert np.max(np.abs(blocks.sector(blocks.state(0.7)) - want[kernel.index])) < 1e-12
 
     def test_strings_beyond_one_word(self):
-        # sites 0-3 free, 4 and 5 conserved (X); 70 distinct free strings, each
-        # with X4 when it flips an odd number of sites, so Z0Z1Z2Z3 would relate
-        # the two blocks, but the last string carries X5 in place of X4: only
-        # its bit, in the second 64-bit word, rules the relation out
-        free = [s for s in itertools.product("IXYZ", repeat=4) if set(s) != {"I"}][::3][:70]
+        # sites 0-3 free, 4 and 5 conserved (X); 70 distinct free strings of an
+        # even number of Z factors (of 135), each with X4 when it flips an odd
+        # number of sites, so Z0Z1Z2Z3 would relate the two blocks, but the
+        # last string carries X5 in place of X4: only its bit, in the second
+        # 64-bit word, rules the relation out
+        free = [s for s in itertools.product("IXYZ", repeat=4)
+                if set(s) != {"I"} and s.count("Z") % 2 == 0][::-1][:70]
         assert sum(a in "XY" for a in free[-1]) % 2 == 1
         terms = tuple(_string(0.05 * (k + 1), "".join(s) + (
             "II" if sum(a in "XY" for a in s) % 2 == 0 else "IX" if k == 69 else "XI"))
@@ -681,6 +698,23 @@ class TestSiteBlocks:
         odd = (_string(1.0, "XX"), _string(0.5, "XI"))
         with pytest.raises(ValueError, match="odd number of sites"):
             SiteBlocks(PauliKernel(2, odd, 0))
+
+    @pytest.mark.parametrize("name", sorted(ODD_Z))
+    def test_odd_z_strings_refuse_the_exact_path_only(self, name):
+        # the exact blocks need T = K X_free, so they refuse; the Trotter steps
+        # on the same blocks need no T and still equal the op loop
+        strings = self.ODD_Z[name]
+        terms = tuple(_string(c, axes) for c, axes in strings)
+        n = len(strings[0][1])
+        with step_cap(0):
+            kernel = PauliKernel(n, terms, 0)
+            blocks = SiteBlocks(kernel)
+            with pytest.raises(ValueError, match="odd number of Z factors"):
+                blocks.state(0.7)
+            psi, want = blocks.initial(), kernel.initial()
+            blocks.advance(psi, 0.7, 20)
+            kernel.advance(want, 0.7, 20)
+        assert np.max(np.abs(blocks.sector(psi) - want)) < 1e-12
 
     def test_refuses_a_full_space_kernel(self):
         # a kernel built without a start stores all 2^n states, not one parity sector
@@ -712,20 +746,10 @@ class TestOrbitSampling:
     STRINGS = {
         "negated": TestSiteBlocks.NEGATED,  # eps = -1
         "cancelling": TestSiteBlocks.CANCELLING,
-        # site 0 free with X, Y and Z: no Q on it anticommutes with Y0 alone,
-        # so no K Q fixes the blocks and their eigh stays complex
-        "no-antiunitary": [(0.7, "XXI"), (0.4, "YXI"), (0.3, "ZII"), (0.5, "IXX")],
-        # Y and Z on free site 0: K Z_0 fixes the strings, but neither K (one Y)
-        # nor K X_free (one Z) does, so the eigh stays complex
-        "z-antiunitary": [(0.7, "YXI"), (0.3, "ZII"), (0.5, "IXX")],
-        # X0Y1, Z0Y1, Y0Y1 and X1 on free sites 0 and 1: only Q = Y_0 is odd where
-        # the strings are, and (K Y_0)^2 = -1 allows no real form
-        "kramers": [(0.7, "XYI"), (0.4, "ZYX"), (0.3, "YYI"), (0.5, "IXX")],
         # every site conserved: blocks of one state each
         "no-free-site": [(1.0, "XX")],
     }
     NAMES = ["melon", "antimelon", "combined", "combined-chi-pi/4", *STRINGS]
-    COMPLEX = {"no-antiunitary", "z-antiunitary", "kramers"}
 
     @pytest.mark.parametrize("name", NAMES)
     def test_sampling_per_orbit_equals_sampling_per_block(self, name):
@@ -746,16 +770,14 @@ class TestOrbitSampling:
 
     @pytest.mark.parametrize("name", NAMES)
     def test_eigh_is_real_where_an_antiunitary_allows_it(self, name):
-        # real where T = K (an even number of Y per string) or T = K X_free (an
-        # even number of Z) fixes every string: the vortex systems, whose terms
-        # are XX or YY, and the hand-made negated, cancelling and no-free-site
-        # strings; complex otherwise, also where only another K Q, such as
-        # z-antiunitary's K Z_0, would
+        # T = K X_free fixes every string of an even number of Z factors on the
+        # free sites: the vortex systems, whose terms are XX or YY, and the
+        # hand-made negated, cancelling and no-free-site strings
         n, terms = _block_case(name)
         with eigh_dtypes() as seen:
             blocks = SiteBlocks(PauliKernel(n, terms, 0))
             held = [v for v in blocks._spectrum if isinstance(v, np.ndarray)]
-        assert seen == [np.complex128 if name in self.COMPLEX else np.float64]
+        assert seen == [np.float64]
         # eigenvectors are held per orbit only: no per-block copy (combined: 16 x 64 x 64);
         # the (free state, kept block) layout outgrows them only on one-state blocks
         dim, kept = blocks.initial().shape
@@ -789,8 +811,7 @@ def _exact_run(spec, start: int, dt: float):
 class TestRealBlocks:
     """Every system the program builds whose exact runs take the blocks gets a real eigh.
 
-    Its terms are XX or YY, so T = K X_free fixes every free-site string
-    (T = K also does where no string keeps a Y).
+    Its terms are XX, YY or ZZ, so T = K X_free fixes every free-site string.
     """
 
     @pytest.mark.parametrize("k", range(8))
@@ -802,10 +823,12 @@ class TestRealBlocks:
         assert (record["kind"], seen) == ("exact blocks", [np.float64])
         check()
 
-    @settings(max_examples=60, deadline=None)
-    @given(spec=custom_geometries(), bits=st.integers(0, 2**14 - 1),
+    @pytest.mark.parametrize("kind", ["melon", "antimelon", "combined"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), bits=st.integers(0, 2**14 - 1),
            dt=st.floats(min_value=0.01, max_value=2.5))
-    def test_custom_geometries(self, spec, bits, dt):
+    def test_custom_geometries(self, kind, data, bits, dt):
+        spec = data.draw(custom_geometries(kind))
         with eigh_dtypes() as seen:
             record, check = _exact_run(spec, bits % (1 << spec.n_sites), dt)
         assume(record["kind"] == "exact blocks")
@@ -826,6 +849,20 @@ class TestRealBlocks:
         assert record["conserved_sites"]["z"] == "X"
         check()
 
+    def test_an_xxz_chain_with_an_idle_site(self):
+        # the idle site is conserved, so the chain's XX, YY and ZZ strings go to
+        # the blocks: the one built system whose blocks hold a ZZ string, which
+        # T = K X_free fixes by its even number of Z factors
+        spec = system_from_dict({
+            "kind": "xxz", "holes": [], "delta": 1.0,
+            "sites": [{"label": f"s{k}", "pos": [k, 0]} for k in range(6)]
+            + [{"label": "z", "pos": [9, 9]}]})
+        with eigh_dtypes() as seen:
+            record, check = _exact_run(spec, label_to_index(default_initial_label(spec)), 0.37)
+        assert (record["kind"], record["conserved_sites"], seen) == (
+            "exact blocks", {"z": "X"}, [np.float64])
+        check()
+
 
 class TestBlockStep:
     COMBINED = build_hamiltonian(build_system("combined")).terms
@@ -836,7 +873,7 @@ class TestBlockStep:
         (-0.6, "XYXXI")])
 
     @settings(max_examples=80, deadline=None)
-    @given(case=st.one_of(planted_term_lists().map(lambda c: c[:2]),
+    @given(case=st.one_of(planted_term_lists(even_z=False).map(lambda c: c[:2]),
                           st.just((13, COMBINED))),
            bits=st.integers(0, 2**13 - 1), dt=st.floats(min_value=0.01, max_value=1.0))
     def test_block_step_equals_the_op_loop(self, case, bits, dt):
@@ -974,7 +1011,8 @@ class TestBlockEnergy:
             _check_block_energy(h.n_sites, h.terms, int(start), rng)
 
     @settings(max_examples=100, deadline=None)
-    @given(case=planted_term_lists(), bits=st.integers(0, 63), seed=st.integers(0, 2**32 - 1))
+    @given(case=planted_term_lists(even_z=False), bits=st.integers(0, 63),
+           seed=st.integers(0, 2**32 - 1))
     def test_planted_block_energy_equals_the_z_basis_energy(self, case, bits, seed):
         n, terms, _ = case  # Y-conserved sites too, and Z on the free sites
         if conserved_axes(terms, n):

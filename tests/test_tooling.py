@@ -117,3 +117,18 @@ def test_src_calls_nothing_newer_than_the_numpy_floor():
     used = {name for path in (ROOT / "src" / "vortexprop").glob("*.py")
             for name in re.findall(r"\bnp\.(\w+)", path.read_text())}
     assert used & newer == set()
+
+
+def test_every_spectrum_field_is_read():
+    # each field of statevector._Spectrum is read as `.field` somewhere in src/
+    # outside the class itself: a field that nothing reads is dead weight
+    path = ROOT / "src" / "vortexprop" / "statevector.py"
+    text = path.read_text()
+    node = next(n for n in ast.parse(text).body
+                if isinstance(n, ast.ClassDef) and n.name == "_Spectrum")
+    fields = [s.target.id for s in node.body if isinstance(s, ast.AnnAssign)]
+    lines = text.splitlines()
+    rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:] + [
+        p.read_text() for p in sorted((ROOT / "src" / "vortexprop").glob("*.py")) if p != path])
+    assert len(fields) > 0
+    assert [f for f in fields if not re.search(rf"\.{f}\b", rest)] == []
