@@ -329,8 +329,3 @@ def fidelity_scan(config: RunConfig, t_max_over_T: float) -> list[tuple[float, f
     return [(0.0, 1.0)] + [(step * config.dt_over_T, f ** 2) for step, f in enumerate(
         np.hypot(overlaps.real, overlaps.imag).tolist(), 1)]
 
-
-def semiclassical_period_scan(config: RunConfig, t_max_over_T: float) -> PeriodEstimate:
-    """Period estimate from the single-step feedback scan up to t_max."""
-    series = fidelity_scan(config, t_max_over_T)
-    return estimate_period(series, config.threshold, t_max_over_T)

@@ -20,9 +20,9 @@ from .circuit import compile_trotter_step, dump_circuit
 from .evolve import (
     RunConfig,
     RunResult,
+    fidelity_scan,
     run_exact,
     run_trotter,
-    semiclassical_period_scan,
 )
 from .hamiltonian import (
     CONSTANTS,
@@ -31,7 +31,7 @@ from .hamiltonian import (
     period_from_constants,
 )
 from .lattice import SystemKind, build_system
-from .observables import write_samples_csv
+from .observables import estimate_period, write_samples_csv
 from .statevector import max_amplitude_diff
 
 SUITE_NAMES = ("figures", "table1", "convergence", "all")
@@ -198,7 +198,8 @@ def suite_table1(out_root: Path) -> list[tuple[str, str]]:
     for name, kind, kwargs, dt, t_max in scans:
         spec = build_system(kind, **kwargs)
         config = RunConfig(system=spec, dt_over_T=dt, total_over_T=dt, sample_pitch=1)
-        rows.append((name, str(semiclassical_period_scan(config, t_max))))
+        period = estimate_period(fidelity_scan(config, t_max), config.threshold, t_max)
+        rows.append((name, str(period)))
     out_root.mkdir(parents=True, exist_ok=True)
     width = max(len(name) for name, _ in rows)
     lines = [f"{'system':<{width}} period(T)"]

@@ -23,9 +23,10 @@ of blocks and are fewer (10 against 22 on the 4096 states of the combined
 system).
 It also propagates exactly in the blocks' eigenbases, diagonalising one
 block per orbit of the Pauli strings on the free sites, as a real matrix
-since the antiunitary K X_free commutes with every block, and rebuilding
-each sample with one matrix product per orbit, whose rows map onto the
-orbit's other blocks by a signed gather.  Both leave the state on
+since the antiunitary K X_free commutes with every block.  It holds the
+eigh's real eigenvectors and rebuilds each sample with one real matrix
+product per orbit, then the two terms of the real basis, whose rows map
+onto the orbit's other blocks by a signed gather.  Both leave the state on
 the blocks, where the energy is measured; `sector` takes it back to z with
 one matrix product per free-parity half.  One function (`_string_rows`)
 builds every string's gather and phase, for the kernel's rows, the blocks'
@@ -57,9 +58,6 @@ class StateVector:
             raise ValueError(f"need {1 << n_qubits} amplitudes, got {amps.shape}")
         self.n_qubits = n_qubits
         self.amps = amps
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amps.copy())
 
 
 def label_to_index(label: str) -> int:
@@ -598,17 +596,15 @@ def _blocks_in(rows: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Spectrum(NamedTuple):
-    """`SiteBlocks._spectrum`: one eigenbasis per orbit and the layout `state` samples it in."""
+    """`SiteBlocks._spectrum`: a real eigenbasis per orbit and the layout `state` samples it in."""
 
     levels: np.ndarray  # (orbit, level): each representative's energies, ascending
-    vectors: np.ndarray  # (orbit, state, level): V_r, in its columns
-    coeffs: np.ndarray  # (orbit, member, level): <V_b|start>, conjugated where eps = -1
-    negated: np.ndarray  # (orbit, member): eps = -1; padding members are False, of coeffs 0
+    vectors: np.ndarray  # (orbit, state, level): O_r, real, with V_r = W O_r
+    fold: np.ndarray  # (2, state): row j of W v is fold[0, j] v[j] + fold[1, j] v[j ^ tx]
+    coeffs: np.ndarray  # (orbit, level, member): <V_b|start>, conjugated where eps = -1
+    negated: np.ndarray  # (orbit, 1, member): eps = -1; padding members are False, of coeffs 0
     take: np.ndarray  # (free state j, kept block b): flat index of row j ^ qx_b of b's column
     signs: np.ndarray  # (free state j, kept block b): (-1)^popcount(qz_b & j)
-    slot: np.ndarray  # per kept block: its orbit
-    eps: np.ndarray
-    qx: np.ndarray
 
 
 class SiteBlocks(_FusedSteps):
@@ -651,27 +647,26 @@ class SiteBlocks(_FusedSteps):
     = 1 + |high[s] / low[s]|^2: block s^ holds |ratio[s]|^2 times the norm
     and the energy of block s.
 
-    Exact propagation (`state`) diagonalises the blocks on first use.  The
-    block s^ shares `energies[s]` and has eigenvectors D `vectors[s]`.
-    Pauli strings on the free sites relate more of the kept blocks: where
-    H_s = eps Q H_r Q (see `_orbits`), block s has energies eps E_r and
-    eigenvectors Q V_r, Q acting as the signed permutation
-    (Q v)[j] = (-1)^popcount(qz & j) v[j ^ qx].  Only one block per orbit is
+    Exact propagation (`state`) diagonalises the blocks on first use.  Block
+    s^ is D times block s, so it shares its eigenbasis up to D.  Pauli
+    strings on the free sites relate more of the kept blocks: where H_s =
+    eps Q H_r Q (see `_orbits`), block s has energies eps E_r and
+    eigenvectors Q V_r, Q acting as the signed permutation (Q v)[j] =
+    (-1)^popcount(qz & j) v[j ^ qx].  Only one block per orbit is
     diagonalised, in one batched eigh (`diagonalised` counts them: 16 of
-    combined's 64, 2 of melon's 8).  A row of `energies` is therefore
-    ascending, or descending where eps = -1.
+    combined's 64, 2 of melon's 8).
 
     The antiunitary T = K X_free fixes every free string with an even number
     of Z factors, as every XX, YY or ZZ bond leaves, so the representatives
     are built as real matrices in a T-invariant basis W (`_real_basis`,
-    `_blocks_in`), the eigh is real and V_r = W O is folded back once; an
-    odd number of Z factors is refused here, not on the Trotter steps.  Only
-    the representatives' V_r are held; `vectors` builds every block's Q V_r
-    on each call.  `state(t)` takes exp(-i t E) once per orbit, conjugated
-    where eps = -1, multiplies V_r into its members' start coefficients (held
-    padded, (orbit, member, dim)) in one batched GEMM (combined: 16 products
-    of 64 x 64 by 64 x 4, not 64 matvecs), and lays the products out as the
-    (free state, kept block) array with one signed gather.
+    `_blocks_in`) and the eigh is real: V_r = W O_r, of which only the real
+    O_r is held; an odd number of Z factors is refused here, not on the
+    Trotter steps.  `state(t)` takes exp(-i t E) once per orbit, conjugated
+    where eps = -1, multiplies O_r into its members' start coefficients
+    (held padded, (orbit, level, member)) in one real batched GEMM
+    (combined: 16 products of 64 x 64 by 64 x 8 reals, not 64 complex
+    matvecs), applies W's two terms to the products, and lays them out as
+    the (free state, kept block) array with one signed gather.
     """
 
     def __init__(self, kernel: PauliKernel):
@@ -767,11 +762,13 @@ class SiteBlocks(_FusedSteps):
 
     @cached_property
     def _spectrum(self) -> _Spectrum:
-        """One eigenbasis per orbit, and the layout `state` samples it in.
+        """One real eigenbasis O_r per orbit, and the layout `state` samples it in.
 
-        T = K X_free fixes a string X^x Z^z when popcount(z & ~x), its number
-        of Z factors, is even: K negates each Y, X_free each Y or Z.  A free
-        string of nonzero weight with an odd number is refused.
+        Nothing else is held: a block's energies are eps times its orbit's
+        `levels`, and its eigenvectors Q W O_r.  T = K X_free fixes a string
+        X^x Z^z when popcount(z & ~x), its number of Z factors, is even: K
+        negates each Y, X_free each Y or Z.  A free string of nonzero weight
+        with an odd number is refused.
         """
         weights: dict[tuple, np.ndarray] = {}  # (x bits, z bits) on the free sites -> weights
         for w, x, z in self._strings:
@@ -784,36 +781,23 @@ class SiteBlocks(_FusedSteps):
         reps, slot, eps, qx, qz = _orbits(np.array(list(weights.values())), list(weights), parity)
         a, b, norm = _real_basis(parity)
         rows = _string_rows([(w[reps], *xz) for xz, w in weights.items()], diag, diag)
-        levels, rot = np.linalg.eigh(_blocks_in(rows, a, b))
-        r, turn = math.sqrt(norm), diag[::-1]  # j' = j ^ tx
-        vectors = rot * (a / r)[:, None]  # row j of W O: (a_j O[j] + b_j' O[j']) / r
-        vectors += rot[:, turn] * (b[turn] / r)[:, None]
+        levels, vectors = np.linalg.eigh(_blocks_in(rows, a, b))
+        turn = diag[::-1]  # j' = j ^ tx
+        fold = np.array([a, b[turn]]) / math.sqrt(norm)  # (W v)[j] = (a_j v[j] + b_j' v[j']) / r
 
-        # block b's vectors are V_b = Q_b V_r, (Q_b v)[j] = sign[b, j] v[j ^ qx_b]; its start
-        # coefficients low[b] conj(V_b[f0]) sit at (orbit, place among its members)
+        # block b's vectors are V_b = Q_b W O_r, (Q_b v)[j] = sign[b, j] v[j ^ qx_b]; its start
+        # coefficients low[b] conj(V_b[f0]) sit at (orbit, level, place among its members)
         member = np.tril(slot[:, None] == slot, -1).sum(axis=1)  # earlier blocks of its orbit
         sign = parity[qz[:, None] & diag]
-        coeffs = np.zeros((len(reps), member.max() + 1, len(diag)), dtype=np.complex128)
-        coeffs[slot, member] = (self._low * sign[:, self._f0])[:, None] * vectors[
-            slot, self._f0 ^ qx].conj()
-        negated = np.zeros(coeffs.shape[:2], dtype=bool)
-        negated[slot, member] = eps < 0
-        np.conjugate(coeffs, out=coeffs, where=negated[..., None])
-        take = (slot * len(diag) + (diag[:, None] ^ qx)) * coeffs.shape[1] + member
-        return _Spectrum(levels, vectors, coeffs, negated, take, sign.T.copy(), slot, eps, qx)
-
-    @property
-    def energies(self) -> np.ndarray:
-        """Eigenvalues of each kept block, one row per block."""
-        spectrum = self._spectrum
-        return spectrum.eps[:, None] * spectrum.levels[spectrum.slot]
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """Eigenvectors of each kept block, in its columns, built on each call."""
-        spectrum = self._spectrum
-        rows = self._free ^ spectrum.qx[:, None]
-        return spectrum.vectors[spectrum.slot[:, None], rows] * spectrum.signs.T[..., None]
+        g = self._f0 ^ qx  # the row of V_r that row f0 of V_b reads
+        row = fold[0, g, None] * vectors[slot, g] + fold[1, g, None] * vectors[slot, turn[g]]
+        coeffs = np.zeros((len(reps), len(diag), member.max() + 1), dtype=np.complex128)
+        coeffs[slot, :, member] = (self._low * sign[:, self._f0])[:, None] * row.conj()
+        negated = np.zeros((len(reps), 1, coeffs.shape[2]), dtype=bool)
+        negated[slot, 0, member] = eps < 0
+        coeffs.imag *= 1 - 2 * negated  # conj(c) where eps = -1
+        take = (slot * len(diag) + (diag[:, None] ^ qx)) * coeffs.shape[2] + member
+        return _Spectrum(levels, vectors, fold, coeffs, negated, take, sign.T.copy())
 
     @property
     def diagonalised(self) -> int:
@@ -821,12 +805,21 @@ class SiteBlocks(_FusedSteps):
         return len(self._spectrum.levels)
 
     def state(self, t: float) -> np.ndarray:
-        """exp(-i t H) applied to the start state, as a (free state, kept block) array."""
+        """exp(-i t H) applied to the start state, as a (free state, kept block) array.
+
+        O_r is real, so one real GEMM takes it into the phased coefficients,
+        read as (real, imaginary) pairs; W's two terms then act on that small
+        (orbit, state, member) product, y[:, ::-1] being row j ^ tx, before the
+        signed gather.
+        """
         spectrum = self._spectrum
-        # where eps = -1 coeffs hold conj(c): conj(exp(-i t E) conj(c)) = exp(-i t eps E) c
-        phased = np.exp(-1j * t * spectrum.levels)[:, None, :] * spectrum.coeffs
-        np.conjugate(phased, out=phased, where=spectrum.negated[..., None])
-        psi = np.matmul(spectrum.vectors, phased.transpose(0, 2, 1)).take(spectrum.take)
+        # where eps = -1 coeffs hold conj(c), and negating the imaginary part conjugates:
+        # conj(exp(-i t E) conj(c)) = exp(-i t eps E) c
+        phased = np.exp(-1j * t * spectrum.levels)[..., None] * spectrum.coeffs
+        phased.imag *= 1 - 2 * spectrum.negated
+        y = np.matmul(spectrum.vectors, phased.view(np.float64)).view(np.complex128)
+        fold = spectrum.fold[..., None]
+        psi = (fold[0] * y + fold[1] * y[:, ::-1]).take(spectrum.take)
         psi *= spectrum.signs
         return psi
 

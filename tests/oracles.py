@@ -87,6 +87,18 @@ def all_site_blocks(n: int, terms: Sequence[PauliTerm]) -> np.ndarray:
     return blocks
 
 
+def block_states(n: int, terms: Sequence[PauliTerm], psi0: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t H_s) applied to column s of a (free state, kept block) array, for every s.
+
+    H_s is the block of `all_site_blocks`, diagonalised whole as a complex
+    Hermitian matrix, one eigh per block: no orbit, antiunitary or real basis
+    of `SiteBlocks` is used.
+    """
+    energies, vectors = np.linalg.eigh(all_site_blocks(n, terms))
+    coeffs = np.einsum("sji,js->si", vectors.conj(), psi0) * np.exp(-1j * t * energies)
+    return np.einsum("sij,sj->is", vectors, coeffs)
+
+
 # rotation taking a conserved site's axis to z, as in `SiteBlocks`
 _TO_Z = {PauliAxis.X: np.array([[1, 1], [1, -1]]) / math.sqrt(2),
          PauliAxis.Y: np.array([[1, -1j], [1j, -1]]) / math.sqrt(2)}

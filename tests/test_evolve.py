@@ -15,7 +15,6 @@ from vortexprop.evolve import (
     fidelity_scan,
     run_exact,
     run_trotter,
-    semiclassical_period_scan,
 )
 from vortexprop.circuit import compile_trotter_step
 from vortexprop.hamiltonian import (
@@ -27,6 +26,7 @@ from vortexprop.hamiltonian import (
     sparse_matrix_of,
 )
 from vortexprop.lattice import build_system, system_from_dict
+from vortexprop.observables import estimate_period
 from vortexprop.statevector import apply_circuit, conserved_axes, fidelity
 
 from oracles import (
@@ -225,7 +225,7 @@ class TestRunTrotter:
                            sample_pitch=n_steps)
         circuit = compile_trotter_step(build_hamiltonian(spec), dt)
         psi0 = init_basis_state(config.resolve_initial_label())
-        replay = psi0.copy()
+        replay = init_basis_state(config.resolve_initial_label())
         for _ in range(n_steps):
             apply_circuit(replay, circuit)
         run = run_trotter(config).final_state
@@ -265,7 +265,7 @@ class TestRunTrotter:
         config = RunConfig(system=spec, dt_over_T=1 / 10, total_over_T=5.0, sample_pitch=7)
         circuit = compile_trotter_step(build_hamiltonian(spec), 1 / 10)
         psi0 = init_basis_state(config.resolve_initial_label())
-        replay, fids = psi0.copy(), [1.0]
+        replay, fids = init_basis_state(config.resolve_initial_label()), [1.0]
         for _ in range(config.n_steps):
             apply_circuit(replay, circuit)
             fids.append(fidelity(psi0, replay))
@@ -558,7 +558,7 @@ class TestScans:
         spec = build_system("xxz", n=2)
         config = RunConfig(system=spec, dt_over_T=0.005, total_over_T=0.005,
                            sample_pitch=1, initial_label="01", threshold=0.999)
-        est = semiclassical_period_scan(config, 1.0)
+        est = estimate_period(fidelity_scan(config, 1.0), config.threshold, 1.0)
         assert not est.lower_bound
         assert est.period_over_T == pytest.approx(math.pi / 4, abs=0.005)
 
@@ -566,7 +566,7 @@ class TestScans:
         spec = build_system("xxz", n=6, delta=2.0)
         config = RunConfig(system=spec, dt_over_T=1 / 10, total_over_T=0.1,
                            sample_pitch=1, threshold=0.999)
-        est = semiclassical_period_scan(config, 20.0)
+        est = estimate_period(fidelity_scan(config, 20.0), config.threshold, 20.0)
         assert est.lower_bound
         assert est.period_over_T == 20.0
 

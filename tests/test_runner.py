@@ -328,12 +328,10 @@ class TestSuites:
 
     def test_table1_layout_four_rows(self, tmp_path, monkeypatch, capsys):
         import vortexprop.runner as runner_mod
-        from vortexprop.observables import PeriodEstimate
 
-        monkeypatch.setattr(
-            runner_mod, "semiclassical_period_scan",
-            lambda config, t_max: PeriodEstimate(t_max, 0.999, t_max, lower_bound=True),
-        )
+        # a series that never recurs: every row is a lower bound at its t_max
+        monkeypatch.setattr(runner_mod, "fidelity_scan",
+                            lambda config, t_max: [(0.0, 1.0), (t_max, 0.5)])
         rows = runner_mod.suite_table1(tmp_path)
         assert [name for name, _ in rows] == [
             "XXZ,delta=0", "XXZ,delta=2", "(A),(B) single vortex",

@@ -42,6 +42,7 @@ from vortexprop.statevector import (
 from oracles import (
     SpectralReference,
     all_site_blocks,
+    block_states,
     butterfly_back_rotation,
     custom_geometries,
     dense_exponential,
@@ -535,14 +536,11 @@ def _commutator_norm(term, site, axis):
     return np.max(np.abs(t @ o - o @ t))
 
 
-def _assert_eigenpairs(blocks, n, terms):
-    """Each block of the oracle has the energies and unitary vectors of `blocks`."""
-    want = all_site_blocks(n, terms)
-    assert blocks.vectors.shape == want.shape
-    eye = np.eye(want.shape[-1])
-    for h_b, e_b, v_b in zip(want, blocks.energies, blocks.vectors):
-        assert np.linalg.norm(h_b @ v_b - v_b * e_b) <= 1e-12
-        assert np.linalg.norm(v_b.conj().T @ v_b - eye) <= 1e-12
+def _assert_block_states(blocks, n, terms):
+    """`state` equals each kept block's own propagator (`block_states`) at three times."""
+    psi0 = blocks.initial()
+    for t in (0.7, -1.9, 4.3):
+        assert np.max(np.abs(blocks.state(t) - block_states(n, terms, psi0, t))) < 1e-12
 
 
 def _levels(energies, tol=1e-9):
@@ -600,28 +598,34 @@ class TestConservedSites:
         blocks = SiteBlocks(kernel)
         want = expm(-1j * t * matrix_of(Hamiltonian(n, terms)))[:, start]
         assert np.max(np.abs(blocks.sector(blocks.state(t)) - want[kernel.index])) < 1e-12
-        _assert_eigenpairs(blocks, n, terms)
+        _assert_block_states(blocks, n, terms)
 
 
 class TestSiteBlocks:
     @pytest.mark.parametrize("kind, shape, levels", [
         ("melon", (8, 16), 23), ("antimelon", (8, 16), 23), ("combined", (64, 64), 673)])
     def test_block_spectra(self, kind, shape, levels):
+        # a block's energies are its orbit's levels, negated where eps = -1
         h = build_hamiltonian(build_system(kind))
-        kernel = PauliKernel(h.n_sites, h.terms, 0)
-        blocks = SiteBlocks(kernel)
-        assert blocks.energies.shape == shape
-        assert _levels(blocks.energies) == levels
+        blocks = SiteBlocks(PauliKernel(h.n_sites, h.terms, 0))
+        spectrum = blocks._spectrum
+        energies = [spectrum.levels, -spectrum.levels[spectrum.negated.any(axis=(1, 2))]]
+        want = np.linalg.eigvalsh(all_site_blocks(h.n_sites, h.terms))
+        assert blocks.initial().shape[::-1] == shape  # (kept block, state)
+        assert _levels(np.concatenate(energies)) == _levels(want) == levels
 
     @pytest.mark.parametrize("kind", ["melon", "antimelon"])
     @pytest.mark.parametrize("parity", [0, 1])
-    def test_block_spectrum_is_the_sector_spectrum(self, kind, parity):
+    def test_blocks_propagate_the_whole_sector(self, kind, parity):
+        from scipy.linalg import expm
+
         h = build_hamiltonian(build_system(kind))
         kernel = PauliKernel(h.n_sites, h.terms, parity)
         blocks = SiteBlocks(kernel)
         sector = matrix_of(h)[np.ix_(kernel.index, kernel.index)]
-        want = np.linalg.eigvalsh(sector)
-        assert np.max(np.abs(np.sort(blocks.energies.ravel()) - want)) < 1e-12
+        for t in (0.7, -1.9, 4.3):
+            want = expm(-1j * t * sector)[:, kernel.position(parity)]
+            assert np.max(np.abs(blocks.sector(blocks.state(t)) - want)) < 1e-12
 
     @pytest.mark.parametrize("kind, chi, diagonalised, kept", [
         ("melon", 0.0, 2, 8), ("antimelon", 0.0, 2, 8), ("combined", 0.0, 16, 64),
@@ -631,8 +635,8 @@ class TestSiteBlocks:
         h = build_hamiltonian(build_system(kind, chi=chi))
         kernel = PauliKernel(h.n_sites, h.terms, 0)
         blocks = SiteBlocks(kernel)
-        _assert_eigenpairs(blocks, h.n_sites, h.terms)
-        assert (blocks.diagonalised, len(blocks.energies)) == (diagonalised, kept)
+        _assert_block_states(blocks, h.n_sites, h.terms)
+        assert (blocks.diagonalised, blocks.initial().shape[1]) == (diagonalised, kept)
 
     # sites 0 and 1 free, 2, 3 and 4 conserved (X); the kept blocks are
     # (s2, s3) = ++, -+, +-, -- with s4 = +.  X0 weighs 0.5 (s2 + s3), zero
@@ -664,7 +668,7 @@ class TestSiteBlocks:
         n = len(strings[0][1])
         kernel = PauliKernel(n, terms, 0)
         blocks = SiteBlocks(kernel)
-        _assert_eigenpairs(blocks, n, terms)
+        _assert_block_states(blocks, n, terms)
         assert blocks.diagonalised == diagonalised
         want = expm(-0.7j * matrix_of(Hamiltonian(n, terms)))[:, 0]
         assert np.max(np.abs(blocks.sector(blocks.state(0.7)) - want[kernel.index])) < 1e-12
@@ -682,14 +686,8 @@ class TestSiteBlocks:
             "II" if sum(a in "XY" for a in s) % 2 == 0 else "IX" if k == 69 else "XI"))
             for k, s in enumerate(free))
         blocks = SiteBlocks(PauliKernel(6, terms, 0))
-        _assert_eigenpairs(blocks, 6, terms)
-        assert (blocks.diagonalised, len(blocks.energies)) == (2, 2)
-
-    def test_negated_block_has_negated_energies(self):
-        terms = tuple(_string(c, axes) for c, axes in self.NEGATED)
-        blocks = SiteBlocks(PauliKernel(3, terms, 0))
-        assert np.array_equal(blocks.energies[1], -blocks.energies[0])
-        assert blocks.energies[1][0] > blocks.energies[1][1]  # descending
+        _assert_block_states(blocks, 6, terms)
+        assert (blocks.diagonalised, blocks.initial().shape[1]) == (2, 2)
 
     def test_refuses_terms_without_a_conserved_site_or_parity(self):
         h = build_hamiltonian(build_system("xxz", n=4))
@@ -723,15 +721,6 @@ class TestSiteBlocks:
             SiteBlocks(PauliKernel(h.n_sites, h.terms))
 
 
-def _state_per_block(blocks, t):
-    """exp(-i t H) on the start, block by block from the per-block `vectors` and `energies`."""
-    vectors, energies, psi0 = blocks.vectors, blocks.energies, blocks.initial()
-    psi = np.empty_like(psi0)
-    for b, (v, e) in enumerate(zip(vectors, energies)):
-        psi[:, b] = v @ (np.exp(-1j * t * e) * (v.conj().T @ psi0[:, b]))
-    return psi
-
-
 def _block_case(name):
     """(n, terms) of a named system or hand-made string list."""
     if name in TestOrbitSampling.STRINGS:
@@ -763,7 +752,7 @@ class TestOrbitSampling:
             blocks = SiteBlocks(kernel)
             for t in rng.uniform(-5.0, 5.0, size=3):
                 psi = blocks.state(t)
-                assert np.max(np.abs(psi - _state_per_block(blocks, t))) < 1e-12
+                assert np.max(np.abs(psi - block_states(n, terms, blocks.initial(), t))) < 1e-12
                 if name in self.STRINGS:
                     want = expm(-1j * t * matrix_of(Hamiltonian(n, terms)))[:, int(start)]
                     assert np.max(np.abs(blocks.sector(psi) - want[kernel.index])) < 1e-12
@@ -782,7 +771,9 @@ class TestOrbitSampling:
         # the (free state, kept block) layout outgrows them only on one-state blocks
         dim, kept = blocks.initial().shape
         assert max(v.size for v in held) <= max(blocks.diagonalised * dim, kept) * dim
-        assert blocks._spectrum.vectors.shape == (blocks.diagonalised, dim, dim)
+        # the eigh's own real eigenvectors O_r, not a complex copy of V_r = W O_r
+        vectors = blocks._spectrum.vectors
+        assert (vectors.shape, vectors.dtype) == ((blocks.diagonalised, dim, dim), np.float64)
 
 
 def _exact_run(spec, start: int, dt: float):
