@@ -689,6 +689,19 @@ class TestSiteBlocks:
         _assert_block_states(blocks, 6, terms)
         assert (blocks.diagonalised, blocks.initial().shape[1]) == (2, 2)
 
+    def test_negated_block_has_negated_energies(self):
+        # one orbit of two kept blocks: block 1 has eps = -1, so its energies
+        # are the orbit's levels negated, and it propagates with them
+        terms = tuple(_string(c, axes) for c, axes in self.NEGATED)
+        blocks = SiteBlocks(PauliKernel(3, terms, 0))
+        spectrum = blocks._spectrum
+        assert spectrum.negated.ravel().tolist() == [False, True]
+        want = np.linalg.eigvalsh(all_site_blocks(3, terms))
+        assert np.max(np.abs(want[0] - spectrum.levels[0])) < 1e-12
+        assert np.max(np.abs(want[1] - np.sort(-spectrum.levels[0]))) < 1e-12
+        assert not np.allclose(want[1], want[0])
+        _assert_block_states(blocks, 3, terms)
+
     def test_refuses_terms_without_a_conserved_site_or_parity(self):
         h = build_hamiltonian(build_system("xxz", n=4))
         with pytest.raises(ValueError, match="no site Pauli"):
