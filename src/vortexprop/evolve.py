@@ -144,7 +144,9 @@ class RunConfig:
         return round(self.total_over_T / self.dt_over_T)
 
     def resolve_initial_label(self) -> str:
-        label = self.initial_label or default_initial_label(self.system)
+        label = self.initial_label
+        if label is None:
+            label = default_initial_label(self.system)
         if len(label) != self.system.n_sites:
             raise ValueError(
                 f"initial label length {len(label)} != {self.system.n_sites} sites"
@@ -197,8 +199,10 @@ def _propagation(config: RunConfig, exact: bool = False) -> tuple[
     """(Hamiltonian, kernel, propagator, manifest record) of a run, by one rule.
 
     The kernel holds the initial state's sector.  `SiteBlocks` needs a
-    conserved site Pauli, one parity sector and, for m conserved sites,
-    back-rotation matrices of 2^(m-1) <= MAX_BLOCK_DIM rows; exact runs also
+    conserved site Pauli, which makes it a parity sector here (every term is
+    a two-site bond, and the kernel picks the magnetization sector only when
+    no site is conserved), and, for m conserved sites, back-rotation
+    matrices of 2^(m-1) <= MAX_BLOCK_DIM rows; exact runs also
     diagonalise its blocks of 2^(n-m) states, under the same cap.  Trotter
     runs step a dense kernel by one matvec (`dense`), else the blocks
     (`blocks`), else the kernel's op loop (`ops`).  Exact runs take the
@@ -210,8 +214,7 @@ def _propagation(config: RunConfig, exact: bool = False) -> tuple[
     h = build_hamiltonian(config.system)
     kernel = PauliKernel(h.n_sites, h.terms, label_to_index(config.resolve_initial_label()))
     m = len(kernel.conserved)
-    blocks = m and kernel.selection == "parity" and max(
-        1 << (m - 1), 1 << (h.n_sites - m) if exact else 0) <= MAX_BLOCK_DIM
+    blocks = m and max(1 << (m - 1), 1 << (h.n_sites - m) if exact else 0) <= MAX_BLOCK_DIM
     if exact:
         kind = "exact blocks" if blocks else "expm"
     else:

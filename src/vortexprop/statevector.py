@@ -25,8 +25,8 @@ It also propagates exactly in the blocks' eigenbases, diagonalising one
 block per orbit of the Pauli strings on the free sites, as a real matrix
 since the antiunitary K X_free commutes with every block.  It holds the
 eigh's real eigenvectors and rebuilds each sample with one real matrix
-product per orbit, then the two terms of the real basis, whose rows map
-onto the orbit's other blocks by a signed gather.  Both leave the state on
+product per orbit, then one signed two-term gather, which applies the real
+basis and maps each orbit's rows onto its blocks.  Both leave the state on
 the blocks, where the energy is measured; `sector` takes it back to z with
 one matrix product per free-parity half.  One function (`_string_rows`)
 builds every string's gather and phase, for the kernel's rows, the blocks'
@@ -566,8 +566,8 @@ def _real_basis(parity: np.ndarray) -> tuple:
     return d * s, d, 2.0 if len(parity) > 1 else 4.0
 
 
-def _blocks_in(rows: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W^dagger H_r W per orbit r, real, for the W of `_real_basis`.
+def _blocks_in(rows: list, a: np.ndarray, b: np.ndarray, norm: float) -> np.ndarray:
+    """W^dagger H_r W per orbit r, real, for the W (a, b, r^2 = norm) of `_real_basis`.
 
     `rows` are the free strings' (weights per orbit, flip, gather, phase) over
     the free basis states (`_string_rows`), each fixed by T = K X_free.  As
@@ -576,7 +576,7 @@ def _blocks_in(rows: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     p ^ x ^ tx alone: two row gathers per string, then one assignment of
     their sums per column flip.  r^2 times an entry is a sum of products of
     unit phases, exact, and so is the division by r^2 = 2, or 4 without a
-    free site; the imaginary parts are exactly 0 and are dropped.
+    free site (`norm`); the imaginary parts are exactly 0 and are dropped.
     """
     diag, tx = np.arange(len(a)), len(a) - 1
     flips = np.array([x for _, x, *_ in rows])
@@ -588,7 +588,7 @@ def _blocks_in(rows: list, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     entries = np.concatenate([ap * a[cols] + bp * b[cols],
                               ap * b[cols ^ tx] + bp * a[cols ^ tx]]).real
     moves, which = np.unique(np.concatenate([flips, flips ^ tx]), return_inverse=True)
-    weight = np.array([w for w, *_ in rows] * 2).T / (2.0 if tx else 4.0)  # (orbit, entry row)
+    weight = np.array([w for w, *_ in rows] * 2).T / norm  # (orbit, entry row)
     blocks = np.zeros((len(weight), len(diag), len(diag)))
     share = (which == np.arange(len(moves))[:, None]) * weight[:, None]  # (orbit, flip, entry row)
     blocks[:, diag, diag ^ moves[:, None]] = share @ entries
@@ -600,11 +600,10 @@ class _Spectrum(NamedTuple):
 
     levels: np.ndarray  # (orbit, level): each representative's energies, ascending
     vectors: np.ndarray  # (orbit, state, level): O_r, real, with V_r = W O_r
-    fold: np.ndarray  # (2, state): row j of W v is fold[0, j] v[j] + fold[1, j] v[j ^ tx]
     coeffs: np.ndarray  # (orbit, level, member): <V_b|start>, conjugated where eps = -1
     negated: np.ndarray  # (orbit, 1, member): eps = -1; padding members are False, of coeffs 0
-    take: np.ndarray  # (free state j, kept block b): flat index of row j ^ qx_b of b's column
-    signs: np.ndarray  # (free state j, kept block b): (-1)^popcount(qz_b & j)
+    mix: np.ndarray  # (2, free state j, kept block b): V_b[j] = mix[0] O_r[g] + mix[1] O_r[g ^ tx]
+    take: np.ndarray  # (2, j, b): rows g = j ^ qx_b and g ^ tx, as flat (orbit, state, member)
 
 
 class SiteBlocks(_FusedSteps):
@@ -665,8 +664,10 @@ class SiteBlocks(_FusedSteps):
     where eps = -1, multiplies O_r into its members' start coefficients
     (held padded, (orbit, level, member)) in one real batched GEMM
     (combined: 16 products of 64 x 64 by 64 x 8 reals, not 64 complex
-    matvecs), applies W's two terms to the products, and lays them out as
-    the (free state, kept block) array with one signed gather.
+    matvecs), and lays the products out as the (free state, kept block)
+    array with one signed two-term gather: row j of V_b = Q_b W O_r is rows
+    g = j ^ qx_b and g ^ tx of O_r, each times one phase that holds W's
+    entry and Q_b's sign.  The start coefficients read row f0 the same way.
     """
 
     def __init__(self, kernel: PauliKernel):
@@ -765,10 +766,13 @@ class SiteBlocks(_FusedSteps):
         """One real eigenbasis O_r per orbit, and the layout `state` samples it in.
 
         Nothing else is held: a block's energies are eps times its orbit's
-        `levels`, and its eigenvectors Q W O_r.  T = K X_free fixes a string
-        X^x Z^z when popcount(z & ~x), its number of Z factors, is even: K
-        negates each Y, X_free each Y or Z.  A free string of nonzero weight
-        with an odd number is refused.
+        `levels`, and its eigenvectors Q W O_r, whose row j is `mix[0, j]`
+        times row g = j ^ qx of O_r plus `mix[1, j]` times row g ^ tx, found
+        at `take` in the (orbit, state, member) layout of `state`'s product;
+        the start coefficients read their row f0 the same way.  T = K X_free
+        fixes a string X^x Z^z when popcount(z & ~x), its number of Z
+        factors, is even: K negates each Y, X_free each Y or Z.  A free
+        string of nonzero weight with an odd number is refused.
         """
         weights: dict[tuple, np.ndarray] = {}  # (x bits, z bits) on the free sites -> weights
         for w, x, z in self._strings:
@@ -781,23 +785,23 @@ class SiteBlocks(_FusedSteps):
         reps, slot, eps, qx, qz = _orbits(np.array(list(weights.values())), list(weights), parity)
         a, b, norm = _real_basis(parity)
         rows = _string_rows([(w[reps], *xz) for xz, w in weights.items()], diag, diag)
-        levels, vectors = np.linalg.eigh(_blocks_in(rows, a, b))
-        turn = diag[::-1]  # j' = j ^ tx
-        fold = np.array([a, b[turn]]) / math.sqrt(norm)  # (W v)[j] = (a_j v[j] + b_j' v[j']) / r
+        levels, vectors = np.linalg.eigh(_blocks_in(rows, a, b, norm))
 
-        # block b's vectors are V_b = Q_b W O_r, (Q_b v)[j] = sign[b, j] v[j ^ qx_b]; its start
-        # coefficients low[b] conj(V_b[f0]) sit at (orbit, level, place among its members)
+        # block b's vectors are V_b = Q_b W O_r: (Q_b v)[j] = (-1)^popcount(qz_b & j) v[g],
+        # g = j ^ qx_b, and (W v)[g] = (a_g v[g] + b_(g ^ tx) v[g ^ tx]) / r
+        g = diag[:, None] ^ qx
+        pair = np.array([g, g ^ (len(diag) - 1)])  # rows g and g ^ tx of O_r
+        mix = parity[qz & diag[:, None]] * (np.array([a[g], b[pair[1]]]) / math.sqrt(norm))
+        # start coefficients low[b] conj(V_b[f0]) at (orbit, level, place among its members)
         member = np.tril(slot[:, None] == slot, -1).sum(axis=1)  # earlier blocks of its orbit
-        sign = parity[qz[:, None] & diag]
-        g = self._f0 ^ qx  # the row of V_r that row f0 of V_b reads
-        row = fold[0, g, None] * vectors[slot, g] + fold[1, g, None] * vectors[slot, turn[g]]
+        row = (mix[:, self._f0, :, None] * vectors[slot, pair[:, self._f0]]).sum(axis=0)
         coeffs = np.zeros((len(reps), len(diag), member.max() + 1), dtype=np.complex128)
-        coeffs[slot, :, member] = (self._low * sign[:, self._f0])[:, None] * row.conj()
+        coeffs[slot, :, member] = self._low[:, None] * row.conj()
         negated = np.zeros((len(reps), 1, coeffs.shape[2]), dtype=bool)
         negated[slot, 0, member] = eps < 0
         coeffs.imag *= 1 - 2 * negated  # conj(c) where eps = -1
-        take = (slot * len(diag) + (diag[:, None] ^ qx)) * coeffs.shape[2] + member
-        return _Spectrum(levels, vectors, fold, coeffs, negated, take, sign.T.copy())
+        take = (slot * len(diag) + pair) * coeffs.shape[2] + member
+        return _Spectrum(levels, vectors, coeffs, negated, mix, take)
 
     @property
     def diagonalised(self) -> int:
@@ -808,9 +812,9 @@ class SiteBlocks(_FusedSteps):
         """exp(-i t H) applied to the start state, as a (free state, kept block) array.
 
         O_r is real, so one real GEMM takes it into the phased coefficients,
-        read as (real, imaginary) pairs; W's two terms then act on that small
-        (orbit, state, member) product, y[:, ::-1] being row j ^ tx, before the
-        signed gather.
+        read as (real, imaginary) pairs.  Each block's rows g and g ^ tx of
+        that (orbit, state, member) product are then gathered (`take`) and
+        weighed by `mix`, W's entry times Q_b's sign.
         """
         spectrum = self._spectrum
         # where eps = -1 coeffs hold conj(c), and negating the imaginary part conjugates:
@@ -818,9 +822,8 @@ class SiteBlocks(_FusedSteps):
         phased = np.exp(-1j * t * spectrum.levels)[..., None] * spectrum.coeffs
         phased.imag *= 1 - 2 * spectrum.negated
         y = np.matmul(spectrum.vectors, phased.view(np.float64)).view(np.complex128)
-        fold = spectrum.fold[..., None]
-        psi = (fold[0] * y + fold[1] * y[:, ::-1]).take(spectrum.take)
-        psi *= spectrum.signs
+        psi = spectrum.mix[0] * y.take(spectrum.take[0])
+        psi += spectrum.mix[1] * y.take(spectrum.take[1])
         return psi
 
 

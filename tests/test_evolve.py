@@ -97,6 +97,13 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             config.resolve_initial_label()
 
+    def test_rejects_an_empty_initial_label(self):
+        # only a missing label (None) takes the Neel default; "" is a label of length 0
+        config = RunConfig(system=build_system("melon"), dt_over_T=0.5, total_over_T=1.0,
+                           initial_label="")
+        with pytest.raises(ValueError, match="initial label length 0 != 8 sites"):
+            config.resolve_initial_label()
+
 
 class TestDefaultInitialLabels:
     def test_vortex_labels(self):

@@ -780,10 +780,11 @@ class TestOrbitSampling:
             blocks = SiteBlocks(PauliKernel(n, terms, 0))
             held = [v for v in blocks._spectrum if isinstance(v, np.ndarray)]
         assert seen == [np.float64]
-        # eigenvectors are held per orbit only: no per-block copy (combined: 16 x 64 x 64);
-        # the (free state, kept block) layout outgrows them only on one-state blocks
+        # eigenvectors are held per orbit only: no per-block copy (combined: 64 x 64 x 64,
+        # against 16 x 64 x 64); the two-term (free state, kept block) layout, 2 x dim x
+        # kept, outgrows them only where few orbits hold many blocks
         dim, kept = blocks.initial().shape
-        assert max(v.size for v in held) <= max(blocks.diagonalised * dim, kept) * dim
+        assert max(v.size for v in held) <= max(blocks.diagonalised * dim, 2 * kept) * dim
         # the eigh's own real eigenvectors O_r, not a complex copy of V_r = W O_r
         vectors = blocks._spectrum.vectors
         assert (vectors.shape, vectors.dtype) == ((blocks.diagonalised, dim, dim), np.float64)

@@ -46,24 +46,49 @@ def test_unused_imports_are_span_targets():
     assert unused - set(_span_targets()) == set()
 
 
+def _unreferenced(nodes_of, read_as: str) -> list:
+    """The public names (`nodes_of(module tree)` yields (owner, node)) that nothing reads.
+
+    A name is read when `read_as` (a pattern around the name) matches src/
+    outside the name's own definition, or perfbench/, or when it is a word of
+    an inline backtick span of README.md; a fenced block is skipped whole, so
+    its three backticks do not pair the prose around it into spans.
+    """
+    sources = {p: p.read_text() for p in sorted((ROOT / "src" / "vortexprop").glob("*.py"))}
+    bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    documented = {w for span in re.findall(r"```.*?```|`([^`]+)`", README, re.S)
+                  for w in re.findall(r"\w+", span)}
+    unreferenced = []
+    for path, text in sources.items():
+        lines = text.splitlines()
+        for owner, node in nodes_of(ast.parse(text)):
+            if node.name.startswith("_") or node.name in documented:
+                continue
+            rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:]
+                             + [t for p, t in sources.items() if p != path] + [bench])
+            if not re.search(read_as.format(re.escape(node.name)), rest):
+                unreferenced.append(f"vortexprop.{path.stem}.{owner}{node.name}")
+    return unreferenced
+
+
 def test_every_public_name_has_a_caller_beyond_the_tests():
     # a public function or class of the package must be referenced by name
     # in src/ outside its own definition, in perfbench/, or in backticks in
     # README.md: a name that only tests call belongs in tests/
-    sources = {p: p.read_text() for p in sorted((ROOT / "src" / "vortexprop").glob("*.py"))}
-    bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
-    documented = {w for span in re.findall(r"`([^`]+)`", README) for w in re.findall(r"\w+", span)}
-    unreferenced = []
-    for path, text in sources.items():
-        lines = text.splitlines()
-        for node in ast.parse(text).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:]
-                             + [t for p, t in sources.items() if p != path] + [bench])
-            if node.name not in documented and not re.search(rf"\b{node.name}\b", rest):
-                unreferenced.append(f"vortexprop.{path.stem}.{node.name}")
-    assert unreferenced == []
+    def module_level(tree):
+        return [("", n) for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+
+    assert _unreferenced(module_level, r"\b{}\b") == []
+
+
+def test_every_public_method_has_a_caller_beyond_the_tests():
+    # so must a public method or property of a class in src/, read as `.name`:
+    # a reader that only tests call belongs in tests/oracles.py
+    def methods(tree):
+        return [(f"{c.name}.", n) for c in tree.body if isinstance(c, ast.ClassDef)
+                for n in c.body if isinstance(n, ast.FunctionDef)]
+
+    assert _unreferenced(methods, r"\.{}\b") == []
 
 
 def test_readme_lists_every_simulate_flag():
