@@ -125,16 +125,20 @@ class RunConfig:
         # bytes per state of the 2^(n-1) parity sector, an upper bound where the
         # kernel keeps the smaller magnetization sector (the XXZ chain): 16 per
         # sample (complex128); the kernel's z-signs (8 per site); per bond a
-        # gather (4), a YY phase (8) and a fused op's alpha and beta (32); and
-        # ten states of scratch, start, full-space embed, position lookup and
-        # peak search (160).  On XXZ chains of 14
-        # to 18 sites this is 0.7 to 1.9 times the peak RSS growth of a run.
+        # gather (4), a YY phase (8), a fused op's alpha and beta (32) and the
+        # energy's weight (8); and 13 states of scratch, start, full-space
+        # embed, position lookup and peak search (208).  Against the peak that
+        # tracemalloc traces in a run of 3 or 21 samples at dt = T/10 (after a
+        # warm-up run), the count is 1.004 to 1.005 times it on combined at
+        # chi = 0.3 (the z-basis op loop on 4096 states, 199 to 202 bytes per
+        # state beyond the other terms), and 2.1 to 2.4 times it on XXZ chains
+        # of 14 to 18 sites.
         # The block step (SiteBlocks) holds its alpha and beta in place of the
         # kernel's, within the same 32 per bond, since a bond's terms flip the
         # same free sites and so share an op.  Its rows hold a column over the
         # free states and a row over the blocks per term, and its two
         # back-rotation matrices at most 2 * 16 * MAX_BLOCK_DIM^2 bytes (2 MiB).
-        held = (16 * samples + 8 * n + 44 * len(self.system.bonds) + 160) << (n - 1)
+        held = (16 * samples + 8 * n + 52 * len(self.system.bonds) + 208) << (n - 1)
         if held > MAX_HELD_BYTES:
             raise ValueError(f"{samples} samples and the kernel would hold {held} bytes, "
                              f"over the {MAX_HELD_BYTES} byte guard")
@@ -156,11 +160,11 @@ class RunConfig:
 
 @dataclass
 class RunResult:
+    """What a run found; its site labels are `config.system.labels`."""
     config: RunConfig
     samples: list[SampleRecord]
     period: PeriodEstimate
     final_state: StateVector
-    site_labels: tuple[str, ...]
     tracked: tuple[str, ...]
     propagator: dict  # kind, stored states, ops per step, conserved sites, block eighs
     health: dict  # the largest |<psi|psi> - 1| and |E - E_0| over the samples
@@ -243,8 +247,7 @@ def _run(config: RunConfig, h: Hamiltonian, kernel: PauliKernel, prop: PauliKern
     final state is the last sample's, or `state_at(n_steps)`'s if the total is
     not a whole number of pitches.  `propagator` describes prop.
     """
-    spec = config.system
-    n_steps, n = config.n_steps, spec.n_sites
+    n_steps, n = config.n_steps, config.system.n_sites
     steps = range(0, n_steps + 1, config.sample_pitch)
     states = [(0, prop.expectation(prop.initial()), kernel.basis(kernel.start))] + [
         (k, prop.expectation(psi := state_at(k)), prop.sector(psi)) for k in steps[1:]]
@@ -263,8 +266,8 @@ def _run(config: RunConfig, h: Hamiltonian, kernel: PauliKernel, prop: PauliKern
     )
     health = {"max_norm_drift": float(max(abs(np.vdot(st, st).real - 1) for *_, st in states)),
               "max_energy_drift": max(abs(s.energy - samples[0].energy) for s in samples)}
-    return RunResult(config, samples, period, kernel.embed(final), spec.labels, tracked,
-                     propagator, health, h)
+    return RunResult(config, samples, period, kernel.embed(final), tracked, propagator,
+                     health, h)
 
 
 def _stepwise(psi: np.ndarray, forward):

@@ -65,23 +65,27 @@ class Hamiltonian:
 
 @dataclass(frozen=True)
 class PhysicalConstants:
+    """The model's inputs in eV and seconds, and the two values derived from them.
+
+    J and the recurrence time unit T are properties, so the manifest records
+    the T that the inputs give.
+    """
     t_hop_ev: float = 0.13
     u_ev: float = 8 * 0.13
     hbar_ev_s: float = 6.582119569e-16
-    period_fs: float = 40.5054
     svinm_unit_j_per_t: float = 3.5662e-3
 
     @property
     def j_ev(self) -> float:
         return 2 * self.t_hop_ev ** 2 / self.u_ev
 
+    @property
+    def period_fs(self) -> float:
+        """Recurrence time unit T = 2*hbar/J, in femtoseconds."""
+        return 2 * self.hbar_ev_s / self.j_ev * 1e15
+
 
 CONSTANTS = PhysicalConstants()
-
-
-def period_from_constants(constants: PhysicalConstants = CONSTANTS) -> float:
-    """Recurrence time unit T = 2*hbar/J, in femtoseconds."""
-    return 2 * constants.hbar_ev_s / constants.j_ev * 1e15
 
 
 def build_hamiltonian(spec: SystemSpec) -> Hamiltonian:

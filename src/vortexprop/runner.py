@@ -11,7 +11,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,12 +24,7 @@ from .evolve import (
     run_exact,
     run_trotter,
 )
-from .hamiltonian import (
-    CONSTANTS,
-    dump_hamiltonian,
-    hamiltonian_hash,
-    period_from_constants,
-)
+from .hamiltonian import CONSTANTS, dump_hamiltonian, hamiltonian_hash
 from .lattice import SystemKind, build_system
 from .observables import estimate_period, write_samples_csv
 from .statevector import max_amplitude_diff
@@ -77,8 +72,13 @@ def make_config(opts: SimulateOptions) -> RunConfig:
     )
 
 
-def manifest_dict(opts: SimulateOptions, config: RunConfig, result: RunResult) -> dict:
-    h = result.hamiltonian
+def manifest_dict(opts: SimulateOptions, result: RunResult) -> dict:
+    """The manifest.json record of one run.
+
+    `opts` gives the system name and the exact switch; everything else comes
+    from `result`, its config included.
+    """
+    config = result.config
     return {
         "package": {"name": "vortexprop", "version": __version__},
         "config": {
@@ -95,15 +95,9 @@ def manifest_dict(opts: SimulateOptions, config: RunConfig, result: RunResult) -
             "tracked": list(result.tracked),
             "n_steps": config.n_steps,
         },
-        "constants": {
-            "t_hop_ev": CONSTANTS.t_hop_ev,
-            "u_ev": CONSTANTS.u_ev,
-            "j_ev": CONSTANTS.j_ev,
-            "period_fs": period_from_constants(),
-            "svinm_unit_j_per_t": CONSTANTS.svinm_unit_j_per_t,
-            "hbar_ev_s": CONSTANTS.hbar_ev_s,
-        },
-        "hamiltonian_hash": hamiltonian_hash(h),
+        "constants": {**asdict(CONSTANTS), "j_ev": CONSTANTS.j_ev,
+                      "period_fs": CONSTANTS.period_fs},
+        "hamiltonian_hash": hamiltonian_hash(result.hamiltonian),
         "propagator": result.propagator,
         "health": result.health,
         "period_estimate": {
@@ -118,7 +112,7 @@ def manifest_dict(opts: SimulateOptions, config: RunConfig, result: RunResult) -
 def emit_plot_data(result: RunResult, out_dir: Path) -> list[Path]:
     """Write fig4/fig5/fig6-style whitespace data files plus a gnuplot script."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    tracked, sites = result.tracked, result.site_labels
+    tracked, sites = result.tracked, result.config.system.labels
     # (name, ylabel, data columns, plot titles, data row of one sample)
     figures = [
         ("fig4", "|amplitude|", [f"amp_{lbl}" for lbl in tracked], tracked,
@@ -148,9 +142,10 @@ def execute_run(opts: SimulateOptions) -> RunResult:
     result = run_exact(config) if opts.exact else run_trotter(config)
     out_dir = Path(opts.out) if opts.out else Path("runs") / opts.system
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_samples_csv(out_dir / "samples.csv", result.samples, result.site_labels, result.tracked)
+    write_samples_csv(out_dir / "samples.csv", result.samples, config.system.labels,
+                      result.tracked)
     (out_dir / "manifest.json").write_text(
-        json.dumps(manifest_dict(opts, config, result), indent=2, sort_keys=True) + "\n"
+        json.dumps(manifest_dict(opts, result), indent=2, sort_keys=True) + "\n"
     )
     if opts.dump_hamiltonian:
         (out_dir / "hamiltonian.json").write_text(dump_hamiltonian(result.hamiltonian) + "\n")

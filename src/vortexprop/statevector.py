@@ -601,7 +601,7 @@ class _Spectrum(NamedTuple):
     levels: np.ndarray  # (orbit, level): each representative's energies, ascending
     vectors: np.ndarray  # (orbit, state, level): O_r, real, with V_r = W O_r
     coeffs: np.ndarray  # (orbit, level, member): <V_b|start>, conjugated where eps = -1
-    negated: np.ndarray  # (orbit, 1, member): eps = -1; padding members are False, of coeffs 0
+    sign: np.ndarray  # (orbit, 1, member): eps = +-1.0; padding members are +1, of coeffs 0
     mix: np.ndarray  # (2, free state j, kept block b): V_b[j] = mix[0] O_r[g] + mix[1] O_r[g ^ tx]
     take: np.ndarray  # (2, j, b): rows g = j ^ qx_b and g ^ tx, as flat (orbit, state, member)
 
@@ -797,11 +797,11 @@ class SiteBlocks(_FusedSteps):
         row = (mix[:, self._f0, :, None] * vectors[slot, pair[:, self._f0]]).sum(axis=0)
         coeffs = np.zeros((len(reps), len(diag), member.max() + 1), dtype=np.complex128)
         coeffs[slot, :, member] = self._low[:, None] * row.conj()
-        negated = np.zeros((len(reps), 1, coeffs.shape[2]), dtype=bool)
-        negated[slot, 0, member] = eps < 0
-        coeffs.imag *= 1 - 2 * negated  # conj(c) where eps = -1
+        sign = np.ones((len(reps), 1, coeffs.shape[2]))
+        sign[slot, 0, member] = eps
+        coeffs.imag *= sign  # conj(c) where eps = -1
         take = (slot * len(diag) + pair) * coeffs.shape[2] + member
-        return _Spectrum(levels, vectors, coeffs, negated, mix, take)
+        return _Spectrum(levels, vectors, coeffs, sign, mix, take)
 
     @property
     def diagonalised(self) -> int:
@@ -820,7 +820,7 @@ class SiteBlocks(_FusedSteps):
         # where eps = -1 coeffs hold conj(c), and negating the imaginary part conjugates:
         # conj(exp(-i t E) conj(c)) = exp(-i t eps E) c
         phased = np.exp(-1j * t * spectrum.levels)[..., None] * spectrum.coeffs
-        phased.imag *= 1 - 2 * spectrum.negated
+        phased.imag *= spectrum.sign
         y = np.matmul(spectrum.vectors, phased.view(np.float64)).view(np.complex128)
         psi = spectrum.mix[0] * y.take(spectrum.take[0])
         psi += spectrum.mix[1] * y.take(spectrum.take[1])

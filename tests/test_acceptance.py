@@ -32,7 +32,7 @@ from vortexprop.evolve import (
     run_exact,
     run_trotter,
 )
-from vortexprop.hamiltonian import period_from_constants
+from vortexprop.hamiltonian import CONSTANTS
 from vortexprop.lattice import build_system
 from vortexprop.observables import estimate_period
 from vortexprop.runner import cli_main
@@ -116,7 +116,7 @@ def combined_exact_run():
 # ---------------------------------------------------------------------------
 
 def test_criterion_01_constants():
-    period = period_from_constants()
+    period = CONSTANTS.period_fs
     ok = abs(period - 40.50) <= 0.01
     assert report(1, ok, f"T = {period:.6f} fs (target 40.50 +/- 0.01)")
 
@@ -211,7 +211,7 @@ def test_criterion_07_combined_class_degeneracy(combined_exact_run):
     classes = site_equivalence_classes(spec)
     assert ("a", "c", "j", "l") in classes and ("d", "h", "i", "m") in classes
     spreads = check_class_degeneracy(
-        combined_exact_run.samples, classes, combined_exact_run.site_labels
+        combined_exact_run.samples, classes, spec.labels
     )
     worst = max(spreads.values())
     ok = worst <= 1e-6

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vortexprop.circuit import (
     Circuit,
@@ -18,9 +20,9 @@ from vortexprop.hamiltonian import (
     build_hamiltonian,
 )
 from vortexprop.lattice import build_system
-from vortexprop.statevector import StateVector, apply_circuit, max_amplitude_diff
+from vortexprop.statevector import StateVector, apply_circuit, apply_gate, max_amplitude_diff
 
-from oracles import circuit_from_dict, dense_exponential, random_term
+from oracles import circuit_from_dict, custom_geometries, dense_exponential, random_term
 
 
 def random_state(n, rng):
@@ -78,7 +80,7 @@ class TestCompilePauliExponential:
             term = random_term(6, rng)
             c = compile_pauli_exponential(term, 0.2, n_qubits=6)
             n_xy = sum(axis is not PauliAxis.Z for _, axis in term.factors)
-            assert len(c) == 2 * n_xy + 2 * (len(term.support) - 1) + 1
+            assert len(c.gates) == 2 * n_xy + 2 * (len(term.support) - 1) + 1
 
     def test_rejects_bad_phi(self):
         with pytest.raises(ValueError):
@@ -155,7 +157,7 @@ class TestCompiledUnitary:
 class TestTrotterStep:
     def test_empty_hamiltonian(self):
         c = compile_trotter_step(Hamiltonian(3, ()), 0.1)
-        assert len(c) == 0 and c.n_qubits == 3
+        assert len(c.gates) == 0 and c.n_qubits == 3
 
     def test_single_term_equals_exponential(self):
         term = PauliTerm(0.5, ((0, PauliAxis.Y), (2, PauliAxis.Y)))
@@ -168,7 +170,7 @@ class TestTrotterStep:
         # 7 gates per XX or YY term, 3 per ZZ term
         for spec, gates in ((build_system("melon"), 98), (build_system("combined"), 182),
                             (build_system("xxz", n=8, delta=2.0), 119)):
-            assert len(compile_trotter_step(build_hamiltonian(spec), 1 / 300)) == gates
+            assert len(compile_trotter_step(build_hamiltonian(spec), 1 / 300).gates) == gates
 
     def test_rz_angle_convention(self):
         # phase per step: RZ angle = 2 * (2 * coeff * dt_over_T)
@@ -180,6 +182,44 @@ class TestTrotterStep:
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
             compile_trotter_step(Hamiltonian(1, (PauliTerm(1.0, ((0, PauliAxis.X),)),)), 0.0)
+
+
+def assert_well_formed(circuit: Circuit) -> None:
+    """Each gate has its kind's qubit count, distinct integer qubits inside the
+    circuit, and a finite float angle exactly when it is RX or RZ."""
+    arity = {"H": 1, "RX": 1, "RZ": 1, "CNOT": 2}
+    for g in circuit.gates:
+        assert len(g.qubits) == arity[g.kind], g
+        assert all(isinstance(q, int) and not isinstance(q, bool) and 0 <= q < circuit.n_qubits
+                   for q in g.qubits), g
+        assert len(set(g.qubits)) == len(g.qubits), g
+        if g.kind in ("RX", "RZ"):
+            assert isinstance(g.lam, float) and math.isfinite(g.lam), g
+        else:
+            assert g.lam is None, g
+
+
+class TestCompiledCircuitsAreWellFormed:
+    """Gate and Circuit check nothing: the compiler is their one builder in the
+    program, so its output carries the contract that --dump-circuit writes."""
+
+    @pytest.mark.parametrize("kind, kwargs", [
+        *[(kind, {"chi": chi}) for kind in ("melon", "antimelon", "combined")
+          for chi in (0.0, math.pi / 4)],
+        ("xxz", {"n": 8, "delta": 0.0}), ("xxz", {"n": 8, "delta": 2.0}),
+    ])
+    def test_built_in_systems(self, kind, kwargs):
+        h = build_hamiltonian(build_system(kind, **kwargs))
+        step = compile_trotter_step(h, 1 / 10)
+        assert len(step.gates) > 0
+        assert_well_formed(step)
+
+    @pytest.mark.parametrize("kind", ["melon", "antimelon", "combined"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), dt=st.floats(min_value=1e-3, max_value=2.0))
+    def test_custom_geometries(self, kind, data, dt):
+        spec = data.draw(custom_geometries(kind))
+        assert_well_formed(compile_trotter_step(build_hamiltonian(spec), dt))
 
 
 class TestDumpFormat:
@@ -198,28 +238,13 @@ class TestDumpFormat:
         assert "lambda" not in d["gates"][0]
 
     def test_gate_validation(self):
-        with pytest.raises(ValueError):
-            Gate("CNOT", (1, 1))
-        with pytest.raises(ValueError):
-            Gate("SWAP", (0, 1))
-        with pytest.raises(ValueError):
-            Gate("I", (0,))
-        with pytest.raises(ValueError):
-            Circuit(1, (Gate("H", (3,)),))
-
-    @pytest.mark.parametrize("gate, message", [
-        ({"g": "H", "q": [0, 1]}, "needs 1 qubit"),
-        ({"g": "RZ", "q": [0]}, "needs a finite lambda"),
-        ({"g": "RX", "q": [0], "lambda": math.nan}, "needs a finite lambda"),
-        ({"g": "H", "q": [0], "lambda": 0.5}, "takes no lambda"),
-        ({"g": "CNOT", "q": [0]}, "needs 2 qubit"),
-        ({"g": "RX", "q": [0], "lambda": True}, "a real number other than a bool"),
-        ({"g": "RZ", "q": [0], "lambda": "1"}, "a real number other than a bool"),
-        ({"g": "RZ", "q": [True], "lambda": 0.1}, "needs integer qubits"),
-        ({"g": "H", "q": [0.5]}, "needs integer qubits"),
-        ({"g": "CNOT", "q": [0, 1.0]}, "needs integer qubits"),
-    ])
-    def test_from_dict_refuses_malformed_gates(self, gate, message):
-        # each dump entry as the circuit reader turns it into a Gate
-        with pytest.raises(ValueError, match=f"Gate\\(kind='{gate['g']}'.*{message}"):
-            Gate(gate["g"], tuple(gate["q"]), gate.get("lambda"))
+        # the replay refuses what the compiler never builds: an unknown kind, a
+        # qubit outside the state, a circuit of another size
+        state = StateVector(2, np.array([1, 0, 0, 0]))
+        for gate in (Gate("SWAP", (0, 1)), Gate("I", (0,))):
+            with pytest.raises(ValueError, match="unknown gate kind"):
+                apply_gate(state, gate)
+        with pytest.raises(IndexError, match="qubit 3 out of range"):
+            apply_gate(state, Gate("H", (3,)))
+        with pytest.raises(ValueError, match="sizes differ"):
+            apply_circuit(state, Circuit(3, ()))

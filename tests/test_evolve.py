@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vortexprop import evolve
 from vortexprop.evolve import (
     MAX_HELD_BYTES,
     TRACK_TOP_K,
@@ -89,6 +91,24 @@ class TestRunConfig:
         # z-signs, gathers, phases and fused ops add about 1.2 KB per state
         with pytest.raises(ValueError, match=f"over the {MAX_HELD_BYTES} byte guard"):
             RunConfig(system=build_system("xxz", n=24), dt_over_T=1 / 10, total_over_T=0.2)
+
+    def test_held_state_guard_covers_the_op_loop_peak(self, monkeypatch):
+        # combined at chi = 0.3 conserves no site, so its run steps the z-basis op
+        # loop on 4096 stored states: the count must reach the run's traced peak,
+        # the energy's weight per bond included
+        config = RunConfig(system=build_system("combined", chi=0.3), dt_over_T=1 / 10,
+                           total_over_T=0.2, sample_pitch=1)
+        run_trotter(config)  # warm-up
+        tracemalloc.start()
+        try:
+            result = run_trotter(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.propagator["kind"] == "ops"
+        monkeypatch.setattr(evolve, "MAX_HELD_BYTES", peak - 1)
+        with pytest.raises(ValueError, match=f"over the {peak - 1} byte guard"):
+            replace(config)
 
     def test_rejects_wrong_initial_length(self):
         spec = build_system("melon")
@@ -508,7 +528,7 @@ class TestDuality:
             config = RunConfig(system=spec, dt_over_T=1 / 30, total_over_T=1.0,
                                sample_pitch=5)
             result = run_exact(config)
-            spreads = check_class_degeneracy(result.samples, classes, result.site_labels)
+            spreads = check_class_degeneracy(result.samples, classes, spec.labels)
             assert max(spreads.values()) < 1e-10
 
 

@@ -15,7 +15,6 @@ from vortexprop.hamiltonian import (
     hamiltonian_hash,
     hamiltonian_to_list,
     matrix_of,
-    period_from_constants,
     sparse_matrix_of,
 )
 from vortexprop.lattice import BondKind, build_system
@@ -30,12 +29,11 @@ class TestConstants:
 
     def test_period_matches_reported_value(self):
         # 2 hbar / J = 2 * 6.582119569e-16 / 0.0325 s = 40.505 fs
-        assert period_from_constants() == pytest.approx(40.5054, abs=0.001)
-        assert abs(period_from_constants() - CONSTANTS.period_fs) / CONSTANTS.period_fs < 1e-4
+        assert CONSTANTS.period_fs == pytest.approx(40.5054, abs=0.001)
 
     def test_period_scales_inversely_with_j(self):
         doubled = PhysicalConstants(t_hop_ev=CONSTANTS.t_hop_ev * math.sqrt(2))
-        assert period_from_constants(doubled) == pytest.approx(period_from_constants() / 2)
+        assert doubled.period_fs == pytest.approx(CONSTANTS.period_fs / 2)
 
 
 class TestPauliTerm:

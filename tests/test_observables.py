@@ -183,10 +183,10 @@ class TestClassDegeneracy:
         classes = site_equivalence_classes(spec)
         config = RunConfig(system=spec, dt_over_T=1 / 60, total_over_T=1.0, sample_pitch=6)
         result = run_exact(config)
-        spreads = check_class_degeneracy(result.samples, classes, result.site_labels)
+        spreads = check_class_degeneracy(result.samples, classes, spec.labels)
         assert max(spreads.values()) < 1e-10
         trotter = run_trotter(config)
-        spreads = check_class_degeneracy(trotter.samples, classes, trotter.site_labels)
+        spreads = check_class_degeneracy(trotter.samples, classes, spec.labels)
         assert max(spreads.values()) < 0.05
 
 
@@ -196,9 +196,9 @@ class TestCsvRoundTrip:
         config = RunConfig(system=spec, dt_over_T=1 / 30, total_over_T=0.5, sample_pitch=3)
         result = run_trotter(config)
         path = tmp_path / "samples.csv"
-        write_samples_csv(path, result.samples, result.site_labels, result.tracked)
+        write_samples_csv(path, result.samples, spec.labels, result.tracked)
         header, rows = read_samples_csv(path)
-        assert header == csv_header(result.site_labels, result.tracked)
+        assert header == csv_header(spec.labels, result.tracked)
         assert rows.shape == (len(result.samples), len(header))
         for i, rec in enumerate(result.samples):
             assert rows[i, 0] == rec.step

@@ -609,7 +609,7 @@ class TestSiteBlocks:
         h = build_hamiltonian(build_system(kind))
         blocks = SiteBlocks(PauliKernel(h.n_sites, h.terms, 0))
         spectrum = blocks._spectrum
-        energies = [spectrum.levels, -spectrum.levels[spectrum.negated.any(axis=(1, 2))]]
+        energies = [spectrum.levels, -spectrum.levels[(spectrum.sign < 0).any(axis=(1, 2))]]
         want = np.linalg.eigvalsh(all_site_blocks(h.n_sites, h.terms))
         assert blocks.initial().shape[::-1] == shape  # (kept block, state)
         assert _levels(np.concatenate(energies)) == _levels(want) == levels
@@ -695,7 +695,7 @@ class TestSiteBlocks:
         terms = tuple(_string(c, axes) for c, axes in self.NEGATED)
         blocks = SiteBlocks(PauliKernel(3, terms, 0))
         spectrum = blocks._spectrum
-        assert spectrum.negated.ravel().tolist() == [False, True]
+        assert (spectrum.sign < 0).ravel().tolist() == [False, True]
         want = np.linalg.eigvalsh(all_site_blocks(3, terms))
         assert np.max(np.abs(want[0] - spectrum.levels[0])) < 1e-12
         assert np.max(np.abs(want[1] - np.sort(-spectrum.levels[0]))) < 1e-12

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 from vortexprop.evolve import RunConfig, _propagation
 from vortexprop.lattice import build_system
@@ -89,6 +90,23 @@ def test_every_public_method_has_a_caller_beyond_the_tests():
                 for n in c.body if isinstance(n, ast.FunctionDef)]
 
     assert _unreferenced(methods, r"\.{}\b") == []
+
+
+def test_every_record_field_has_a_reader_beyond_the_tests():
+    # so must each annotated field of a dataclass or NamedTuple in src/, read
+    # as `.field` outside its own class: a field that only tests read repeats
+    # a value another record owns, or records nothing the program uses
+    def is_record(c):
+        return (any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in c.bases)
+                or any("dataclass" in ast.unparse(d) for d in c.decorator_list))
+
+    def record_fields(tree):
+        return [(f"{c.name}.", SimpleNamespace(name=s.target.id, lineno=c.lineno,
+                                               end_lineno=c.end_lineno))
+                for c in tree.body if isinstance(c, ast.ClassDef) and is_record(c)
+                for s in c.body if isinstance(s, ast.AnnAssign)]
+
+    assert _unreferenced(record_fields, r"\.{}\b") == []
 
 
 def test_readme_lists_every_simulate_flag():
