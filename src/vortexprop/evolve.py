@@ -79,12 +79,13 @@ def _whole_steps(total_over_T: float, dt_over_T: float, what: str = "total_over_
     if not 0.0 <= total_over_T < math.inf:
         raise ValueError(f"{what}={total_over_T} must be finite and non-negative")
     steps = total_over_T / dt_over_T
+    if steps > MAX_STEPS:  # first: round() raises OverflowError on an inf
+        raise ValueError(f"{what}={total_over_T} in steps of dt_over_T={dt_over_T} "
+                         f"exceeds the {MAX_STEPS} step guard")
     if abs(steps - round(steps)) > 1e-9:
         raise ValueError(
             f"{what}={total_over_T} is not an integer number of dt_over_T={dt_over_T} steps"
         )
-    if round(steps) > MAX_STEPS:
-        raise ValueError(f"{round(steps)} steps exceeds the {MAX_STEPS} step guard")
     return round(steps)
 
 

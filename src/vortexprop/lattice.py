@@ -53,12 +53,6 @@ class BondKind(str, Enum):
 @dataclass(frozen=True)
 class Site:
     label: str
-    index: int
-    pos: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Hole:
     pos: tuple[int, int]
 
 
@@ -71,9 +65,15 @@ class Bond:
 
 @dataclass(frozen=True)
 class SystemSpec:
+    """One system: its sites, holes, bonds and spin angles.
+
+    A site's index (its bit in a basis index, its `p` or `q` in a bond, its
+    entry in `xi`) is its place in `sites`; `holes` holds the holes' (x, y)
+    positions.
+    """
     kind: SystemKind
     sites: tuple[Site, ...]
-    holes: tuple[Hole, ...]
+    holes: tuple[tuple[int, int], ...]
     bonds: tuple[Bond, ...]
     xi: tuple[float, ...]  # in-plane spin angle per site
     winding: tuple[int, ...]
@@ -184,8 +184,8 @@ def _make_spec(
         raise ValueError(f"delta={delta} has no effect on the {kind.value} system")
     return SystemSpec(
         kind=kind,
-        sites=tuple(Site(lbl, i, pos) for i, (lbl, pos) in enumerate(zip(labels, positions))),
-        holes=tuple(Hole(p) for p in holes),
+        sites=tuple(Site(lbl, pos) for lbl, pos in zip(labels, positions)),
+        holes=tuple(holes),
         bonds=tuple(_enumerate_bonds(positions, holes)),
         xi=_xi(positions, holes, winding, chi),
         winding=winding,

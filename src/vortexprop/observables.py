@@ -117,19 +117,18 @@ def csv_header(site_labels: Sequence[str], tracked: Sequence[str]) -> list[str]:
     return cols
 
 
-def sample_row(s: SampleRecord, tracked: Sequence[str]) -> list[float]:
-    row: list[float] = [s.step, s.time_over_T, s.energy, s.magnetization, s.svinm, s.fidelity0]
-    row += list(s.m_z)
-    row += [s.amp_norms[lbl] for lbl in tracked]
-    return row
-
-
 def write_samples_csv(
     path, samples: Sequence[SampleRecord], site_labels: Sequence[str], tracked: Sequence[str]
-) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(csv_header(site_labels, tracked)) + "\n")
-        for s in samples:
-            cells = [str(s.step)] + [f"{v:.17g}" for v in sample_row(s, tracked)[1:]]
-            fh.write(",".join(cells) + "\n")
+) -> list[list[str]]:
+    """Write samples.csv and return its table: the header, then one row of cells per sample.
 
+    Each value is formatted once, here; the figure files take their cells
+    from this table (`runner.emit_plot_data`).
+    """
+    table = [csv_header(site_labels, tracked)]
+    table += [[str(s.step)] + [f"{v:.17g}" for v in (
+        s.time_over_T, s.energy, s.magnetization, s.svinm, s.fidelity0, *s.m_z,
+        *(s.amp_norms[lbl] for lbl in tracked))] for s in samples]
+    with open(path, "w", newline="") as fh:
+        fh.writelines(",".join(row) + "\n" for row in table)
+    return table

@@ -100,41 +100,38 @@ def manifest_dict(opts: SimulateOptions, result: RunResult) -> dict:
         "hamiltonian_hash": hamiltonian_hash(result.hamiltonian),
         "propagator": result.propagator,
         "health": result.health,
-        "period_estimate": {
-            "period_over_T": result.period.period_over_T,
-            "threshold": result.period.threshold,
-            "t_max_over_T": result.period.t_max_over_T,
-            "lower_bound": result.period.lower_bound,
-        },
+        "period_estimate": asdict(result.period),
     }
 
 
-def emit_plot_data(result: RunResult, out_dir: Path) -> list[Path]:
-    """Write fig4/fig5/fig6-style whitespace data files plus a gnuplot script."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tracked, sites = result.tracked, result.config.system.labels
-    # (name, ylabel, data columns, plot titles, data row of one sample)
+def emit_plot_data(table: list[list[str]], out_dir: Path) -> None:
+    """Write fig4/fig5/fig6-style whitespace data files plus a gnuplot script.
+
+    `table` holds the cells of samples.csv, as `write_samples_csv` returns
+    them; each figure is its t_over_T column and the columns picked by
+    header: amp_* (fig4), mz_* (fig5), magnetization and svinm_physical
+    (fig6, whose file names the latter svinm).
+    """
+    header = table[0]
+    amps = [c for c in header if c.startswith("amp_")]
+    mzs = [c for c in header if c.startswith("mz_")]
+    # (name, ylabel, csv columns, their names in the file, plot titles)
     figures = [
-        ("fig4", "|amplitude|", [f"amp_{lbl}" for lbl in tracked], tracked,
-         lambda s: [s.amp_norms[lbl] for lbl in tracked]),
-        ("fig5", "M^z", [f"mz_{lbl}" for lbl in sites], sites, lambda s: s.m_z),
-        ("fig6", "magnetization (units of J)", ["magnetization", "svinm"], ["M"],
-         lambda s: [s.magnetization, s.svinm]),
+        ("fig4", "|amplitude|", amps, amps, [c[len("amp_"):] for c in amps]),
+        ("fig5", "M^z", mzs, mzs, [c[len("mz_"):] for c in mzs]),
+        ("fig6", "magnetization (units of J)", ["magnetization", "svinm_physical"],
+         ["magnetization", "svinm"], ["M"]),
     ]
     gp = ["set xlabel 't/T'", "set key outside", "set terminal pngcairo size 900,600"]
-    written: list[Path] = []
-    for name, ylabel, columns, titles, row in figures:
-        lines = ["# " + " ".join(["t_over_T", *columns])]
-        lines += [" ".join(f"{v:.17g}" for v in [s.time_over_T, *row(s)]) for s in result.samples]
-        path = out_dir / f"{name}.dat"
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
+    for name, ylabel, columns, names, titles in figures:
+        picked = [header.index(c) for c in ["t_over_T", *columns]]
+        lines = ["# " + " ".join(["t_over_T", *names])]
+        lines += [" ".join([row[k] for k in picked]) for row in table[1:]]
+        (out_dir / f"{name}.dat").write_text("\n".join(lines) + "\n")
         plots = ", ".join(f"'{name}.dat' using 1:{k + 2} with lines title '{title}'"
                           for k, title in enumerate(titles))
         gp += [f"set output '{name}.png'", f"set ylabel '{ylabel}'", "plot " + plots]
-    path = out_dir / "plot.gp"
-    path.write_text("\n".join(gp) + "\n")
-    return written + [path]
+    (out_dir / "plot.gp").write_text("\n".join(gp) + "\n")
 
 
 def execute_run(opts: SimulateOptions) -> RunResult:
@@ -142,8 +139,8 @@ def execute_run(opts: SimulateOptions) -> RunResult:
     result = run_exact(config) if opts.exact else run_trotter(config)
     out_dir = Path(opts.out) if opts.out else Path("runs") / opts.system
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_samples_csv(out_dir / "samples.csv", result.samples, config.system.labels,
-                      result.tracked)
+    table = write_samples_csv(out_dir / "samples.csv", result.samples, config.system.labels,
+                              result.tracked)
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest_dict(opts, result), indent=2, sort_keys=True) + "\n"
     )
@@ -152,7 +149,7 @@ def execute_run(opts: SimulateOptions) -> RunResult:
     if opts.dump_circuit:
         circuit = compile_trotter_step(result.hamiltonian, config.dt_over_T)
         (out_dir / "circuit.json").write_text(dump_circuit(circuit) + "\n")
-    emit_plot_data(result, out_dir)
+    emit_plot_data(table, out_dir)
     return result
 
 

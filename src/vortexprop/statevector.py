@@ -340,7 +340,7 @@ class PauliKernel(_FusedSteps):
     states in ascending order, and one lookup over all 2^n gives their
     positions.  A gather to a state outside the sector points at position
     0, where the fused beta and the bond weight are exactly 0.0, and
-    `sparse_matrix` leaves it out.  Every method takes and returns
+    `sparse_matrix` stores no zero.  Every method takes and returns
     amplitudes over `index`; `embed` gives the full 2^n state.
 
     Each term coeff * P is encoded once as a string (coeff, x bits, z bits),
@@ -443,26 +443,21 @@ class PauliKernel(_FusedSteps):
     def sparse_matrix(self):
         """CSR matrix of sum_k coeff_k P_k over the stored basis states.
 
-        One entry per stored basis state and distinct flip whose partner is
-        stored too; real whenever every string carries an even number of Y
-        factors.
+        One entry per stored basis state and distinct flip (`_bonds`), then
+        every zero dropped: a pair that leaves the stored set weighs exactly
+        0.0, and so do pairs whose strings cancel.  Real whenever every string
+        carries an even number of Y factors.
         """
-        from scipy.sparse import coo_matrix, csr_matrix
+        from scipy.sparse import coo_matrix
 
         dim = len(self.index)
-        if not self._bonds:
-            return csr_matrix((dim, dim))
-        every, rows, cols, data = np.arange(dim), [], [], []
-        for f, g, w in self._bonds:
-            g = every if g is None else g
-            keep = np.flatnonzero(self.index[g] == self.index ^ f)  # its partner is stored
-            rows.append(keep)
-            cols.append(g[keep])
-            data.append(np.broadcast_to(w, (dim,))[keep])
-        return coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-        ).tocsr()
+        every = np.arange(dim)
+        cols = np.array([every if g is None else g for _, g, _ in self._bonds], dtype=np.intp)
+        data = np.array([np.broadcast_to(w, (dim,)) for _, _, w in self._bonds])
+        matrix = coo_matrix((data.ravel(), (np.tile(every, len(cols)), cols.ravel())),
+                            shape=(dim, dim)).tocsr()
+        matrix.eliminate_zeros()
+        return matrix
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ def point_symmetries(spec: SystemSpec) -> list[tuple[int, ...]]:
     """
     positions = [s.pos for s in spec.sites]
     pos_index = {(2 * x, 2 * y): i for i, (x, y) in enumerate(positions)}
-    holes = {(2 * h.pos[0], 2 * h.pos[1]) for h in spec.holes}
+    holes = {(2 * hx, 2 * hy) for hx, hy in spec.holes}
     c2 = (round(2 * sum(x for x, _ in positions) / len(positions)),
           round(2 * sum(y for _, y in positions) / len(positions)))
     bonds = {(b.p, b.q): (b.kind, *bond_couplings(spec, b)[:2]) for b in spec.bonds}
@@ -190,7 +190,7 @@ def point_symmetries(spec: SystemSpec) -> list[tuple[int, ...]]:
         images = [_transform(p, mat, c2) for p in positions]
         if not all(im in pos_index for im in images):
             continue
-        if {_transform(h.pos, mat, c2) for h in spec.holes} != holes:
+        if {_transform(h, mat, c2) for h in spec.holes} != holes:
             continue
         perm = tuple(pos_index[im] for im in images)
         image = {tuple(sorted((perm[p], perm[q]))): c for (p, q), c in bonds.items()}
@@ -337,6 +337,23 @@ def _bond_string(n: int, p: int, q: int, axis: str) -> tuple[np.ndarray, np.ndar
     return flipped, np.where(equal, -1.0, 1.0)
 
 
+def bond_sum_matrix(h: Hamiltonian):
+    """Sparse CSR matrix of `h`, a sum of two-site XX, YY and ZZ terms, added term by term.
+
+    scipy's sum keeps no entry that adds up to zero.
+    """
+    from scipy.sparse import csr_matrix
+
+    dim = 1 << h.n_sites
+    total = csr_matrix((dim, dim))
+    for term in h.terms:
+        (p, axis), (q, _) = term.factors
+        flipped, sign = _bond_string(h.n_sites, p, q, axis.value)
+        total = total + csr_matrix((term.coeff * sign, (flipped, np.arange(dim))),
+                                   shape=(dim, dim))
+    return total
+
+
 class SpectralReference:
     """Exact evolution exp(-2i t H) of a basis state from a dense eigh of H.
 
@@ -428,7 +445,7 @@ def system_to_dict(spec: SystemSpec) -> dict:
     return {
         "kind": spec.kind.value,
         "sites": [{"label": s.label, "pos": [s.pos[0], s.pos[1]]} for s in spec.sites],
-        "holes": [[h.pos[0], h.pos[1]] for h in spec.holes],
+        "holes": [list(h) for h in spec.holes],
         "winding": list(spec.winding),
         "chi": spec.chi,
         "delta": spec.delta,

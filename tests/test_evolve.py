@@ -77,6 +77,15 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(system=spec, dt_over_T=1e-9, total_over_T=100.0)
 
+    def test_step_count_overflowing_to_inf_hits_the_guard(self):
+        # total / dt overflows to inf, which round() cannot convert
+        guard = "exceeds the 10000000 step guard"
+        with pytest.raises(ValueError, match=guard):
+            RunConfig(system=build_system("melon"), dt_over_T=5e-324, total_over_T=1.0)
+        config = RunConfig(system=build_system("melon"), dt_over_T=0.1, total_over_T=0.1)
+        with pytest.raises(ValueError, match=guard):
+            fidelity_scan(config, 1e308)
+
     def test_held_state_guard_refuses_at_construction(self):
         # 10^6 pitch-1 samples of the 4096-amplitude combined sector: 65.5 GB
         spec = build_system("combined")
@@ -134,7 +143,7 @@ class TestDefaultInitialLabels:
         spec = build_system("combined")
         label = default_initial_label(spec)
         assert len(label) == 13
-        bits = {s.label: label[::-1][s.index] for s in spec.sites}
+        bits = {s.label: label[::-1][k] for k, s in enumerate(spec.sites)}
         for s in spec.sites:
             assert int(bits[s.label]) == (s.pos[0] + s.pos[1]) % 2
 

@@ -19,7 +19,7 @@ from vortexprop.hamiltonian import (
 )
 from vortexprop.lattice import BondKind, build_system
 
-from oracles import hamiltonian_from_list, random_term
+from oracles import bond_sum_matrix, hamiltonian_from_list, random_term
 
 
 class TestConstants:
@@ -132,7 +132,7 @@ def test_terms_match_independent_couplings(kind, kwargs, n_terms):
     # nearest hole (ties to the lower index) and its winding
     spec = build_system(kind, **kwargs)
     pos = [s.pos for s in spec.sites]
-    holes = [h.pos for h in spec.holes]
+    holes = list(spec.holes)
     chi = kwargs.get("chi", 0.0)
 
     def xi(p):
@@ -200,6 +200,18 @@ class TestMatrixOf:
         rng = np.random.default_rng(17)
         h = Hamiltonian(5, tuple(random_term(5, rng) for _ in range(30)))
         assert np.max(np.abs(sparse_matrix_of(h).toarray() - matrix_of(h))) < 1e-14
+
+    @pytest.mark.parametrize("kind, kwargs", [
+        ("xxz", {"n": 8, "delta": 2.0}), ("melon", {}), ("combined", {}),
+    ], ids=["xxz-d2", "melon", "combined"])
+    def test_sparse_matrix_stores_no_zero(self, kind, kwargs):
+        # pairs whose strings cancel (equal spins under XX + YY) weigh exactly 0.0
+        h = build_hamiltonian(build_system(kind, **kwargs))
+        m = sparse_matrix_of(h)
+        assert m.nnz > 0 and np.all(m.data != 0)
+        assert abs(m - bond_sum_matrix(h)).max() < 1e-14
+        if h.n_sites <= 8:  # matrix_of would hold over 2 GiB at once on combined's 13 sites
+            assert np.max(np.abs(m.toarray() - matrix_of(h))) < 1e-14
 
     def test_size_guard(self):
         h = Hamiltonian(14, (PauliTerm(1.0, ((0, PauliAxis.X),)),))

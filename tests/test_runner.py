@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -41,6 +42,13 @@ class TestParseDt:
         out = tmp_path / "r"
         assert run_cli(["simulate", "--system", "melon", *dt, "--out", str(out)]) == 1
         assert "dt_over_T=-0.1 must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_step_count_overflowing_to_inf_prints_the_guard(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert run_cli(["simulate", "--dt", "5e-324", "--total", "1", "--out", str(out)]) == 1
+        assert ("error: total_over_T=1.0 in steps of dt_over_T=5e-324 exceeds the 10000000 "
+                "step guard") in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -295,6 +303,25 @@ class TestPlotData:
         result = execute_run(opts)
         lines = (tmp_path / "p6/fig6.dat").read_text().splitlines()
         assert len(lines[1].split()) == 3  # t/T, magnetization, svinm
+
+    @pytest.mark.parametrize("system, dt, pitch", [("melon", 1 / 30, 6), ("combined", 0.1, 2)])
+    def test_figure_cells_are_csv_cells(self, tmp_path, system, dt, pitch):
+        # each column of fig4-fig6.dat is, string for string, the samples.csv
+        # column of its name; fig6 names svinm_physical svinm
+        result = execute_run(SimulateOptions(system=system, dt=dt, total=1.0, pitch=pitch,
+                                             out=str(tmp_path)))
+        with open(tmp_path / "samples.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        csv_columns = {name: [row[k] for row in rows] for k, name in enumerate(header)}
+        for fig in ("fig4", "fig5", "fig6"):
+            first, *lines = (tmp_path / f"{fig}.dat").read_text().splitlines()
+            names = first.removeprefix("# ").split(" ")
+            cells = [line.split(" ") for line in lines]
+            assert len(cells) == len(result.samples)
+            assert {len(row) for row in cells} == {len(names)}
+            for k, name in enumerate(names):
+                column = csv_columns["svinm_physical" if name == "svinm" else name]
+                assert [row[k] for row in cells] == column, (fig, name)
 
 
 class TestSuites:

@@ -391,6 +391,8 @@ class TestParitySector:
         assert m.shape == (len(kernel.index),) * 2
         full = sparse_matrix_of(h)[kernel.index][:, kernel.index]
         assert abs(m - full).max() == 0.0
+        # neither a pair that leaves the sector nor one whose strings cancel is stored
+        assert np.all(m.data != 0)
 
     @settings(max_examples=30, deadline=None)
     @given(name=st.sampled_from(sorted(SYSTEMS)), start=st.integers(0, 2**13 - 1),
@@ -845,7 +847,7 @@ class TestRealBlocks:
         # so the blocks keep melon's 16 states instead of doubling
         melon = build_system("melon")
         spec = system_from_dict({
-            "kind": "melon", "holes": [list(h.pos) for h in melon.holes],
+            "kind": "melon", "holes": [list(h) for h in melon.holes],
             "winding": list(melon.winding),
             "sites": [{"label": s.label, "pos": list(s.pos)} for s in melon.sites]
             + [{"label": "z", "pos": [5, 5]}]})
